@@ -8,7 +8,8 @@ from .algebra import (AlgebraSpec, Element, OperatorMatrix, U_operator,
 from .calculus import (Contour, HolomorphicCurve, cos, derivative_at_zero,
                        exp, holomorphic_calculus, log, power_mu)
 from .errors import (AlgebraMismatch, BranchCut, BranchTrackingFailed,
-                     ContourViolation, InsufficientData, JordanNumError,
+                     ContourViolation, ExpOverflow, InsufficientData,
+                     JordanNumError,
                      NotInvertible, NotSelfAdjoint, NotUMultiplicative,
                      OnSpectrum, ParseError, QuadratureError, StructureError,
                      UnsupportedAlgebra, ZeroFunctional, ZeroOnPath)

@@ -157,9 +157,6 @@ class OperatorMatrix:
             raise AlgebraMismatch("operator and element algebras differ")
         return Element(self.algebra, self.entries @ x.coeffs)
 
-    def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        return OperatorMatrix(self.algebra, self.entries @ other.entries)
-
 
 def _same_algebra(a: Element, b: Element):
     if a.algebra is b.algebra:
@@ -213,18 +210,24 @@ def U_pair_operator(a: Element, c: Element) -> OperatorMatrix:
 
 
 def jordan_power(a: Element, n: int) -> Element:
-    """Integer power a^n by binary powering (valid by power associativity)."""
+    """Integer power a^n by binary powering (valid by power associativity).
+
+    The result starts as the power of the lowest set bit of n, not as the
+    unit, and the base is not squared past the highest bit.
+    """
     if n < 0:
         raise ValueError("jordan_power requires a nonnegative exponent")
-    result = a.algebra.one()
+    if n == 0:
+        return a.algebra.one()
+    result = None
     base = a
-    k = n
-    while k:
-        if k & 1:
-            result = jordan_mul(result, base)
+    while True:
+        if n & 1:
+            result = base if result is None else jordan_mul(result, base)
+        n >>= 1
+        if not n:
+            return result
         base = jordan_mul(base, base)
-        k >>= 1
-    return result
 
 
 # ---------------------------------------------------------------------------

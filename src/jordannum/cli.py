@@ -268,7 +268,8 @@ def _load_config(path: str) -> dict:
     return values
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
+    """The argument parser; ``defaults`` replaces the subcommands' defaults."""
     parser = argparse.ArgumentParser(
         prog="jordannum",
         description="Jordan-algebra numerical experiments",
@@ -288,27 +289,24 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--n-grid", dest="n_grid", default="16:4096:2")
         if name == "functional":
             p.add_argument("--functional")
+        p.set_defaults(**(defaults or {}))
     return parser
 
 
-def _apply_config(args):
-    if not getattr(args, "config", None):
+def _parse_args(argv):
+    """Parse argv; values from a --config file fill the flags not given.
+
+    The file's values become the parser's defaults before a second parse,
+    so a flag given on the command line wins even when it equals the
+    built-in default, and argparse converts the values as it would flags.
+    """
+    args = build_parser().parse_args(argv)
+    if not args.config:
         return args
-    file_values = _load_config(args.config)
-    parser_defaults = {
-        "algebra": None, "seed": 0, "samples": 20, "out": None,
-        "element": None, "formula": "jordan_product", "n_grid": "16:4096:2",
-        "functional": None,
-    }
-    for key, value in file_values.items():
-        if not hasattr(args, key):
-            continue
-        # flags override the file: only fill values still at their default
-        if getattr(args, key) == parser_defaults.get(key):
-            if key in ("seed", "samples"):
-                value = int(value)
-            setattr(args, key, value)
-    return args
+    file_values = {key: value
+                   for key, value in _load_config(args.config).items()
+                   if hasattr(args, key) and key not in ("subcommand", "config")}
+    return build_parser(file_values).parse_args(argv)
 
 
 _COMMANDS = {
@@ -321,16 +319,13 @@ _COMMANDS = {
 
 def run(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code else EXIT_OK
-    try:
-        args = _apply_config(args)
+        args = _parse_args(argv)
         if not args.algebra:
             raise ParseError("an algebra descriptor is required")
         return _COMMANDS[args.subcommand](args, out)
+    except SystemExit as exc:  # argparse's usage errors, --help
+        return EXIT_USAGE if exc.code else EXIT_OK
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -41,6 +41,10 @@ class ContourViolation(JordanNumError):
     """Spectrum not strictly inside the integration contour."""
 
 
+class ExpOverflow(JordanNumError):
+    """An exponential is too large to represent in double precision."""
+
+
 class QuadratureError(JordanNumError):
     """Contour/Cauchy quadrature failed its stability test."""
 

@@ -16,6 +16,7 @@ from .algebra import Element, U_operator, mult_operator
 from .errors import NotInvertible, OnSpectrum
 
 DEFAULT_COND_TOL = 1e-10
+_RESOLVENT_BATCH = 64
 
 
 @dataclass(frozen=True)
@@ -37,16 +38,29 @@ def is_invertible(a: Element, cond_tol: float = DEFAULT_COND_TOL) -> bool:
     return bool(s[-1] > cond_tol * s[0])
 
 
+def _solve_checked(ops: np.ndarray, rhs: np.ndarray,
+                   cond_tol: float) -> np.ndarray:
+    """Solve ops[k] x_k = rhs[k] for a stack of U operators.
+
+    Refuses the stack when any operator's smallest singular value is at most
+    cond_tol times its largest, naming the first such operator's.
+    """
+    s = np.linalg.svd(ops, compute_uv=False)
+    singular = s[:, -1] <= cond_tol * s[:, 0]
+    if singular.any():
+        smin = s[singular.argmax(), -1]
+        raise NotInvertible(
+            f"U_a is numerically singular (smallest singular value {smin:.3e})",
+            smallest_singular_value=float(smin),
+        )
+    return np.linalg.solve(ops, rhs[:, :, None])[:, :, 0]
+
+
 def inverse(a: Element, cond_tol: float = DEFAULT_COND_TOL) -> Element:
     """Jordan inverse b = U_a^{-1}(a), solved as a linear system."""
     ua = U_operator(a).entries
-    s = np.linalg.svd(ua, compute_uv=False)
-    if s[-1] <= cond_tol * s[0]:
-        raise NotInvertible(
-            f"U_a is numerically singular (smallest singular value {s[-1]:.3e})",
-            smallest_singular_value=float(s[-1]),
-        )
-    return Element(a.algebra, np.linalg.solve(ua, a.coeffs))
+    return Element(a.algebra,
+                   _solve_checked(ua[None], a.coeffs[None], cond_tol)[0])
 
 
 def _dedupe(points: np.ndarray, tol: float):
@@ -98,11 +112,35 @@ def jordan_spectrum(a: Element, dedupe_tol: float | None = None) -> SpectrumSet:
     return SpectrumSet(points=points, dedupe_tol=tol, spectral_radius=radius)
 
 
+def _resolvents(a: Element, zetas: np.ndarray,
+                cond_tol: float = DEFAULT_COND_TOL) -> np.ndarray:
+    """Coefficients of (zeta*1 - a)^{-1}, one row for each zeta in zetas.
+
+    The inverse of zeta*1 - a is U_{zeta*1 - a}^{-1}(zeta*1 - a), and
+    U_{zeta*1 - a} = zeta^2 I - 2 zeta L_a + U_a, so L_a and U_a are formed
+    once and every node costs one batched SVD (the conditioning check of
+    ``inverse``) and one batched solve. Nodes go in batches of at most
+    ``_RESOLVENT_BATCH``, which bounds the operator stacks' memory.
+    """
+    la = mult_operator(a).entries
+    ua = U_operator(a).entries
+    eye = np.eye(a.algebra.dim)
+    zetas = np.asarray(zetas, dtype=complex)
+    out = np.empty((zetas.size, a.algebra.dim), dtype=complex)
+    for lo in range(0, zetas.size, _RESOLVENT_BATCH):
+        z = zetas[lo:lo + _RESOLVENT_BATCH, None]
+        # one temporary stack, then in place: each stack adds to peak memory
+        ops = ua - (2.0 * z)[:, :, None] * la
+        ops += (z * z)[:, :, None] * eye
+        out[lo:lo + len(z)] = _solve_checked(
+            ops, z * a.algebra.unit - a.coeffs, cond_tol)
+    return out
+
+
 def resolvent(a: Element, zeta: complex,
               cond_tol: float = DEFAULT_COND_TOL) -> Element:
     """(zeta*1 - a)^{-1}; raises NotInvertible when zeta is on the spectrum."""
-    shifted = a.algebra.one() * zeta - a
-    return inverse(shifted, cond_tol=cond_tol)
+    return Element(a.algebra, _resolvents(a, [zeta], cond_tol)[0])
 
 
 def _segment_distance(p: complex, a: complex, b: complex) -> float:

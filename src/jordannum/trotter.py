@@ -39,9 +39,6 @@ from .errors import BranchCut, InsufficientData, UnsupportedAlgebra
 
 ERROR_FLOOR = 1e-12
 
-FORMULA_IDS = ("jordan_product", "U_single", "U_pair", "general",
-               "associative_identity")
-
 
 @dataclass(frozen=True)
 class ConvergenceReport:

@@ -305,6 +305,22 @@ class TestPowers:
         fast = jordan_power(x, 11)
         assert (fast - iterated).norm <= 1e-10 * max(iterated.norm, 1.0)
 
+    def test_power_of_two_makes_only_squarings(self, monkeypatch):
+        # 4096 = 2^12: twelve squarings, no product with the unit and no
+        # squaring past the last bit
+        import jordannum.algebra as algebra_module
+        calls = []
+
+        def counting(a, b):
+            calls.append(1)
+            return jordan_mul(a, b)
+
+        monkeypatch.setattr(algebra_module, "jordan_mul", counting)
+        x = make_function_algebra(2).element([1.0, 1j])
+        got = jordan_power(x, 4096)
+        assert len(calls) == 12
+        np.testing.assert_allclose(got.coeffs, [1.0, 1.0], atol=1e-12)
+
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
             jordan_power(make_function_algebra(2).one(), -1)

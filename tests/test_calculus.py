@@ -1,4 +1,5 @@
 import cmath
+import warnings
 
 import numpy as np
 import pytest
@@ -19,8 +20,10 @@ from jordannum import (
     make_matrix_jordan,
     power_mu,
     random_element,
+    resolvent,
 )
-from jordannum.errors import BranchCut, ContourViolation
+from jordannum.calculus import _MAX_CONTOUR_NODES
+from jordannum.errors import BranchCut, ContourViolation, ExpOverflow
 
 FAMILIES = ["matrix:2", "matrix:3", "spin:4", "fn:5", "sum:fn:2+matrix:2"]
 
@@ -63,6 +66,23 @@ class TestExp:
             x = random_element(a, rng)
             prod = jordan_mul(exp(x), exp(-x))
             assert (prod - a.one()).norm <= 1e-9
+
+    def test_overflow_raises_exp_overflow(self):
+        a = make_matrix_jordan(3)
+        x = a.element(np.diag([800.0, 0.0, 0.0]).reshape(9))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ExpOverflow):
+                exp(x)
+
+    def test_large_nilpotent_is_finite(self):
+        # a norm bound would wrongly refuse this: exp(800 N) = 1 + 800 N
+        a = make_matrix_jordan(3)
+        n = np.zeros((3, 3))
+        n[0, 1] = 800.0
+        x = a.element(n.reshape(9))
+        got = exp(x)
+        assert (got - (a.one() + x)).norm <= 1e-12 * x.norm
 
     def test_spectral_mapping(self):
         for desc in FAMILIES:
@@ -148,7 +168,52 @@ class TestPowerMu:
             assert (power_mu(x, n) - ref).norm <= 1e-7 * max(ref.norm, 1.0)
 
 
+def per_node_calculus(h, a, contour):
+    """The trapezoid rule at contour.nodes, 2 contour.nodes, ... until stable,
+    each rule summed afresh, one public ``resolvent`` call per node."""
+    def quad(n):
+        acc = np.zeros(a.algebra.dim, dtype=complex)
+        for k in range(n):
+            off = contour.radius * np.exp(2j * np.pi * k / n)
+            zeta = contour.center + off
+            acc += h(zeta) * off * resolvent(a, zeta).coeffs
+        return acc / n
+
+    n = contour.nodes
+    prev = quad(n)
+    while n < _MAX_CONTOUR_NODES:
+        n *= 2
+        cur = quad(n)
+        if np.linalg.norm(cur - prev) <= 1e-9 * max(np.linalg.norm(cur), 1.0):
+            return cur
+        prev = cur
+    raise AssertionError("reference quadrature did not stabilize")
+
+
 class TestHolomorphicCalculus:
+    @pytest.mark.parametrize("desc", FAMILIES + ["matrix:4"])
+    def test_matches_per_node_reference(self, desc):
+        a = from_descriptor(desc)
+        x = random_element(a, np.random.default_rng(131))
+        contour = Contour(0.0, 2.0 * jordan_spectrum(x).spectral_radius + 1.0)
+        for h in (lambda z: z, cmath.exp):
+            got = holomorphic_calculus(h, x, contour).coeffs
+            ref = per_node_calculus(h, x, contour)
+            assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    def test_h_called_once_per_node(self):
+        # accepted at 512 nodes; summing each rule afresh made 256 + 512 calls
+        a = from_descriptor("spin:4")
+        x = random_element(a, np.random.default_rng(103))
+        nodes = []
+
+        def h(z):
+            nodes.append(z)
+            return z
+
+        holomorphic_calculus(h, x, Contour(0.0, 3.0))
+        assert len(nodes) == len(set(nodes)) == 512
+
     def test_identity_function(self):
         a = from_descriptor("spin:4")
         rng = np.random.default_rng(103)
@@ -204,6 +269,19 @@ class TestDerivativeAtZero:
         f = HolomorphicCurve(lambda z: exp(x * z), radius_r=2.0)
         got = derivative_at_zero(f, rho=0.5)
         assert (got - x).norm <= 1e-9 * max(x.norm, 1.0)
+
+    def test_curve_evaluated_once_per_node(self):
+        # accepted at 128 nodes; summing each rule afresh made 64 + 128 calls
+        a = from_descriptor("spin:3")
+        x = random_element(a, np.random.default_rng(113))
+        nodes = []
+
+        def curve(z):
+            nodes.append(z)
+            return exp(x * z)
+
+        derivative_at_zero(HolomorphicCurve(curve, radius_r=2.0), rho=0.5)
+        assert len(nodes) == len(set(nodes)) == 128
 
     def test_product_curve_and_finite_difference(self):
         a = from_descriptor("matrix:2")

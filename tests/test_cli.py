@@ -181,6 +181,24 @@ class TestConfig:
                 if not l.startswith(("#", "formula,"))]
         assert len(data) == 6  # 16, 32, ..., 512 from the config grid
 
+    def test_explicit_default_valued_flag_overrides_config(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 5\nn-grid = 16:512:2\n")
+        code, text = invoke(["trotter", "--config", str(cfg),
+                             "--algebra", "fn:2", "--seed", "0"])
+        assert code == 0
+        data = [l for l in text.strip().split("\n")
+                if not l.startswith(("#", "formula,"))]
+        assert len(data) == 6  # the grid still comes from the config
+        assert all(l.startswith("jordan_product,fn:2,0,") for l in data)
+
+    def test_config_value_of_wrong_type(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = five\n")
+        code, _ = invoke(["validate", "--config", str(cfg),
+                          "--algebra", "fn:2"])
+        assert code == 2
+
     def test_malformed_config(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("just a line without equals\n")

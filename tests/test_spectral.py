@@ -217,6 +217,16 @@ class TestResolvent:
         with pytest.raises(NotInvertible):
             resolvent(f.element([1, 3]), 1.0)
 
+    def test_batch_rejects_a_node_on_the_spectrum(self):
+        from jordannum.spectral import _resolvents
+        f = make_function_algebra(2)
+        a = f.element([1, 3])
+        np.testing.assert_allclose(_resolvents(a, [0.0, 2.0]),
+                                   [[-1, -1 / 3], [1, -1]])
+        with pytest.raises(NotInvertible) as info:
+            _resolvents(a, [0.0, 2.0, 3.0, 5.0])
+        assert info.value.smallest_singular_value == 0.0
+
 
 class TestUnboundedComponent:
     def test_outside_disk(self):
