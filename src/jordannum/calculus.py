@@ -114,16 +114,22 @@ def _expm1(a: Element) -> np.ndarray:
 
 
 def _sqrt_newton(a: Element, max_iter: int = 64) -> Element:
-    """Principal square root by Newton iteration inside the subalgebra of a."""
-    x = a
+    """Principal square root by Newton iteration inside the subalgebra of a.
+
+    Newton is unstable for non-normal elements (Higham, *Functions of
+    Matrices*, sec. 6.4): the relative step can fall to a few 1e-15, above
+    the 1e-15 stop, and grow again; then the smallest-step iterate is used.
+    """
+    x, tried = a, []
     for _ in range(max_iter):
         nxt = 0.5 * (x + jordan_mul(inverse(x), a))
-        if (nxt - x).norm <= 1e-15 * max(nxt.norm, 1.0):
-            x = nxt
-            break
+        step, scale = (nxt - x).norm, max(nxt.norm, 1.0)
         x = nxt
+        if step <= 1e-15 * scale:
+            break
+        tried.append((step / scale, x))
     else:
-        raise JordanNumError("Newton square-root iteration did not converge")
+        x = min(tried, key=lambda t: t[0])[1]
     resid = (jordan_mul(x, x) - a).norm
     if resid > 1e-9 * max(a.norm, 1.0):
         raise JordanNumError(

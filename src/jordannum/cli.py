@@ -19,8 +19,6 @@ from . import spectral
 from . import trotter
 from .errors import JordanNumError, ParseError
 
-WORKERS_ENV = "JORDANNUM_WORKERS"
-
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
@@ -54,13 +52,6 @@ def _fmt(x: float) -> str:
     return f"{x:.15g}"
 
 
-def _worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get(WORKERS_ENV, "1")))
-    except ValueError:
-        return 1
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -85,8 +76,9 @@ def _cmd_validate(args, out):
         scale = (1.0 + a.norm) ** 3 * (1.0 + b.norm)
         jordan_res = max(jordan_res, (lhs - rhs).norm / scale)
 
-        uab = alg.U_operator(alg.U_operator(a).apply(b)).entries
-        ua = alg.U_operator(a).entries
+        u_a = alg.U_operator(a)
+        uab = alg.U_operator(u_a.apply(b)).entries
+        ua = u_a.entries
         ub = alg.U_operator(b).entries
         prod = ua @ ub @ ua
         fundamental_res = max(
@@ -131,28 +123,21 @@ def _cmd_spectrum(args, out):
     return EXIT_OK
 
 
-_FORMULA_PARAMS = {
-    "jordan_product": ("a", "b"),
-    "U_single": ("a", "b"),
-    "U_pair": ("a", "b", "c"),
-}
-
-
 def _cmd_trotter(args, out):
     algebra = parse_algebra(args.algebra)
-    if args.formula not in _FORMULA_PARAMS:
-        raise ParseError(
-            f"unknown formula {args.formula!r}; choose from "
-            f"{sorted(_FORMULA_PARAMS)}"
-        )
+    if args.formula not in trotter.FORMULAE:
+        raise ParseError(f"unknown formula {args.formula!r}; choose from "
+                         f"{sorted(trotter.FORMULAE)}")
     n_min, n_max, ratio = _parse_grid(args.n_grid)
-    grid = trotter.geometric_grid(n_min, n_max, ratio)
+    try:
+        grid = trotter.check_grid(trotter.geometric_grid(n_min, n_max, ratio))
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
     rng = np.random.default_rng(args.seed)
     params = {key: alg.random_element(algebra, rng)
-              for key in _FORMULA_PARAMS[args.formula]}
+              for key in trotter.FORMULAE[args.formula][0]}
 
-    report = trotter.convergence_report(args.formula, params, grid,
-                                        workers=_worker_count())
+    report = trotter.convergence_report(args.formula, params, grid)
 
     lines = ["formula,algebra,seed,n,error"]
     for n, err in zip(report.n_grid, report.errors):
@@ -248,9 +233,15 @@ def _parse_grid(text: str):
         n_min, n_max, ratio = (int(p) for p in parts)
     except ValueError as exc:
         raise ParseError(f"grid values must be integers: {text!r}") from exc
-    if n_min < 2 or ratio < 2 or n_max < n_min:
-        raise ParseError(f"grid requires min >= 2, ratio >= 2, max >= min")
     return n_min, n_max, ratio
+
+
+def positive_int(text: str) -> int:
+    """An argparse type: an int >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _load_config(path: str) -> dict:
@@ -279,13 +270,13 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--algebra", required=False)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=20)
+        p.add_argument("--samples", type=positive_int, default=20)
         p.add_argument("--config")
         p.add_argument("--out")
         if name == "spectrum":
             p.add_argument("--element")
         if name == "trotter":
-            p.add_argument("--formula", default="jordan_product")
+            p.add_argument("--formula", default=next(iter(trotter.FORMULAE)))
             p.add_argument("--n-grid", dest="n_grid", default="16:4096:2")
         if name == "functional":
             p.add_argument("--functional")

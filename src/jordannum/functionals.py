@@ -125,20 +125,23 @@ def unit_sign(f: FunctionalHandle, algebra: AlgebraSpec) -> int:
 
 def reconstruct_psi(f: FunctionalHandle, x: Element,
                     steps: int = _MIN_STEPS) -> complex:
-    """psi(x) from the tracked logarithm of t -> f(exp(t x)) on [0, 1]."""
+    """psi(x) from the tracked logarithm of t -> f(exp(t x)) on [0, 1].
+
+    Doubling the steps keeps the old samples and adds the midpoints, so no
+    point of the path is evaluated twice.
+    """
     if steps < _MIN_STEPS:
         steps = _MIN_STEPS
+    values = [f(exp(x * t)) for t in np.linspace(0.0, 1.0, steps + 1)]
     while True:
-        ts = np.linspace(0.0, 1.0, steps + 1)
-        values = [f(exp(x * t)) for t in ts]
         if any(abs(v) < 1e-300 for v in values):
             raise ZeroOnPath("functional vanishes along the tracking path")
         ratios = [values[j + 1] / values[j] for j in range(steps)]
         jumps = [abs(cmath.phase(r)) for r in ratios]
         if max(jumps) < _PHASE_JUMP_LIMIT:
             psi = sum(cmath.log(r) for r in ratios)
-            final = f(exp(x))
-            if abs(final - cmath.exp(psi)) > 1e-7 * abs(cmath.exp(psi)):
+            # values[-1] is f(exp(x)): the path ends at t = 1
+            if abs(values[-1] - cmath.exp(psi)) > 1e-7 * abs(cmath.exp(psi)):
                 raise BranchTrackingFailed(
                     "tracked branch does not reproduce f(exp(x))"
                 )
@@ -148,6 +151,9 @@ def reconstruct_psi(f: FunctionalHandle, x: Element,
                 f"phase jump stayed >= {_PHASE_JUMP_LIMIT:.3f} at "
                 f"{_MAX_STEPS} steps"
             )
+        ts = np.linspace(0.0, 1.0, 2 * steps + 1)[1::2]  # old grid: [::2]
+        mids = [f(exp(x * t)) for t in ts]
+        values = [v for pair in zip(values, mids) for v in pair] + values[-1:]
         steps *= 2
 
 

@@ -178,8 +178,7 @@ def in_unbounded_component(s: SpectrumSet, lam: complex) -> bool:
 
 def u_inverse_residual(x: Element, y: Element) -> float:
     """Relative residual of (U_x(y))^{-1} = U_x^{-1}(y^{-1})."""
-    uxy = U_operator(x).apply(y)
-    lhs = inverse(uxy)
-    ux = U_operator(x).entries
-    rhs = Element(x.algebra, np.linalg.solve(ux, inverse(y).coeffs))
+    ux = U_operator(x)
+    lhs = inverse(ux.apply(y))
+    rhs = Element(x.algebra, np.linalg.solve(ux.entries, inverse(y).coeffs))
     return (lhs - rhs).norm / max(lhs.norm, 1e-300)

@@ -25,7 +25,6 @@ the error stays at rounding level for every n.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -248,44 +247,41 @@ def geometric_grid(n_min: int = 16, n_max: int = 4096, ratio: int = 2):
     return tuple(grid)
 
 
-def convergence_report(formula_id: str, params: dict,
-                       n_grid: Sequence[int],
-                       workers: int = 1) -> ConvergenceReport:
-    """Errors of one product formula against its analytic exp target.
-
-    ``params`` holds the elements: keys "a", "b" and, for U_pair, "c".
-    Grid points are independent; ``workers`` > 1 evaluates them in a thread
-    pool, with the output order fixed by the grid regardless of completion.
-    """
+def check_grid(n_grid: Sequence[int]) -> tuple:
+    """The grid as ints: at least six points, each at least twice the last."""
     n_grid = tuple(int(n) for n in n_grid)
     if len(n_grid) < 6:
         raise ValueError("need a geometric grid with at least 6 points")
-    for lo, hi in zip(n_grid, n_grid[1:]):
-        if hi < 2 * lo:
-            raise ValueError("grid must be geometric with ratio >= 2")
-    a, b = params["a"], params["b"]
-    if formula_id == "jordan_product":
-        target = exp(a + b)
-        evaluate = lambda n: trotter_jordan(a, b, n)
-    elif formula_id == "U_single":
-        target = exp(2.0 * a + b)
-        evaluate = lambda n: trotter_U(a, b, n)
-    elif formula_id == "U_pair":
-        c = params["c"]
-        target = exp(a + b + c)
-        evaluate = lambda n: trotter_U_pair(a, b, c, n)
-    else:
+    if any(hi < 2 * lo for lo, hi in zip(n_grid, n_grid[1:])):
+        raise ValueError("grid must be geometric with ratio >= 2")
+    return n_grid
+
+
+# formula id: (parameter keys, exponent s of the limit e^s, n-th product).
+# The products look trotter_* up at call time, so a tracer that rebinds
+# this module's globals sees the calls.
+FORMULAE = {
+    "jordan_product": ("ab", lambda p: p["a"] + p["b"],
+                       lambda p, n: trotter_jordan(p["a"], p["b"], n)),
+    "U_single": ("ab", lambda p: 2.0 * p["a"] + p["b"],
+                 lambda p, n: trotter_U(p["a"], p["b"], n)),
+    "U_pair": ("abc", lambda p: p["a"] + p["b"] + p["c"],
+               lambda p, n: trotter_U_pair(p["a"], p["b"], p["c"], n)),
+}
+
+
+def convergence_report(formula_id: str, params: dict,
+                       n_grid: Sequence[int]) -> ConvergenceReport:
+    """Errors of one product formula of ``FORMULAE`` against its exp target.
+
+    ``params`` maps the formula's parameter keys to elements; the grid must
+    pass ``check_grid``.
+    """
+    n_grid = check_grid(n_grid)
+    if formula_id not in FORMULAE:
         raise ValueError(f"unknown formula id {formula_id!r}")
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            approx = list(pool.map(evaluate, n_grid))
-    else:
-        approx = [evaluate(n) for n in n_grid]
-    errors = tuple((x - target).norm for x in approx)
-    return ConvergenceReport(
-        formula_id=formula_id,
-        n_grid=n_grid,
-        errors=errors,
-        fitted_slope=_fit_slope(n_grid, errors),
-        target_norm=target.norm,
-    )
+    _, exponent, product = FORMULAE[formula_id]
+    target = exp(exponent(params))
+    errors = tuple((product(params, n) - target).norm for n in n_grid)
+    return ConvergenceReport(formula_id, n_grid, errors,
+                             _fit_slope(n_grid, errors), target.norm)

@@ -133,6 +133,15 @@ class TestLog:
                 y = exp(x)
                 assert (exp(log(y)) - y).norm <= 1e-8 * max(y.norm, 1.0)
 
+    def test_round_trip_where_newton_loses_stability(self):
+        # Newton's square root is unstable for non-normal elements: on
+        # exp(y) its step falls to 3.6e-15, then grows and never reaches the
+        # 1e-15 stop; the iterate with the smallest step is the root
+        a = from_descriptor("spin:4")
+        rng = np.random.default_rng(3)
+        y = [random_element(a, rng, norm_cap=3.0) for _ in range(12)][-1]
+        assert (log(exp(y)) - y).norm <= 1e-8 * max(y.norm, 1.0)
+
     def test_branch_cut_raises(self):
         f = make_function_algebra(2)
         with pytest.raises(BranchCut):

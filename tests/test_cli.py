@@ -53,6 +53,13 @@ class TestValidate:
                              "--samples", "5"])
         assert code == 0
 
+    def test_zero_samples_rejected(self, capsys):
+        code, text = invoke(["validate", "--algebra", "fn:3",
+                             "--samples", "0"])
+        assert code == 2
+        assert text == ""
+        assert "--samples: must be at least 1" in capsys.readouterr().err
+
 
 class TestSpectrum:
     def test_fn_element(self):
@@ -96,16 +103,18 @@ class TestSpectrum:
 
 
 class TestTrotter:
-    def test_csv_shape(self):
+    @pytest.mark.parametrize("formula",
+                             ["jordan_product", "U_single", "U_pair"])
+    def test_csv_shape(self, formula):
         code, text = invoke(["trotter", "--algebra", "spin:3", "--seed", "7",
-                             "--formula", "jordan_product",
+                             "--formula", formula,
                              "--n-grid", "16:4096:2"])
         assert code == 0
         lines = text.strip().split("\n")
         assert lines[0] == "formula,algebra,seed,n,error"
         data = [l for l in lines if not l.startswith("#")][1:]
         assert len(data) == 9  # 16, 32, ..., 4096
-        assert data[0].startswith("jordan_product,spin:3,7,16,")
+        assert data[0].startswith(f"{formula},spin:3,7,16,")
         footers = [l for l in lines if l.startswith("# ")]
         assert any(l.startswith("# slope=") for l in footers)
         assert any(l.startswith("# target_norm=") for l in footers)
@@ -123,6 +132,14 @@ class TestTrotter:
         code, _ = invoke(["trotter", "--algebra", "fn:2",
                           "--n-grid", "16:4096"])
         assert code == 2
+
+    def test_short_grid_is_a_usage_error(self, capsys):
+        code, text = invoke(["trotter", "--algebra", "fn:3",
+                             "--n-grid", "16:64:2"])
+        assert code == 2
+        assert text == ""
+        assert capsys.readouterr().err.startswith(
+            "error: need a geometric grid with at least 6 points")
 
     def test_unknown_formula(self):
         code, _ = invoke(["trotter", "--algebra", "fn:2",
@@ -150,6 +167,13 @@ class TestFunctional:
                              "--functional", "trace", "--samples", "20"])
         assert code == 1
         assert "passed=False" in text
+
+    def test_zero_samples_rejected(self, capsys):
+        code, text = invoke(["functional", "--algebra", "fn:3",
+                             "--functional", "char:1", "--samples", "0"])
+        assert code == 2
+        assert text == ""
+        assert "--samples: must be at least 1" in capsys.readouterr().err
 
     def test_unknown_functional(self):
         code, _ = invoke(["functional", "--algebra", "fn:3",

@@ -29,6 +29,7 @@ from jordannum import (
     unit_sign,
     verify_character_theorem,
 )
+from jordannum import functionals
 
 
 def coordinate(algebra, i, sign=1.0):
@@ -158,6 +159,21 @@ class TestReconstructPsi:
         x = a.element([0.5 + 40j, 0.0])
         psi = reconstruct_psi(coordinate(a, 0), x)
         assert abs(psi - (0.5 + 40j)) <= 1e-7
+
+    @pytest.mark.parametrize("imag, steps", [(40.0, 64), (150.0, 128)])
+    def test_each_path_point_evaluated_once(self, imag, steps, monkeypatch):
+        # 150 / 64 rad a step is above the pi / 2 limit: one doubling
+        a = from_descriptor("fn:2")
+        calls = []
+
+        def counted(y):
+            calls.append(y)
+            return exp(y)
+
+        monkeypatch.setattr(functionals, "exp", counted)
+        psi = reconstruct_psi(coordinate(a, 0), a.element([imag * 1j, 0.0]))
+        assert abs(psi - imag * 1j) <= 1e-7
+        assert len(calls) == steps + 1
 
     def test_zero_on_path(self):
         a = from_descriptor("fn:2")

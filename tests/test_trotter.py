@@ -21,7 +21,9 @@ from jordannum import (
     trotter_U_pair,
     trotter_jordan,
 )
+from jordannum import trotter
 from jordannum.errors import InsufficientData, UnsupportedAlgebra
+from jordannum.trotter import FORMULAE
 
 FAMILIES = ["matrix:2", "matrix:3", "spin:4", "fn:5", "sum:fn:2+matrix:2"]
 
@@ -207,19 +209,34 @@ class TestConvergenceReport:
         with pytest.raises(ValueError):
             convergence_report("jordan_product", {"a": one, "b": one},
                                [16, 32, 64, 128])
+        with pytest.raises(ValueError, match="ratio >= 2"):
+            convergence_report("jordan_product", {"a": one, "b": one},
+                               [16, 32, 48, 96, 192, 384])
         with pytest.raises(ValueError):
             convergence_report("bogus", {"a": one, "b": one},
                                geometric_grid())
 
-    def test_workers_match_sequential(self):
-        a = from_descriptor("matrix:2")
-        rng = np.random.default_rng(199)
-        x, y = random_element(a, rng), random_element(a, rng)
-        seq = convergence_report("jordan_product", {"a": x, "b": y},
-                                 geometric_grid(16, 512, 2))
-        par = convergence_report("jordan_product", {"a": x, "b": y},
-                                 geometric_grid(16, 512, 2), workers=4)
-        assert seq.errors == par.errors
+    @pytest.mark.parametrize("formula_id, name", [
+        ("jordan_product", "trotter_jordan"),
+        ("U_single", "trotter_U"),
+        ("U_pair", "trotter_U_pair"),
+    ])
+    def test_table_calls_the_module_globals(self, formula_id, name,
+                                            monkeypatch):
+        # a tracer rebinds trotter_* in the module; the table must see it
+        f = from_descriptor("fn:2")
+        params = {k: f.zero() for k in FORMULAE[formula_id][0]}
+        calls = []
+        original = getattr(trotter, name)
+
+        def counted(*args):
+            calls.append(args[-1])
+            return original(*args)
+
+        monkeypatch.setattr(trotter, name, counted)
+        grid = geometric_grid(16, 512, 2)
+        convergence_report(formula_id, params, grid)
+        assert calls == list(grid)
 
 
 class TestGeneralTrotter:
