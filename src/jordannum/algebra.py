@@ -45,27 +45,37 @@ class AlgebraSpec:
         object.__setattr__(self, "structure", c)
         object.__setattr__(self, "unit", u)
         # L_unit must be the identity operator.
-        l_unit = np.einsum("i,ijk->kj", u, c)
+        l_unit = _mult_matrix(u, c)
         if np.max(np.abs(l_unit - np.eye(d))) > _UNIT_TOL:
             raise StructureError("unit vector does not act as the identity")
         self._check_jordan_identity()
 
     def _check_jordan_identity(self):
+        """Check the linearised Jordan identity on two random triples.
+
+        [L_a, L_{b o c}] + [L_b, L_{c o a}] + [L_c, L_{a o b}] = 0 is the
+        identity [L_a, L_{a^2}] = 0 polarised (a = b = c gives back three
+        times it), so it holds for all triples iff the algebra is Jordan, and
+        a nonzero polynomial identity is nonzero at generic points. The
+        residual is taken relative to the product of the max-abs entries of
+        L_a, L_b and L_c, so rescaling the structure does not change it.
+        """
         c = self.structure
         d = self.dim
-        for i in range(d):
-            ei = np.zeros(d, dtype=complex)
-            ei[i] = 1.0
-            sq = c[i, i, :]
-            l_ei = np.einsum("i,ijk->kj", ei, c)
-            l_sq = np.einsum("i,ijk->kj", sq, c)
-            # (e_i^2 o b) o e_i - (e_i o b) o e_i^2 for b over all basis vectors
-            resid = l_ei @ l_sq - l_sq @ l_ei
-            if np.max(np.abs(resid)) > _JORDAN_ID_TOL:
+        rng = np.random.default_rng(0)
+        for triple in (rng.standard_normal((2, 3, d))
+                       + 1j * rng.standard_normal((2, 3, d))):
+            ls = [_mult_matrix(v, c) for v in triple]
+            resid = 0
+            for i in range(3):
+                l1, l2 = ls[i], ls[(i + 1) % 3]
+                l23 = _mult_matrix(l2 @ triple[(i + 2) % 3], c)
+                resid = resid + (l1 @ l23 - l23 @ l1)
+            scale = np.prod([np.max(np.abs(l)) for l in ls])
+            rel = np.max(np.abs(resid)) / scale
+            if rel > _JORDAN_ID_TOL:
                 raise StructureError(
-                    f"Jordan identity fails on basis index {i} "
-                    f"(residual {np.max(np.abs(resid)):.3e})"
-                )
+                    f"Jordan identity fails (relative residual {rel:.3e})")
 
     def element(self, coeffs) -> "Element":
         return Element(self, np.asarray(coeffs, dtype=complex))
@@ -108,7 +118,7 @@ class Element:
             raise StructureError(
                 f"coefficient vector must have length {self.algebra.dim}"
             )
-        if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
+        if not np.isfinite(v).all():
             raise StructureError("coefficients must be finite")
         v.setflags(write=False)
         object.__setattr__(self, "coeffs", v)
@@ -187,9 +197,18 @@ def _product(a: np.ndarray, b: np.ndarray, structure: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ijk->k", sym, structure)
 
 
+def _mult_matrix(x: np.ndarray, structure: np.ndarray) -> np.ndarray:
+    """The matrix of L_x : y -> x o y, L[k, j] = sum_i x_i c[i, j, k].
+
+    One BLAS vector-matrix product over the flattened tensor.
+    """
+    d = len(x)
+    return (x @ structure.reshape(d, d * d)).reshape(d, d).T
+
+
 def mult_operator(a: Element) -> OperatorMatrix:
     """Matrix of the multiplication map L_a : b -> a o b."""
-    m = np.einsum("i,ijk->kj", a.coeffs, a.algebra.structure)
+    m = _mult_matrix(a.coeffs, a.algebra.structure)
     return OperatorMatrix(a.algebra, m)
 
 

@@ -2,7 +2,11 @@
 
 All single-element functions operate inside the closed subalgebra generated
 by the element, which is associative and commutative, so scalar algorithms
-(scaling-and-squaring, Newton square roots, series) carry over verbatim.
+(scaling-and-squaring, Newton and Denman-Beavers square roots, series)
+carry over verbatim. There each term of a power series in x is the last
+one times x, so the exp, expm1 and log series form the d x d operator L_x
+once (``algebra._mult_matrix``) and take each term as one matrix-vector
+product.
 
 The two contour integrals, ``holomorphic_calculus`` and ``derivative_at_zero``,
 share one nested trapezoid rule on the circle (``_nested_trapezoid``): when
@@ -20,7 +24,8 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import Element, _product, _same_algebra, jordan_mul
+from .algebra import (Element, _mult_matrix, _product, _same_algebra,
+                      jordan_mul)
 from .errors import (BranchCut, ContourViolation, ExpOverflow, JordanNumError,
                      QuadratureError)
 from .spectral import _resolvents, inverse, jordan_spectrum
@@ -60,14 +65,29 @@ def _scaled(a: Element):
     return s, a.coeffs / complex(float(2 ** s))
 
 
+def _sq_norm(v: np.ndarray) -> float:
+    """The squared Euclidean norm of a complex coefficient vector."""
+    return v.real @ v.real + v.imag @ v.imag
+
+
 def _series(x, structure, acc, term):
-    """acc + sum_{k>=1} term x^k / k!, stopped once a term is negligible."""
+    """acc + sum_{k>=1} term x^k / k!, stopped once a term is negligible.
+
+    Each term is the last one times L_x / k, with L_x formed once; the stop
+    test |term| <= _SERIES_TOL |acc| is taken on squared norms. The result
+    is summed again from the smallest term up, which loses fewer digits
+    than the running sum the stop test reads.
+    """
+    lx = _mult_matrix(x, structure)
+    tol2 = _SERIES_TOL ** 2
+    terms = [acc]
     for k in range(1, 200):
-        term = _product(term, x, structure) / complex(k)
+        term = (lx @ term) / complex(k)
         acc = acc + term
-        if np.linalg.norm(term) <= _SERIES_TOL * np.linalg.norm(acc):
+        terms.append(term)
+        if _sq_norm(term) <= tol2 * _sq_norm(acc):
             break
-    return acc
+    return sum(reversed(terms))
 
 
 def _square_repeatedly(square, acc, s: int, a: Element) -> np.ndarray:
@@ -113,12 +133,18 @@ def _expm1(a: Element) -> np.ndarray:
         lambda v: v + v + _product(v, v, structure), acc, s, a)
 
 
-def _sqrt_newton(a: Element, max_iter: int = 64) -> Element:
-    """Principal square root by Newton iteration inside the subalgebra of a.
+def _sqrt(a: Element, max_iter: int = 64) -> Element:
+    """Principal square root inside the subalgebra of a.
 
-    Newton is unstable for non-normal elements (Higham, *Functions of
-    Matrices*, sec. 6.4): the relative step can fall to a few 1e-15, above
-    the 1e-15 stop, and grow again; then the smallest-step iterate is used.
+    Newton's X <- (X + X^-1 o a) / 2 from X = a, stopped once the step is
+    at most 1e-15 relative. Newton is unstable for non-normal elements
+    (Higham, *Functions of Matrices*, sec. 6.4): the step can stall a
+    little above the stop and grow again, and then the iterate with the
+    smallest step is taken. If that still fails the 1e-9 residual check,
+    Newton never came near a root, and the stable Denman-Beavers iteration
+    runs from a instead. Newton stays first because where it converges it
+    is the more accurate: on elements with spectrum near 0, Denman-Beavers
+    leaves residuals up to 1e-9 relative where Newton's are near 1e-15.
     """
     x, tried = a, []
     for _ in range(max_iter):
@@ -130,16 +156,47 @@ def _sqrt_newton(a: Element, max_iter: int = 64) -> Element:
         tried.append((step / scale, x))
     else:
         x = min(tried, key=lambda t: t[0])[1]
+    tol = 1e-9 * max(a.norm, 1.0)
     resid = (jordan_mul(x, x) - a).norm
-    if resid > 1e-9 * max(a.norm, 1.0):
+    if resid > tol:
+        x = _sqrt_denman_beavers(a, max_iter)
+        resid = (jordan_mul(x, x) - a).norm
+    if resid > tol:
         raise JordanNumError(
-            f"Newton square root inaccurate (residual {resid:.3e})"
+            f"square root inaccurate (residual {resid:.3e})"
         )
     return x
 
 
+def _sqrt_denman_beavers(a: Element, max_iter: int) -> Element:
+    """Square root by the product-form Denman-Beavers iteration.
+
+    M_0 = Y_0 = a, M <- (1 + (M + M^-1) / 2) / 2, Y <- Y o (1 + M^-1) / 2
+    (Higham, eq. 6.17). In the subalgebra of a, Y_k^2 = a o M_k, so Y tends
+    to the root as M tends to 1. Rounding errors are not amplified, but not
+    damped either: the error of the first inverse, that of a, stays in Y.
+    Each step costs one inverse and one product, as a Newton step does. It
+    stops once |M - 1| <= 1e-15 |1|: near 1 the error of M squares each
+    step and M rounds to 1 itself.
+    """
+    one = a.algebra.one()
+    m, y = a, a
+    for _ in range(max_iter):
+        minv = inverse(m)
+        y = 0.5 * (y + jordan_mul(y, minv))
+        m = 0.5 * (one + 0.5 * (m + minv))
+        if (m - one).norm <= 1e-15 * one.norm:
+            break
+    return y
+
+
 def log(a: Element) -> Element:
-    """Principal logarithm by inverse scaling-and-squaring."""
+    """Principal logarithm by inverse scaling-and-squaring.
+
+    Square roots bring a within 0.25 of the unit; then the Mercator series
+    of log(1 + z) runs on coefficient arrays, each term one product by the
+    operator L_z formed once, and one Element is built at the end.
+    """
     spec = jordan_spectrum(a)
     for p in spec.points:
         dist = abs(p) if p.real > 0 else abs(p.imag)
@@ -152,19 +209,20 @@ def log(a: Element) -> Element:
     cur = a
     roots = 0
     while (cur - one).norm > 0.25:
-        cur = _sqrt_newton(cur)
+        cur = _sqrt(cur)
         roots += 1
         if roots > 64:
             raise JordanNumError("square-root staging did not contract to 1")
-    z = cur - one
-    term = one
-    acc = a.algebra.zero()
+    lz = _mult_matrix((cur - one).coeffs, a.algebra.structure)
+    term = one.coeffs
+    acc = np.zeros_like(term)
     for k in range(1, 200):
-        term = jordan_mul(term, z)
+        term = lz @ term
         acc = acc + term * ((-1.0) ** (k + 1) / k)
-        if term.norm / k < _SERIES_TOL * max(acc.norm, 1e-30):
+        if _sq_norm(term) / k ** 2 < _SERIES_TOL ** 2 * max(_sq_norm(acc),
+                                                            1e-60):
             break
-    return acc * float(2 ** roots)
+    return Element(a.algebra, acc * float(2 ** roots))
 
 
 def power_mu(a: Element, mu: complex) -> Element:

@@ -15,6 +15,7 @@ from jordannum import (
     mult_operator,
     random_element,
 )
+from jordannum.algebra import Element, _mult_matrix
 from jordannum.errors import AlgebraMismatch, ParseError, StructureError
 
 FAMILIES = ["matrix:2", "matrix:3", "spin:4", "fn:5", "sum:fn:2+matrix:2"]
@@ -102,6 +103,35 @@ class TestConstructors:
         c[1, 1, 0] = 1  # missing the (1, 0) mirror
         with pytest.raises(StructureError):
             AlgebraSpec(2, c, np.array([1, 0], dtype=complex), "bad")
+
+
+    def test_non_jordan_algebra_rejected(self):
+        # unit e0, e1 o e2 = e1, e1^2 = e2^2 = 0: commutative and unital,
+        # [L_{e_i}, L_{e_i^2}] vanishes on every basis vector, yet the
+        # Jordan identity fails (residual 2.0 at a generic element)
+        c = np.zeros((3, 3, 3), dtype=complex)
+        for j in range(3):
+            c[0, j, j] = c[j, 0, j] = 1
+        c[1, 2, 1] = c[2, 1, 1] = 1
+        with pytest.raises(StructureError, match="Jordan identity"):
+            AlgebraSpec(3, c, np.array([1, 0, 0], dtype=complex), "bad")
+
+    def test_identity_check_is_scale_free(self):
+        # rescaling the structure by s and the unit by 1/s gives an
+        # isomorphic algebra; the relative residual must not change
+        spin = make_spin_factor(3)
+        for scale in (1e-6, 1e6):
+            AlgebraSpec(spin.dim, spin.structure * scale, spin.unit / scale,
+                        "scaled")
+
+
+class TestElement:
+    @pytest.mark.parametrize("bad", [complex(np.nan, 0.0),
+                                     complex(0.0, np.inf)])
+    def test_non_finite_coefficient_rejected(self, bad):
+        a = make_function_algebra(3)
+        with pytest.raises(StructureError, match="finite"):
+            Element(a, np.array([1.0, bad, 2.0]))
 
 
 class TestDescriptor:
@@ -233,6 +263,29 @@ class TestOperators:
                    + U_operator(c).entries)
             assert np.linalg.norm(lhs - rhs) <= \
                 1e-10 * max(np.linalg.norm(lhs), 1.0)
+
+
+class TestMultMatrix:
+    @pytest.mark.parametrize("desc", FAMILIES + ["spin:3"])
+    def test_matches_the_contraction_bitwise(self, desc):
+        a = from_descriptor(desc)
+        rng = np.random.default_rng(41)
+        for _ in range(5):
+            x = random_element(a, rng, norm_cap=3.0)
+            want = np.einsum("i,ijk->kj", x.coeffs, a.structure)
+            assert np.array_equal(_mult_matrix(x.coeffs, a.structure), want)
+            assert np.array_equal(mult_operator(x).entries, want)
+
+    @pytest.mark.parametrize("desc", FAMILIES + ["spin:3"])
+    def test_applies_the_product(self, desc):
+        a = from_descriptor(desc)
+        rng = np.random.default_rng(43)
+        for _ in range(5):
+            x = random_element(a, rng, norm_cap=3.0)
+            y = random_element(a, rng, norm_cap=3.0)
+            got = _mult_matrix(x.coeffs, a.structure) @ y.coeffs
+            want = jordan_mul(x, y).coeffs
+            assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
 
 
 class TestIdentities:

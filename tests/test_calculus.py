@@ -59,6 +59,55 @@ class TestExp:
         got = exp(x).coeffs.reshape(3, 3)
         assert np.linalg.norm(got - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
+    @pytest.mark.parametrize("desc", ["matrix:2", "matrix:3", "fn:5",
+                                      "spin:4", "sum:fn:2+matrix:2"])
+    def test_against_references(self, desc):
+        # scipy's expm on the matrix blocks, closed forms on fn and spin:
+        # exp(alpha + u) = e^alpha (cosh s + u sinh(s) / s), s^2 = u.u
+        import scipy.linalg
+
+        def reference(x):
+            if desc == "fn:5":
+                return np.exp(x)
+            if desc == "spin:4":
+                s = np.sqrt(complex(x[1:] @ x[1:]))
+                return np.exp(x[0]) * np.concatenate(
+                    [[np.cosh(s)], x[1:] * np.sinh(s) / s])
+            if desc == "sum:fn:2+matrix:2":
+                return np.concatenate([np.exp(x[:2]), scipy.linalg.expm(
+                    x[2:].reshape(2, 2)).reshape(-1)])
+            n = int(desc[7:])
+            return scipy.linalg.expm(x.reshape(n, n)).reshape(-1)
+
+        a = from_descriptor(desc)
+        rng = np.random.default_rng(107)
+        for cap in (0.01, 0.1, 0.5, 1.0, 2.0, 5.0):
+            for _ in range(4):
+                x = random_element(a, rng, norm_cap=cap)
+                want = reference(x.coeffs)
+                err = np.linalg.norm(exp(x).coeffs - want)
+                assert err <= 1e-13 * np.linalg.norm(want)
+
+    def test_one_product_per_squaring(self, monkeypatch):
+        # the series runs on L_x; only the squarings call the rank-3 product
+        import jordannum.calculus as calculus
+        calls = []
+        real = calculus._product
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(calculus, "_product", counted)
+        a = from_descriptor("matrix:3")
+        rng = np.random.default_rng(109)
+        for cap, squarings in ((0.5, 0), (1.0, 1), (4.0, 3)):
+            x = random_element(a, rng, norm_cap=cap)
+            assert calculus._scaled(x)[0] == squarings
+            calls.clear()
+            exp(x)
+            assert len(calls) == squarings
+
     def test_exp_inverse_pair(self):
         for desc in FAMILIES:
             a = from_descriptor(desc)
@@ -141,6 +190,17 @@ class TestLog:
         rng = np.random.default_rng(3)
         y = [random_element(a, rng, norm_cap=3.0) for _ in range(12)][-1]
         assert (log(exp(y)) - y).norm <= 1e-8 * max(y.norm, 1.0)
+
+    def test_round_trip_where_newton_finds_no_root(self):
+        # on this spin:4 element Newton's smallest-step iterate is no root
+        # (residual 5.8); the Denman-Beavers fallback finds the root
+        a = from_descriptor("spin:4")
+        rng = np.random.default_rng(7)
+        for cap in (0.5, 1.0, 2.0):
+            for _ in range(60):
+                random_element(a, rng, norm_cap=cap)
+        y = [random_element(a, rng, norm_cap=3.0) for _ in range(52)][-1]
+        assert (log(exp(y)) - y).norm <= 1e-10 * max(y.norm, 1.0)
 
     def test_branch_cut_raises(self):
         f = make_function_algebra(2)
