@@ -253,14 +253,14 @@ def jordan_power(a: Element, n: int) -> Element:
 # Standard families
 
 
-def _from_basis_products(products, unit, label) -> AlgebraSpec:
-    """Assemble an AlgebraSpec from per-basis-pair product coefficients."""
+def _from_entries(i, j, k, value, unit, label) -> AlgebraSpec:
+    """An AlgebraSpec whose tensor is the sum of ``value`` at each (i, j, k).
+
+    One scatter fills the tensor; entries at the same position add up.
+    """
     d = len(unit)
     c = np.zeros((d, d, d), dtype=complex)
-    for i in range(d):
-        for j in range(i, d):
-            c[i, j] = products(i, j)
-            c[j, i] = c[i, j]
+    np.add.at(c, (i, j, k), value)
     return AlgebraSpec(d, c, np.asarray(unit, dtype=complex), label)
 
 
@@ -268,24 +268,15 @@ def make_matrix_jordan(n: int) -> AlgebraSpec:
     """M_n(C) as a Jordan algebra under the symmetrized product.
 
     Basis: matrix units E_{pq} flattened row-major, so coefficient index
-    i = p*n + q.
+    i = p*n + q. E_pq o E_qr has 1/2 on E_pr, entered in both orders.
     """
     if n < 1:
         raise ValueError("matrix algebra size must be at least 1")
-    d = n * n
-
-    def prod(i, j):
-        p1, q1 = divmod(i, n)
-        p2, q2 = divmod(j, n)
-        out = np.zeros(d, dtype=complex)
-        if q1 == p2:
-            out[p1 * n + q2] += 0.5
-        if q2 == p1:
-            out[p2 * n + q1] += 0.5
-        return out
-
-    unit = np.eye(n, dtype=complex).reshape(d)
-    return _from_basis_products(prod, unit, f"matrix:{n}")
+    p, q, r = np.indices((n, n, n)).reshape(3, -1)
+    pq, qr, pr = p * n + q, q * n + r, p * n + r
+    unit = np.eye(n, dtype=complex).reshape(n * n)
+    return _from_entries(np.r_[pq, qr], np.r_[qr, pq], np.r_[pr, pr], 0.5,
+                         unit, f"matrix:{n}")
 
 
 def make_spin_factor(k: int) -> AlgebraSpec:
@@ -295,37 +286,21 @@ def make_spin_factor(k: int) -> AlgebraSpec:
     """
     if k < 1:
         raise ValueError("spin factor size must be at least 1")
-    d = k + 1
-
-    def prod(i, j):
-        out = np.zeros(d, dtype=complex)
-        if i == 0 and j == 0:
-            out[0] = 1.0
-        elif i == 0:
-            out[j] = 1.0
-        elif j == 0:
-            out[i] = 1.0
-        elif i == j:
-            out[0] = 1.0
-        return out
-
-    unit = np.zeros(d, dtype=complex)
+    j = np.arange(1, k + 1)
+    zero = np.zeros_like(j)
+    # e0 o e0 = e0, e0 o ej = ej o e0 = ej, ej o ej = e0
+    unit = np.zeros(k + 1, dtype=complex)
     unit[0] = 1.0
-    return _from_basis_products(prod, unit, f"spin:{k}")
+    return _from_entries(np.r_[0, zero, j, j], np.r_[0, j, zero, j],
+                         np.r_[0, j, j, zero], 1.0, unit, f"spin:{k}")
 
 
 def make_function_algebra(k: int) -> AlgebraSpec:
     """C^k with the pointwise product; unit is the all-ones vector."""
     if k < 1:
         raise ValueError("function algebra size must be at least 1")
-
-    def prod(i, j):
-        out = np.zeros(k, dtype=complex)
-        if i == j:
-            out[i] = 1.0
-        return out
-
-    return _from_basis_products(prod, np.ones(k, dtype=complex), f"fn:{k}")
+    i = np.arange(k)
+    return _from_entries(i, i, i, 1.0, np.ones(k, dtype=complex), f"fn:{k}")
 
 
 def make_direct_sum(a: AlgebraSpec, b: AlgebraSpec) -> AlgebraSpec:

@@ -2,7 +2,7 @@
 
 All single-element functions operate inside the closed subalgebra generated
 by the element, which is associative and commutative, so scalar algorithms
-(scaling-and-squaring, Newton and Denman-Beavers square roots, series)
+(scaling-and-squaring, the incremental Newton square root, series)
 carry over verbatim. There each term of a power series in x is the last
 one times x, so the exp, expm1 and log series form the d x d operator L_x
 once (``algebra._mult_matrix``) and take each term as one matrix-vector
@@ -33,6 +33,8 @@ from .spectral import _resolvents, inverse, jordan_spectrum
 _SERIES_TOL = 1e-18
 _BRANCH_CLEARANCE = 1e-8
 _MAX_CONTOUR_NODES = 8192
+_CAUCHY_NODES = 64
+_MAX_SQRT_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -133,69 +135,41 @@ def _expm1(a: Element) -> np.ndarray:
         lambda v: v + v + _product(v, v, structure), acc, s, a)
 
 
-def _sqrt(a: Element, max_iter: int = 64) -> Element:
+def _sqrt(a: Element) -> Element:
     """Principal square root inside the subalgebra of a.
 
-    Newton's X <- (X + X^-1 o a) / 2 from X = a, stopped once the step is
-    at most 1e-15 relative. Newton is unstable for non-normal elements
-    (Higham, *Functions of Matrices*, sec. 6.4): the step can stall a
-    little above the stop and grow again, and then the iterate with the
-    smallest step is taken. If that still fails the 1e-9 residual check,
-    Newton never came near a root, and the stable Denman-Beavers iteration
-    runs from a instead. Newton stays first because where it converges it
-    is the more accurate: on elements with spectrum near 0, Denman-Beavers
-    leaves residuals up to 1e-9 relative where Newton's are near 1e-15.
+    The incremental Newton iteration (Higham, *Functions of Matrices*,
+    sec. 6.4): from x = a and e = (1 - a) / 2, each step sets x <- x + e
+    and then e <- -e x^-1 e / 2, written e o (e o x^-1) because the
+    subalgebra of a is associative. It stops once |e| <= 1e-15 max(|x|, 1),
+    or after ``_MAX_SQRT_STEPS`` steps. In exact arithmetic its iterates are
+    Newton's, but it updates by the small correction e, so rounding errors
+    are not amplified where Newton's X <- (X + X^-1 o a) / 2 is unstable
+    (non-normal elements). A root is accepted only if its residual
+    |x o x - a| is at most 1e-9 max(|a|, 1).
     """
-    x, tried = a, []
-    for _ in range(max_iter):
-        nxt = 0.5 * (x + jordan_mul(inverse(x), a))
-        step, scale = (nxt - x).norm, max(nxt.norm, 1.0)
-        x = nxt
-        if step <= 1e-15 * scale:
+    x, e = a, 0.5 * (a.algebra.one() - a)
+    for _ in range(_MAX_SQRT_STEPS):
+        x = x + e
+        if e.norm <= 1e-15 * max(x.norm, 1.0):
             break
-        tried.append((step / scale, x))
-    else:
-        x = min(tried, key=lambda t: t[0])[1]
-    tol = 1e-9 * max(a.norm, 1.0)
+        e = -0.5 * jordan_mul(e, jordan_mul(e, inverse(x)))
     resid = (jordan_mul(x, x) - a).norm
-    if resid > tol:
-        x = _sqrt_denman_beavers(a, max_iter)
-        resid = (jordan_mul(x, x) - a).norm
-    if resid > tol:
+    if resid > 1e-9 * max(a.norm, 1.0):
         raise JordanNumError(
             f"square root inaccurate (residual {resid:.3e})"
         )
     return x
 
 
-def _sqrt_denman_beavers(a: Element, max_iter: int) -> Element:
-    """Square root by the product-form Denman-Beavers iteration.
-
-    M_0 = Y_0 = a, M <- (1 + (M + M^-1) / 2) / 2, Y <- Y o (1 + M^-1) / 2
-    (Higham, eq. 6.17). In the subalgebra of a, Y_k^2 = a o M_k, so Y tends
-    to the root as M tends to 1. Rounding errors are not amplified, but not
-    damped either: the error of the first inverse, that of a, stays in Y.
-    Each step costs one inverse and one product, as a Newton step does. It
-    stops once |M - 1| <= 1e-15 |1|: near 1 the error of M squares each
-    step and M rounds to 1 itself.
-    """
-    one = a.algebra.one()
-    m, y = a, a
-    for _ in range(max_iter):
-        minv = inverse(m)
-        y = 0.5 * (y + jordan_mul(y, minv))
-        m = 0.5 * (one + 0.5 * (m + minv))
-        if (m - one).norm <= 1e-15 * one.norm:
-            break
-    return y
-
-
 def log(a: Element) -> Element:
     """Principal logarithm by inverse scaling-and-squaring.
 
-    Square roots bring a within 0.25 of the unit; then the Mercator series
-    of log(1 + z) runs on coefficient arrays, each term one product by the
-    operator L_z formed once, and one Element is built at the end.
+    Repeated square roots (``_sqrt``, incremental Newton) bring a within
+    0.25 of the unit, after a branch check on the spectrum of a; then the
+    Mercator series of log(1 + z) runs on coefficient arrays, each term one
+    product by the operator L_z formed once, and one Element is built at
+    the end and scaled by 2^roots.
     """
     spec = jordan_spectrum(a)
     for p in spec.points:
@@ -286,17 +260,15 @@ def holomorphic_calculus(h: Callable[[complex], complex], a: Element,
                    _nested_trapezoid(sample, contour.nodes, "contour"))
 
 
-def derivative_at_zero(f: HolomorphicCurve, rho: float, nodes: int = 64) -> Element:
+def derivative_at_zero(f: HolomorphicCurve, rho: float) -> Element:
     """f'(0) by the Cauchy coefficient formula on the circle of radius rho.
 
     f'(0) = (1/2 pi i) * integral of f(z) / z^2 dz, by the nested trapezoid
-    rule from ``nodes`` points (``_nested_trapezoid``); ``f.eval`` is called
-    once at each point of the accepted rule.
+    rule from ``_CAUCHY_NODES`` points (``_nested_trapezoid``); ``f.eval``
+    is called once at each point of the accepted rule.
     """
     if rho <= 0 or rho >= f.radius_r:
         raise ValueError("sampling radius must lie in (0, radius_r)")
-    if nodes < 32:
-        raise ValueError("need at least 32 quadrature nodes")
     first = None
 
     def sample(w):
@@ -308,7 +280,7 @@ def derivative_at_zero(f: HolomorphicCurve, rho: float, nodes: int = 64) -> Elem
             _same_algebra(first, v)
         return np.array([v.coeffs for v in values]) / (rho * w)[:, None]
 
-    coeffs = _nested_trapezoid(sample, nodes, "Cauchy")
+    coeffs = _nested_trapezoid(sample, _CAUCHY_NODES, "Cauchy")
     return Element(first.algebra, coeffs)
 
 

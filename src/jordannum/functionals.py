@@ -123,15 +123,13 @@ def unit_sign(f: FunctionalHandle, algebra: AlgebraSpec) -> int:
     return sign
 
 
-def reconstruct_psi(f: FunctionalHandle, x: Element,
-                    steps: int = _MIN_STEPS) -> complex:
+def reconstruct_psi(f: FunctionalHandle, x: Element) -> complex:
     """psi(x) from the tracked logarithm of t -> f(exp(t x)) on [0, 1].
 
     Doubling the steps keeps the old samples and adds the midpoints, so no
     point of the path is evaluated twice.
     """
-    if steps < _MIN_STEPS:
-        steps = _MIN_STEPS
+    steps = _MIN_STEPS
     values = [f(exp(x * t)) for t in np.linspace(0.0, 1.0, steps + 1)]
     while True:
         if any(abs(v) < 1e-300 for v in values):

@@ -38,15 +38,14 @@ def is_invertible(a: Element, cond_tol: float = DEFAULT_COND_TOL) -> bool:
     return bool(s[-1] > cond_tol * s[0])
 
 
-def _solve_checked(ops: np.ndarray, rhs: np.ndarray,
-                   cond_tol: float) -> np.ndarray:
+def _solve_checked(ops: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve ops[k] x_k = rhs[k] for a stack of U operators.
 
     Refuses the stack when any operator's smallest singular value is at most
-    cond_tol times its largest, naming the first such operator's.
+    ``DEFAULT_COND_TOL`` times its largest, naming the first such operator's.
     """
     s = np.linalg.svd(ops, compute_uv=False)
-    singular = s[:, -1] <= cond_tol * s[:, 0]
+    singular = s[:, -1] <= DEFAULT_COND_TOL * s[:, 0]
     if singular.any():
         smin = s[singular.argmax(), -1]
         raise NotInvertible(
@@ -56,11 +55,10 @@ def _solve_checked(ops: np.ndarray, rhs: np.ndarray,
     return np.linalg.solve(ops, rhs[:, :, None])[:, :, 0]
 
 
-def inverse(a: Element, cond_tol: float = DEFAULT_COND_TOL) -> Element:
+def inverse(a: Element) -> Element:
     """Jordan inverse b = U_a^{-1}(a), solved as a linear system."""
     ua = U_operator(a).entries
-    return Element(a.algebra,
-                   _solve_checked(ua[None], a.coeffs[None], cond_tol)[0])
+    return Element(a.algebra, _solve_checked(ua[None], a.coeffs[None])[0])
 
 
 def _dedupe(points: np.ndarray, tol: float):
@@ -92,7 +90,7 @@ def _dedupe(points: np.ndarray, tol: float):
     return means
 
 
-def jordan_spectrum(a: Element, dedupe_tol: float | None = None) -> SpectrumSet:
+def jordan_spectrum(a: Element) -> SpectrumSet:
     """Spectrum of a from the companion linearization of the U pencil."""
     d = a.algebra.dim
     ua = U_operator(a).entries
@@ -106,14 +104,13 @@ def jordan_spectrum(a: Element, dedupe_tol: float | None = None) -> SpectrumSet:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NotInvertible(f"eigenvalue solver failed: {exc}") from exc
     raw_radius = float(np.max(np.abs(raw))) if raw.size else 0.0
-    tol = dedupe_tol if dedupe_tol is not None else 1e-6 * (1.0 + raw_radius)
+    tol = 1e-6 * (1.0 + raw_radius)
     points = tuple(_dedupe(raw, tol))
     radius = float(max(abs(p) for p in points))
     return SpectrumSet(points=points, dedupe_tol=tol, spectral_radius=radius)
 
 
-def _resolvents(a: Element, zetas: np.ndarray,
-                cond_tol: float = DEFAULT_COND_TOL) -> np.ndarray:
+def _resolvents(a: Element, zetas: np.ndarray) -> np.ndarray:
     """Coefficients of (zeta*1 - a)^{-1}, one row for each zeta in zetas.
 
     The inverse of zeta*1 - a is U_{zeta*1 - a}^{-1}(zeta*1 - a), and
@@ -133,14 +130,13 @@ def _resolvents(a: Element, zetas: np.ndarray,
         ops = ua - (2.0 * z)[:, :, None] * la
         ops += (z * z)[:, :, None] * eye
         out[lo:lo + len(z)] = _solve_checked(
-            ops, z * a.algebra.unit - a.coeffs, cond_tol)
+            ops, z * a.algebra.unit - a.coeffs)
     return out
 
 
-def resolvent(a: Element, zeta: complex,
-              cond_tol: float = DEFAULT_COND_TOL) -> Element:
+def resolvent(a: Element, zeta: complex) -> Element:
     """(zeta*1 - a)^{-1}; raises NotInvertible when zeta is on the spectrum."""
-    return Element(a.algebra, _resolvents(a, [zeta], cond_tol)[0])
+    return Element(a.algebra, _resolvents(a, [zeta])[0])
 
 
 def _segment_distance(p: complex, a: complex, b: complex) -> float:

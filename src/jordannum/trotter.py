@@ -67,10 +67,11 @@ class SequencePlan:
     mu_seq: Callable[[int], complex]
     limit_lambda: complex
 
-    def check_on_grid(self, n_grid: Sequence[int], tol: float = 1e-9):
+    def check_on_grid(self, n_grid: Sequence[int]):
         first = self.lambda_seq(n_grid[0]) * self.mu_seq(n_grid[0])
         last = self.lambda_seq(n_grid[-1]) * self.mu_seq(n_grid[-1])
-        if abs(last - self.limit_lambda) > abs(first - self.limit_lambda) + tol:
+        if (abs(last - self.limit_lambda)
+                > abs(first - self.limit_lambda) + 1e-9):
             raise ValueError(
                 "lambda_n * mu_n does not approach limit_lambda on this grid"
             )

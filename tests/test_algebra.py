@@ -96,6 +96,23 @@ class TestConstructors:
         s = make_direct_sum(make_function_algebra(2), make_matrix_jordan(2))
         np.testing.assert_allclose(s.unit, [1, 1, 1, 0, 0, 1])
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_families_equal_their_defining_products(self, n):
+        # each tensor, filled by one scatter, against the product of every
+        # basis pair; all entries are 0, 1/2 or 1, so they agree bitwise
+        eye = np.eye(n * n)
+        mats = eye.reshape(n * n, n, n)
+        matrix = [[(0.5 * (x @ y + y @ x)).reshape(-1) for y in mats]
+                  for x in mats]
+        spin = [[np.r_[x[0] * y[0] + x[1:] @ y[1:],
+                       x[0] * y[1:] + y[0] * x[1:]]
+                 for y in np.eye(n + 1)] for x in np.eye(n + 1)]
+        fn = [[x * y for y in np.eye(n)] for x in np.eye(n)]
+        for spec, ref in ((make_matrix_jordan(n), matrix),
+                          (make_spin_factor(n), spin),
+                          (make_function_algebra(n), fn)):
+            assert np.array_equal(spec.structure, np.array(ref, dtype=complex))
+
     def test_asymmetric_tensor_rejected(self):
         c = np.zeros((2, 2, 2), dtype=complex)
         c[0, 0, 0] = 1

@@ -183,24 +183,37 @@ class TestLog:
                 assert (exp(log(y)) - y).norm <= 1e-8 * max(y.norm, 1.0)
 
     def test_round_trip_where_newton_loses_stability(self):
-        # Newton's square root is unstable for non-normal elements: on
+        # plain Newton's square root is unstable for non-normal elements: on
         # exp(y) its step falls to 3.6e-15, then grows and never reaches the
-        # 1e-15 stop; the iterate with the smallest step is the root
+        # 1e-15 stop; the incremental form converges
         a = from_descriptor("spin:4")
         rng = np.random.default_rng(3)
         y = [random_element(a, rng, norm_cap=3.0) for _ in range(12)][-1]
         assert (log(exp(y)) - y).norm <= 1e-8 * max(y.norm, 1.0)
 
     def test_round_trip_where_newton_finds_no_root(self):
-        # on this spin:4 element Newton's smallest-step iterate is no root
-        # (residual 5.8); the Denman-Beavers fallback finds the root
+        # on this spin:4 element plain Newton never comes near a root (its
+        # smallest-step iterate has residual 5.8); the incremental form
+        # finds it to rounding level
         a = from_descriptor("spin:4")
         rng = np.random.default_rng(7)
         for cap in (0.5, 1.0, 2.0):
             for _ in range(60):
                 random_element(a, rng, norm_cap=cap)
         y = [random_element(a, rng, norm_cap=3.0) for _ in range(52)][-1]
-        assert (log(exp(y)) - y).norm <= 1e-10 * max(y.norm, 1.0)
+        assert (log(exp(y)) - y).norm <= 1e-13 * max(y.norm, 1.0)
+
+    def test_exp_log_round_trip_on_non_normal_spin_elements(self):
+        # spin elements are far from normal at large norms, which is where
+        # an unstable square root loses digits
+        a = from_descriptor("spin:4")
+        rng = np.random.default_rng(7)
+        worst = 0.0
+        for cap in (0.5, 1.0, 2.0, 3.0):
+            for _ in range(60):
+                y = exp(random_element(a, rng, norm_cap=cap))
+                worst = max(worst, (exp(log(y)) - y).norm / y.norm)
+        assert worst <= 2e-14
 
     def test_branch_cut_raises(self):
         f = make_function_algebra(2)
