@@ -186,24 +186,33 @@ def jordan_mul(a: Element, b: Element) -> Element:
 
 
 def _product(a: np.ndarray, b: np.ndarray, structure: np.ndarray) -> np.ndarray:
-    """The coefficient vector of a o b, without building or checking Elements."""
-    ar, ai = a.real, a.imag
-    br, bi = b.real, b.imag
+    """The coefficients of a o b, without building or checking Elements.
+
+    a and b may carry leading batch axes, one product per row. The
+    symmetrized outer product is contracted with the tensor over the
+    flattened (i, j) axis, as one matrix-vector product per row, so each
+    row of a stack is bitwise the product of that pair alone.
+    """
+    ar, ai = a.real[..., :, None], a.imag[..., :, None]
+    br, bi = b.real[..., None, :], b.imag[..., None, :]
     # real-arithmetic outer product: real multiply/add commute bitwise, so
     # swapping a and b transposes this matrix exactly
-    outer = (np.multiply.outer(ar, br) - np.multiply.outer(ai, bi)
-             + 1j * (np.multiply.outer(ar, bi) + np.multiply.outer(ai, br)))
-    sym = 0.5 * (outer + outer.T)
-    return np.einsum("ij,ijk->k", sym, structure)
+    outer = ar * br - ai * bi + 1j * (ar * bi + ai * br)
+    sym = 0.5 * (outer + outer.swapaxes(-1, -2))
+    d = structure.shape[0]
+    return np.matvec(structure.reshape(d * d, d).T,
+                     sym.reshape(*sym.shape[:-2], d * d))
 
 
 def _mult_matrix(x: np.ndarray, structure: np.ndarray) -> np.ndarray:
     """The matrix of L_x : y -> x o y, L[k, j] = sum_i x_i c[i, j, k].
 
-    One BLAS vector-matrix product over the flattened tensor.
+    One BLAS product over the flattened tensor; x may carry leading batch
+    axes, giving one matrix per row.
     """
-    d = len(x)
-    return (x @ structure.reshape(d, d * d)).reshape(d, d).T
+    d = x.shape[-1]
+    lx = (x @ structure.reshape(d, d * d)).reshape(*x.shape[:-1], d, d)
+    return lx.swapaxes(-1, -2)
 
 
 def mult_operator(a: Element) -> OperatorMatrix:

@@ -8,6 +8,11 @@ one times x, so the exp, expm1 and log series form the d x d operator L_x
 once (``algebra._mult_matrix``) and take each term as one matrix-vector
 product.
 
+The exponential also runs on a stack of arguments, one per row
+(``_exp_path``, the points exp(t x) of a path): each row keeps its own
+scaling, series stop and squaring count, so it equals what ``exp(x * t)``
+computes, while the series and each squaring take one call over the rows.
+
 The two contour integrals, ``holomorphic_calculus`` and ``derivative_at_zero``,
 share one nested trapezoid rule on the circle (``_nested_trapezoid``): when
 the node count doubles, the old nodes are kept and only the midpoints are
@@ -18,7 +23,6 @@ nodes as one batch.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -35,6 +39,8 @@ _BRANCH_CLEARANCE = 1e-8
 _MAX_CONTOUR_NODES = 8192
 _CAUCHY_NODES = 64
 _MAX_SQRT_STEPS = 64
+# rows * d^2 of one chunk of _exp_path
+_PATH_BATCH = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -60,65 +66,102 @@ class HolomorphicCurve:
     radius_r: float
 
 
-def _scaled(a: Element):
-    """The squaring count s and the coefficients of a / 2^s, of norm <= 0.5."""
-    nrm = a.norm
-    s = 0 if nrm <= 0.5 else max(0, math.ceil(math.log2(nrm / 0.5)))
-    return s, a.coeffs / complex(float(2 ** s))
+def _scaled(arg: np.ndarray):
+    """Squaring counts s and the coefficients of arg / 2^s, of norm <= 0.5.
+
+    s is the least count >= 0 that brings the norm to 0.5 or below. arg may
+    carry leading batch axes; then each row has its own s.
+    """
+    nrm = np.sqrt(_sq_norm(arg))
+    s = np.ceil(np.log2(np.maximum(2.0 * nrm, 1.0)))
+    return s, arg / (2.0 ** s)[..., None]
 
 
-def _sq_norm(v: np.ndarray) -> float:
-    """The squared Euclidean norm of a complex coefficient vector."""
-    return v.real @ v.real + v.imag @ v.imag
+def _sq_norm(v: np.ndarray) -> np.ndarray:
+    """The squared Euclidean norm of complex coefficients, per row."""
+    return np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag)
 
 
 def _series(x, structure, acc, term):
     """acc + sum_{k>=1} term x^k / k!, stopped once a term is negligible.
 
-    Each term is the last one times L_x / k, with L_x formed once; the stop
-    test |term| <= _SERIES_TOL |acc| is taken on squared norms. The result
-    is summed again from the smallest term up, which loses fewer digits
-    than the running sum the stop test reads.
+    x may carry leading batch axes, one series per row. Each term is the
+    last one times L_x / k, with L_x formed once; the stop test
+    |term| <= _SERIES_TOL |acc| is taken per row on squared norms, and a
+    row that has stopped adds only zeros after. The result is summed again
+    from the smallest term up, which loses fewer digits than the running
+    sum the stop test reads.
     """
     lx = _mult_matrix(x, structure)
     tol2 = _SERIES_TOL ** 2
     terms = [acc]
     for k in range(1, 200):
-        term = (lx @ term) / complex(k)
+        term = np.matvec(lx, term) / complex(k)
         acc = acc + term
         terms.append(term)
-        if _sq_norm(term) <= tol2 * _sq_norm(acc):
+        done = _sq_norm(term) <= tol2 * _sq_norm(acc)
+        if done.ndim:
+            if done.all():
+                break
+            term = np.where(done[..., None], 0, term)
+        elif done:
             break
     return sum(reversed(terms))
 
 
-def _square_repeatedly(square, acc, s: int, a: Element) -> np.ndarray:
+def _square_repeatedly(square, acc, s, arg: np.ndarray) -> np.ndarray:
     """Apply ``square`` s times; raise ExpOverflow if the result is not finite.
 
-    No norm bound is checked up front: exp(800 N) of a nilpotent N is finite
-    although N's norm is large. With s = 0 the series alone, of an argument
-    of norm <= 0.5, cannot overflow.
+    On a stack, row r is squared s[r] times, and each step squares only the
+    rows that still need it. No norm bound is checked up front: exp(800 N)
+    of a nilpotent N is finite although N's norm is large. With s = 0 the
+    series alone, of an argument of norm <= 0.5, cannot overflow.
     """
-    if not s:
+    top = int(s.max())
+    if not top:
         return acc
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(s):
-            acc = square(acc)
+        for j in range(top):
+            rows = s > j if s.ndim else ...  # no row axis: all of acc
+            acc[rows] = square(acc[rows])
     if not np.isfinite(acc).all():
         raise ExpOverflow(
             f"exponential overflows double precision (argument norm "
-            f"{a.norm:.3e})"
+            f"{np.linalg.norm(arg, axis=-1).max():.3e})"
         )
     return acc
 
 
+def _exp_rows(arg: np.ndarray, structure, unit) -> np.ndarray:
+    """Coefficients of exp(arg), or of exp of each row of a stack.
+
+    Scaling-and-squaring: the series of arg / 2^s, then s squarings, with
+    s per row (``_scaled``).
+    """
+    s, x = _scaled(arg)
+    acc = _series(x, structure, unit, unit)
+    return _square_repeatedly(lambda v: _product(v, v, structure), acc, s, arg)
+
+
 def exp(a: Element) -> Element:
     """Exponential by scaling-and-squaring with a truncated power series."""
-    s, x = _scaled(a)
+    return Element(a.algebra,
+                   _exp_rows(a.coeffs, a.algebra.structure, a.algebra.unit))
+
+
+def _exp_path(a: Element, ts: np.ndarray) -> np.ndarray:
+    """The coefficient rows exp(t a), one for each t in ts.
+
+    Row r is computed as ``exp(a * ts[r])`` computes it (``_exp_rows``),
+    but the series and each squaring run once over a stack of rows. The
+    rows go in chunks of at most ``_PATH_BATCH`` / d^2, which bounds the
+    (rows, d, d) temporaries of L_x and of the products.
+    """
     structure, unit = a.algebra.structure, a.algebra.unit
-    acc = _series(x, structure, unit, unit)
-    acc = _square_repeatedly(lambda v: _product(v, v, structure), acc, s, a)
-    return Element(a.algebra, acc)
+    step = max(1, _PATH_BATCH // a.algebra.dim ** 2)
+    return np.concatenate([
+        _exp_rows(ts[lo:lo + step, None] * a.coeffs, structure, unit)
+        for lo in range(0, ts.size, step)])
 
 
 def _expm1(a: Element) -> np.ndarray:
@@ -128,11 +171,11 @@ def _expm1(a: Element) -> np.ndarray:
     digits of a small result are lost against 1; each squaring
     (1 + x)^2 - 1 becomes 2x + x^2.
     """
-    s, x = _scaled(a)
+    s, x = _scaled(a.coeffs)
     structure = a.algebra.structure
     acc = _series(x, structure, np.zeros_like(x), a.algebra.unit)
     return _square_repeatedly(
-        lambda v: v + v + _product(v, v, structure), acc, s, a)
+        lambda v: v + v + _product(v, v, structure), acc, s, a.coeffs)
 
 
 def _sqrt(a: Element) -> Element:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .algebra import (AlgebraSpec, Element, U_operator, jordan_mul,
                       random_element)
-from .calculus import exp
+from .calculus import _exp_path, exp
 from .errors import (BranchTrackingFailed, JordanNumError, NotSelfAdjoint,
                      NotUMultiplicative, UnsupportedAlgebra, ZeroFunctional,
                      ZeroOnPath)
@@ -113,6 +113,8 @@ def is_U_multiplicative(f: FunctionalHandle,
 def unit_sign(f: FunctionalHandle, algebra: AlgebraSpec) -> int:
     """The sign dichotomy f(1) in {+1, -1} forced by U-multiplicativity."""
     v = f(algebra.one())
+    if not cmath.isfinite(v):
+        raise NotUMultiplicative(f"f(1) = {v} is not finite")
     if abs(v) < 0.5:
         raise ZeroFunctional(f"f(1) = {v} is numerically zero")
     if abs(v ** 3 - v) > 1e-8:
@@ -123,22 +125,38 @@ def unit_sign(f: FunctionalHandle, algebra: AlgebraSpec) -> int:
     return sign
 
 
+def _path_values(f: FunctionalHandle, x: Element, ts: np.ndarray):
+    """f(exp(t x)) for each t in ts: one stacked pass of exp, one f call each."""
+    values = np.array([f(Element(x.algebra, row))
+                       for row in _exp_path(x, ts)])
+    if not np.isfinite(values).all():
+        raise BranchTrackingFailed(
+            "functional is not finite along the tracking path")
+    if (np.abs(values) < 1e-300).any():
+        raise ZeroOnPath("functional vanishes along the tracking path")
+    return values
+
+
 def reconstruct_psi(f: FunctionalHandle, x: Element) -> complex:
     """psi(x) from the tracked logarithm of t -> f(exp(t x)) on [0, 1].
 
-    Doubling the steps keeps the old samples and adds the midpoints, so no
-    point of the path is evaluated twice.
+    The path points exp(t x) of each pass come from one stacked exp
+    (``calculus._exp_path``), and f is called once at each. Doubling the
+    steps keeps the old samples and adds the midpoints, so no point of the
+    path is evaluated twice.
     """
     steps = _MIN_STEPS
-    values = [f(exp(x * t)) for t in np.linspace(0.0, 1.0, steps + 1)]
+    values = _path_values(f, x, np.linspace(0.0, 1.0, steps + 1))
     while True:
-        if any(abs(v) < 1e-300 for v in values):
-            raise ZeroOnPath("functional vanishes along the tracking path")
-        ratios = [values[j + 1] / values[j] for j in range(steps)]
-        jumps = [abs(cmath.phase(r)) for r in ratios]
-        if max(jumps) < _PHASE_JUMP_LIMIT:
-            psi = sum(cmath.log(r) for r in ratios)
-            # values[-1] is f(exp(x)): the path ends at t = 1
+        phases = np.angle(values[1:] / values[:-1])
+        if np.abs(phases).max() < _PHASE_JUMP_LIMIT:
+            # the tracked branch: the log of f(exp(x)) / f(1), plus the
+            # whole turns that the phase steps add up to
+            end = complex(values[-1] / values[0])
+            turns = round((phases.sum() - cmath.phase(end)) / (2 * np.pi))
+            psi = cmath.log(end) + 2j * np.pi * turns
+            # values[-1] is f(exp(x)), values[0] is f(1): e^psi reproduces
+            # f(exp(x)) only if f(1) = 1
             if abs(values[-1] - cmath.exp(psi)) > 1e-7 * abs(cmath.exp(psi)):
                 raise BranchTrackingFailed(
                     "tracked branch does not reproduce f(exp(x))"
@@ -150,8 +168,10 @@ def reconstruct_psi(f: FunctionalHandle, x: Element) -> complex:
                 f"{_MAX_STEPS} steps"
             )
         ts = np.linspace(0.0, 1.0, 2 * steps + 1)[1::2]  # old grid: [::2]
-        mids = [f(exp(x * t)) for t in ts]
-        values = [v for pair in zip(values, mids) for v in pair] + values[-1:]
+        merged = np.empty(2 * steps + 1, dtype=complex)
+        merged[::2] = values
+        merged[1::2] = _path_values(f, x, ts)
+        values = merged
         steps *= 2
 
 

@@ -15,7 +15,7 @@ from jordannum import (
     mult_operator,
     random_element,
 )
-from jordannum.algebra import Element, _mult_matrix
+from jordannum.algebra import Element, _mult_matrix, _product
 from jordannum.errors import AlgebraMismatch, ParseError, StructureError
 
 FAMILIES = ["matrix:2", "matrix:3", "spin:4", "fn:5", "sum:fn:2+matrix:2"]
@@ -191,6 +191,19 @@ class TestProducts:
             rng = np.random.default_rng(7)
             x, y = random_element(a, rng), random_element(a, rng)
             assert (jordan_mul(x, y) - jordan_mul(y, x)).norm == 0.0
+
+    @pytest.mark.parametrize("desc", FAMILIES + ["spin:3"])
+    def test_stacked_rows_equal_single_products_bitwise(self, desc):
+        a = from_descriptor(desc)
+        rng = np.random.default_rng(47)
+        xs = np.array([random_element(a, rng, norm_cap=3.0).coeffs
+                       for _ in range(9)])
+        ys = np.array([random_element(a, rng, norm_cap=3.0).coeffs
+                       for _ in range(9)])
+        stacked = _product(xs, ys, a.structure)
+        for x, y, row in zip(xs, ys, stacked):
+            assert np.array_equal(row, _product(x, y, a.structure))
+        assert np.array_equal(stacked, _product(ys, xs, a.structure))
 
     def test_algebra_mismatch(self):
         x = make_function_algebra(2).one()

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from jordannum import (
     Contour,
@@ -22,10 +23,27 @@ from jordannum import (
     random_element,
     resolvent,
 )
-from jordannum.calculus import _MAX_CONTOUR_NODES
+from jordannum.calculus import _MAX_CONTOUR_NODES, _exp_path
 from jordannum.errors import BranchCut, ContourViolation, ExpOverflow
 
 FAMILIES = ["matrix:2", "matrix:3", "spin:4", "fn:5", "sum:fn:2+matrix:2"]
+
+
+def exp_reference(desc, x):
+    """exp of coefficients x: scipy's expm on the matrix blocks, closed
+    forms on fn and spin, exp(alpha + u) = e^alpha (cosh s + u sinh(s) / s)
+    with s^2 = u.u."""
+    if desc.startswith("fn:"):
+        return np.exp(x)
+    if desc.startswith("spin:"):
+        s = np.sqrt(complex(x[1:] @ x[1:]))
+        sinhc = np.sinh(s) / s if s else 1.0
+        return np.exp(x[0]) * np.concatenate([[np.cosh(s)], x[1:] * sinhc])
+    if desc == "sum:fn:2+matrix:2":
+        return np.concatenate([np.exp(x[:2]), scipy.linalg.expm(
+            x[2:].reshape(2, 2)).reshape(-1)])
+    n = int(desc[7:])
+    return scipy.linalg.expm(x.reshape(n, n)).reshape(-1)
 
 
 def hausdorff(a, b):
@@ -51,7 +69,6 @@ class TestExp:
         assert (exp(e12) - (a.one() + e12)).norm < 1e-15
 
     def test_matrix_oracle(self):
-        import scipy.linalg
         a = make_matrix_jordan(3)
         rng = np.random.default_rng(71)
         x = random_element(a, rng, norm_cap=2.0)
@@ -62,29 +79,12 @@ class TestExp:
     @pytest.mark.parametrize("desc", ["matrix:2", "matrix:3", "fn:5",
                                       "spin:4", "sum:fn:2+matrix:2"])
     def test_against_references(self, desc):
-        # scipy's expm on the matrix blocks, closed forms on fn and spin:
-        # exp(alpha + u) = e^alpha (cosh s + u sinh(s) / s), s^2 = u.u
-        import scipy.linalg
-
-        def reference(x):
-            if desc == "fn:5":
-                return np.exp(x)
-            if desc == "spin:4":
-                s = np.sqrt(complex(x[1:] @ x[1:]))
-                return np.exp(x[0]) * np.concatenate(
-                    [[np.cosh(s)], x[1:] * np.sinh(s) / s])
-            if desc == "sum:fn:2+matrix:2":
-                return np.concatenate([np.exp(x[:2]), scipy.linalg.expm(
-                    x[2:].reshape(2, 2)).reshape(-1)])
-            n = int(desc[7:])
-            return scipy.linalg.expm(x.reshape(n, n)).reshape(-1)
-
         a = from_descriptor(desc)
         rng = np.random.default_rng(107)
         for cap in (0.01, 0.1, 0.5, 1.0, 2.0, 5.0):
             for _ in range(4):
                 x = random_element(a, rng, norm_cap=cap)
-                want = reference(x.coeffs)
+                want = exp_reference(desc, x.coeffs)
                 err = np.linalg.norm(exp(x).coeffs - want)
                 assert err <= 1e-13 * np.linalg.norm(want)
 
@@ -103,7 +103,7 @@ class TestExp:
         rng = np.random.default_rng(109)
         for cap, squarings in ((0.5, 0), (1.0, 1), (4.0, 3)):
             x = random_element(a, rng, norm_cap=cap)
-            assert calculus._scaled(x)[0] == squarings
+            assert calculus._scaled(x.coeffs)[0] == squarings
             calls.clear()
             exp(x)
             assert len(calls) == squarings
@@ -141,6 +141,60 @@ class TestExp:
             lhs = jordan_spectrum(exp(x)).points
             rhs = [cmath.exp(p) for p in jordan_spectrum(x).points]
             assert hausdorff(lhs, rhs) < 1e-6
+
+
+class TestExpPath:
+    # the stacked exp(t x) rows of reconstruct_psi's path
+    @pytest.mark.parametrize("desc", FAMILIES + ["matrix:4"])
+    def test_rows_against_references(self, desc):
+        a = from_descriptor(desc)
+        rng = np.random.default_rng(113)
+        ts = np.linspace(0.0, 1.0, 17)
+        for cap in (0.01, 0.1, 0.5, 1.0, 2.0, 5.0):
+            for _ in range(2):
+                x = random_element(a, rng, norm_cap=cap)
+                rows = _exp_path(x, ts)
+                for t, row in zip(ts, rows):
+                    want = exp_reference(desc, t * x.coeffs)
+                    err = np.linalg.norm(row - want)
+                    assert err <= 1e-13 * np.linalg.norm(want)
+
+    def test_row_at_zero_is_the_unit(self):
+        for desc in FAMILIES:
+            a = from_descriptor(desc)
+            x = random_element(a, np.random.default_rng(127), norm_cap=5.0)
+            rows = _exp_path(x, np.linspace(0.0, 1.0, 9))
+            assert np.array_equal(rows[0], a.unit)
+
+    def test_rows_agree_with_exp(self):
+        ts = np.linspace(0.0, 1.0, 33)
+        for desc in FAMILIES:
+            a = from_descriptor(desc)
+            rng = np.random.default_rng(131)
+            for cap in (0.5, 3.0, 20.0):
+                x = random_element(a, rng, norm_cap=cap)
+                for t, row in zip(ts, _exp_path(x, ts)):
+                    want = exp(x * t).coeffs
+                    assert np.linalg.norm(row - want) <= \
+                        1e-14 * np.linalg.norm(want)
+
+    def test_chunked_equals_unchunked(self, monkeypatch):
+        import jordannum.calculus as calculus
+        a = from_descriptor("matrix:3")
+        x = random_element(a, np.random.default_rng(137), norm_cap=4.0)
+        ts = np.linspace(0.0, 1.0, 65)
+        whole = _exp_path(x, ts)
+        # 2 rows of d^2 = 81 a chunk: 33 chunks, the last one short
+        monkeypatch.setattr(calculus, "_PATH_BATCH", 2 * 81)
+        assert np.array_equal(_exp_path(x, ts), whole)
+
+    def test_overflow_raises_exp_overflow(self):
+        a = make_matrix_jordan(3)
+        x = a.element(np.diag([800.0, 0.0, 0.0]).reshape(9))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ExpOverflow):
+                _exp_path(x, np.linspace(0.0, 1.0, 5))
 
 
 class TestExpm1:

@@ -126,6 +126,12 @@ class TestUnitSign:
         with pytest.raises(ZeroFunctional):
             unit_sign(zero, a)
 
+    def test_non_finite_unit_value_raises(self):
+        a = from_descriptor("fn:3")
+        nan = FunctionalHandle(lambda x: complex("nan"))
+        with pytest.raises(NotUMultiplicative):
+            unit_sign(nan, a)
+
     def test_other_value_raises(self):
         a = from_descriptor("fn:3")
         double = FunctionalHandle(lambda x: 2.0 * complex(x.coeffs[0]))
@@ -161,19 +167,28 @@ class TestReconstructPsi:
         assert abs(psi - (0.5 + 40j)) <= 1e-7
 
     @pytest.mark.parametrize("imag, steps", [(40.0, 64), (150.0, 128)])
-    def test_each_path_point_evaluated_once(self, imag, steps, monkeypatch):
+    def test_each_path_point_evaluated_once(self, imag, steps):
         # 150 / 64 rad a step is above the pi / 2 limit: one doubling
         a = from_descriptor("fn:2")
         calls = []
 
         def counted(y):
             calls.append(y)
-            return exp(y)
+            return complex(y.coeffs[0])
 
-        monkeypatch.setattr(functionals, "exp", counted)
-        psi = reconstruct_psi(coordinate(a, 0), a.element([imag * 1j, 0.0]))
+        psi = reconstruct_psi(FunctionalHandle(counted),
+                              a.element([imag * 1j, 0.0]))
         assert abs(psi - imag * 1j) <= 1e-7
         assert len(calls) == steps + 1
+
+    def test_non_finite_value_on_path_raises(self):
+        # NaN fails every comparison, so it must be caught before them
+        a = from_descriptor("fn:2")
+        nan_once = FunctionalHandle(
+            lambda x: complex("nan") if 0.4 < x.coeffs[0].real < 0.45
+            else complex(x.coeffs[0]))
+        with pytest.raises(BranchTrackingFailed):
+            reconstruct_psi(nan_once, a.element([-2.0, 0.0]))
 
     def test_zero_on_path(self):
         a = from_descriptor("fn:2")

@@ -1,0 +1,140 @@
+"""Error of exp, expm1, log and the psi path rows against 40-digit references.
+
+For each family it prints one line per function: the median, 99th
+percentile and maximum of the relative error |got - ref| / |ref| of the
+coefficient vectors, over a fixed set of seeded inputs. The references are
+computed with mpmath at 40 digits: ``expm`` and ``logm`` on the matrix
+blocks, pointwise functions on ``fn``, and the closed forms on ``spin``
+(exp(alpha + u) = e^alpha (cosh s + u sinh(s) / s) with s^2 = u.u, and the
+log through the spectral values alpha +- s). mpmath is needed by this tool
+only. Two trees give the same lines exactly when their errors are the same,
+so an accuracy comparison is one ``diff``:
+
+    python tools/exp_accuracy.py > change.txt
+    python tools/exp_accuracy.py --src ../other/src > other.txt
+    diff other.txt change.txt
+
+``exp`` and ``expm1`` take x at norm caps 0.01-5, ``log`` takes y = exp(x)
+at caps 0.5-3, and ``path`` takes the rows exp(t x), t = 0, 1/16, ..., 1,
+for x at caps 0.01-5: from ``calculus._exp_path`` where the tree has it,
+else from one ``exp(x * t)`` call per row. ``--src`` names the source
+directory to import ``jordannum`` from; the default is the ``src``
+directory next to this script's parent.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+from pathlib import Path
+
+import mpmath
+import numpy as np
+
+FAMILIES = ["matrix:2", "matrix:3", "matrix:4", "spin:4", "fn:5",
+            "sum:fn:2+matrix:2"]
+CAPS = (0.01, 0.1, 0.5, 1.0, 2.0, 5.0)
+LOG_CAPS = (0.5, 1.0, 2.0, 3.0)
+PATH_TS = np.linspace(0.0, 1.0, 17)
+
+
+def _blocks(desc):
+    """(kind, size) of each direct summand of a descriptor, in order."""
+    if desc.startswith("sum:"):
+        return [b for part in desc[4:].split("+") for b in _blocks(part)]
+    kind, size = desc.split(":")
+    return [(kind, int(size))]
+
+
+def _block_reference(kind, n, x, fn):
+    """fn ('exp', 'expm1' or 'log') of one block's coefficients, in mpmath."""
+    if kind == "fn":
+        return [getattr(mpmath, fn)(v) for v in x]
+    if kind == "matrix":
+        m = mpmath.matrix([[x[i * n + j] for j in range(n)] for i in range(n)])
+        f = mpmath.logm(m) if fn == "log" else mpmath.expm(m)
+        if fn == "expm1":
+            f = f - mpmath.eye(n)
+        return [f[i, j] for i in range(n) for j in range(n)]
+    alpha, u = x[0], x[1:]
+    s = mpmath.sqrt(mpmath.fsum(v * v for v in u))
+    if fn == "log":
+        lp, lm = mpmath.log(alpha + s), mpmath.log(alpha - s)
+        scalar = (lp + lm) / 2
+        vec = (lp - lm) / (2 * s) if s else 1 / alpha
+    else:
+        scalar = mpmath.exp(alpha) * mpmath.cosh(s)
+        vec = mpmath.exp(alpha) * (mpmath.sinh(s) / s if s else 1)
+        if fn == "expm1":
+            scalar = scalar - 1
+    return [scalar] + [vec * v for v in u]
+
+
+def reference(desc, coeffs, fn):
+    """fn of the coefficient vector in the algebra ``desc``, in mpmath."""
+    x = [mpmath.mpc(complex(v)) for v in coeffs]
+    out, lo = [], 0
+    for kind, size in _blocks(desc):
+        dim = size * size if kind == "matrix" else size + (kind == "spin")
+        out += _block_reference(kind, size, x[lo:lo + dim], fn)
+        lo += dim
+    return out
+
+
+def rel_error(got, want) -> float:
+    diff = mpmath.sqrt(mpmath.fsum(abs(mpmath.mpc(complex(g)) - w) ** 2
+                                   for g, w in zip(got, want)))
+    return float(diff / mpmath.sqrt(mpmath.fsum(abs(w) ** 2 for w in want)))
+
+
+def family_errors(jn, calculus, desc):
+    """Lists of relative errors of exp, expm1, log and path on one family."""
+    a = jn.from_descriptor(desc)
+    rng = np.random.default_rng(211)
+    errs = {"exp": [], "expm1": [], "log": [], "path": []}
+    for cap in CAPS:
+        for _ in range(4):
+            x = jn.random_element(a, rng, norm_cap=cap)
+            errs["exp"].append(rel_error(jn.exp(x).coeffs,
+                                         reference(desc, x.coeffs, "exp")))
+            errs["expm1"].append(rel_error(calculus._expm1(x),
+                                           reference(desc, x.coeffs, "expm1")))
+        for _ in range(2):
+            x = jn.random_element(a, rng, norm_cap=cap)
+            if hasattr(calculus, "_exp_path"):
+                rows = calculus._exp_path(x, PATH_TS)
+            else:
+                rows = [jn.exp(x * t).coeffs for t in PATH_TS]
+            errs["path"] += [rel_error(row, reference(desc, t * x.coeffs,
+                                                      "exp"))
+                             for t, row in zip(PATH_TS, rows)]
+    for cap in LOG_CAPS:
+        for _ in range(6):
+            y = jn.exp(jn.random_element(a, rng, norm_cap=cap))
+            errs["log"].append(rel_error(jn.log(y).coeffs,
+                                         reference(desc, y.coeffs, "log")))
+    return errs
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--src", default=str(Path(__file__).resolve().parent.parent / "src"),
+        help="directory to import jordannum from")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, args.src)
+    import jordannum as jn
+    from jordannum import calculus
+
+    mpmath.mp.dps = 40
+    print("family function n median p99 max")
+    for desc in FAMILIES:
+        for fn, errs in family_errors(jn, calculus, desc).items():
+            e = np.array(errs)
+            print(f"{desc} {fn} {e.size} {np.median(e):.2e} "
+                  f"{np.quantile(e, 0.99):.2e} {e.max():.2e}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
