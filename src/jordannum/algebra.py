@@ -17,6 +17,8 @@ from .errors import AlgebraMismatch, ParseError, StructureError
 
 _JORDAN_ID_TOL = 1e-12
 _UNIT_TOL = 1e-12
+# Arnoldi in _generated stops once h_{j+1,j} <= this times ||L_x||_F
+_KRYLOV_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -34,6 +36,9 @@ class AlgebraSpec:
             raise StructureError("algebra dimension must be positive")
         c = np.ascontiguousarray(np.asarray(self.structure, dtype=complex))
         u = np.ascontiguousarray(np.asarray(self.unit, dtype=complex))
+        for name, v in (("structure tensor", c), ("unit vector", u)):
+            if not np.isfinite(v).all():
+                raise StructureError(f"{name} must be finite")
         if c.shape != (d, d, d):
             raise StructureError(f"structure tensor must be {d}x{d}x{d}")
         if u.shape != (d,):
@@ -213,6 +218,34 @@ def _mult_matrix(x: np.ndarray, structure: np.ndarray) -> np.ndarray:
     d = x.shape[-1]
     lx = (x @ structure.reshape(d, d * d)).reshape(*x.shape[:-1], d, d)
     return lx.swapaxes(-1, -2)
+
+
+def _generated(x: Element) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal Q (d x m) spanning C[x] = span{1, x, x^2, ...}, and H.
+
+    Arnoldi on L_x from the normalised unit, with classical Gram-Schmidt run
+    twice per step, stopping once h_{j+1,j} <= ``_KRYLOV_TOL`` ||L_x||_F:
+    then L_x Q = Q H, H is upper Hessenberg and m <= d is the degree of x's
+    minimal polynomial.
+    """
+    lx = _mult_matrix(x.coeffs, x.algebra.structure)
+    tol = _KRYLOV_TOL * np.linalg.norm(lx)
+    d = x.algebra.dim
+    q = np.zeros((d, d), dtype=complex)  # basis vectors as rows
+    h = np.zeros((d, d), dtype=complex)
+    q[0] = x.algebra.unit / np.linalg.norm(x.algebra.unit)
+    for j in range(d):
+        w = lx @ q[j]
+        for _ in range(2):
+            c = q[:j + 1].conj() @ w
+            w = w - c @ q[:j + 1]
+            h[:j + 1, j] += c
+        beta = np.sqrt(np.vdot(w, w).real)
+        if j + 1 == d or beta <= tol:
+            break
+        h[j + 1, j] = beta
+        q[j + 1] = w / beta
+    return q[:j + 1].T, h[:j + 1, :j + 1]
 
 
 def mult_operator(a: Element) -> OperatorMatrix:

@@ -213,6 +213,11 @@ def log(a: Element) -> Element:
     Mercator series of log(1 + z) runs on coefficient arrays, each term one
     product by the operator L_z formed once, and one Element is built at
     the end and scaled by 2^roots.
+
+    Newton's first iterate (1 + a) / 2 is singular if -1 is in the spectrum,
+    and digits are lost near the negative axis. So a spectrum reaching into
+    the left half-plane is turned by the quarter turn i^-k that most lowers
+    its largest |argument|, if one does: log a = log(i^-k a) + i k pi / 2.
     """
     spec = jordan_spectrum(a)
     for p in spec.points:
@@ -222,8 +227,11 @@ def log(a: Element) -> Element:
                 f"spectrum point {p} is within {_BRANCH_CLEARANCE} of the "
                 "closed negative real axis"
             )
+    worst = [np.abs(np.angle(spec.points) - 0.5 * np.pi * k).max()
+             for k in (0, 1, -1)]
+    turn = (0, 1, -1)[np.argmin(worst)] if worst[0] > 0.5 * np.pi else 0
     one = a.algebra.one()
-    cur = a
+    cur = a * (-1j if turn == 1 else 1j) if turn else a
     roots = 0
     while (cur - one).norm > 0.25:
         cur = _sqrt(cur)
@@ -239,7 +247,10 @@ def log(a: Element) -> Element:
         if _sq_norm(term) / k ** 2 < _SERIES_TOL ** 2 * max(_sq_norm(acc),
                                                             1e-60):
             break
-    return Element(a.algebra, acc * float(2 ** roots))
+    out = acc * float(2 ** roots)
+    if turn:
+        out += (0.5j * np.pi * turn) * a.algebra.unit
+    return Element(a.algebra, out)
 
 
 def power_mu(a: Element, mu: complex) -> Element:

@@ -20,7 +20,7 @@ from .calculus import _exp_path, exp
 from .errors import (BranchTrackingFailed, JordanNumError, NotSelfAdjoint,
                      NotUMultiplicative, UnsupportedAlgebra, ZeroFunctional,
                      ZeroOnPath)
-from .spectral import is_invertible, jordan_spectrum
+from .spectral import in_unbounded_component, is_invertible, jordan_spectrum
 
 _MIN_STEPS = 64
 _MAX_STEPS = 2 ** 16
@@ -202,7 +202,6 @@ def affine_resolvent_check(f: FunctionalHandle, psi_x: complex, x: Element,
     on_line = _spectrum_on_line(spec, tol=1e-8)
     residual = 0.0
     skipped = []
-    from .spectral import in_unbounded_component
     for lam in lam_grid:
         if spec.distance(lam) <= spec.dedupe_tol:
             skipped.append(lam)

@@ -1,9 +1,9 @@
-"""Jordan invertibility, inverses, and the spectrum via a quadratic pencil.
+"""Jordan invertibility, inverses, resolvents, and the spectrum.
 
 An element a is invertible iff U_a is bijective, with a^{-1} = U_a^{-1}(a).
-Since U_{a - z*1} = U_a - 2z L_a + z^2 I, the spectrum is the root set of
-det(U_a - 2z L_a + z^2 I), obtained from the eigenvalues of the 2d x 2d
-companion linearization [[0, I], [-U_a, 2 L_a]].
+The spectrum of a is that of L_a on the associative subalgebra
+C[a] = span{1, a, a^2, ...} (Faraut-Koranyi, Analysis on Symmetric Cones,
+ch. II), compressed to an m x m matrix by ``algebra._generated``.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Element, U_operator, mult_operator
+from .algebra import Element, U_operator, _generated, mult_operator
 from .errors import NotInvertible, OnSpectrum
 
 DEFAULT_COND_TOL = 1e-10
@@ -21,7 +21,12 @@ _RESOLVENT_BATCH = 64
 
 @dataclass(frozen=True)
 class SpectrumSet:
-    """Deduplicated spectrum points with the tolerance used to merge them."""
+    """Spectrum points, the tolerance used to merge them, and their radius.
+
+    Each point is the mean of a cluster of eigenvalues that are linked by
+    steps of at most ``dedupe_tol``; a query within ``dedupe_tol`` of a point
+    counts as on the spectrum.
+    """
 
     points: tuple
     dedupe_tol: float
@@ -61,52 +66,21 @@ def inverse(a: Element) -> Element:
     return Element(a.algebra, _solve_checked(ua[None], a.coeffs[None])[0])
 
 
-def _dedupe(points: np.ndarray, tol: float):
-    """Greedy merge of close eigenvalues; cluster means kept pairwise > tol."""
-    clusters = []  # (sum, count)
-    for z in sorted(points, key=lambda w: (-abs(w), w.real, w.imag)):
-        placed = False
-        for idx, (tot, cnt) in enumerate(clusters):
-            if abs(z - tot / cnt) <= tol:
-                clusters[idx] = (tot + z, cnt + 1)
-                placed = True
-                break
-        if not placed:
-            clusters.append((z, 1))
-    means = [tot / cnt for tot, cnt in clusters]
-    # merge any cluster means that ended up within tol of each other
-    merged = True
-    while merged:
-        merged = False
-        for i in range(len(means)):
-            for j in range(i + 1, len(means)):
-                if abs(means[i] - means[j]) <= tol:
-                    means[i] = 0.5 * (means[i] + means[j])
-                    del means[j]
-                    merged = True
-                    break
-            if merged:
-                break
-    return means
-
-
 def jordan_spectrum(a: Element) -> SpectrumSet:
-    """Spectrum of a from the companion linearization of the U pencil."""
-    d = a.algebra.dim
-    ua = U_operator(a).entries
-    la = mult_operator(a).entries
-    comp = np.zeros((2 * d, 2 * d), dtype=complex)
-    comp[:d, d:] = np.eye(d)
-    comp[d:, :d] = -ua
-    comp[d:, d:] = 2.0 * la
-    try:
-        raw = np.linalg.eigvals(comp)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NotInvertible(f"eigenvalue solver failed: {exc}") from exc
-    raw_radius = float(np.max(np.abs(raw))) if raw.size else 0.0
-    tol = 1e-6 * (1.0 + raw_radius)
-    points = tuple(_dedupe(raw, tol))
-    radius = float(max(abs(p) for p in points))
+    """Spectrum of a: the eigenvalues of L_a compressed to C[a], clustered.
+
+    Eigenvalues within ``dedupe_tol`` = 1e-6 (1 + max |eigenvalue|) are
+    linked, and each single-linkage cluster is reported as its mean.
+    """
+    raw = np.sort(np.linalg.eigvals(_generated(a)[1]))
+    tol = 1e-6 * (1.0 + float(np.max(np.abs(raw))))
+    linked = np.abs(raw[:, None] - raw[None, :]) <= tol
+    for _ in range(raw.size.bit_length()):  # closure: row i is i's cluster
+        linked = linked @ linked
+    # one row per cluster: the row of its first member
+    clusters = linked[linked.argmax(axis=1) == np.arange(raw.size)]
+    points = tuple((clusters @ raw / clusters.sum(axis=1)).tolist())
+    radius = max(abs(p) for p in points)
     return SpectrumSet(points=points, dedupe_tol=tol, spectral_radius=radius)
 
 

@@ -15,7 +15,7 @@ from jordannum import (
     mult_operator,
     random_element,
 )
-from jordannum.algebra import Element, _mult_matrix, _product
+from jordannum.algebra import Element, _generated, _mult_matrix, _product
 from jordannum.errors import AlgebraMismatch, ParseError, StructureError
 
 FAMILIES = ["matrix:2", "matrix:3", "spin:4", "fn:5", "sum:fn:2+matrix:2"]
@@ -121,6 +121,20 @@ class TestConstructors:
         with pytest.raises(StructureError):
             AlgebraSpec(2, c, np.array([1, 0], dtype=complex), "bad")
 
+
+    @pytest.mark.parametrize("where, index, value", [
+        ("structure tensor", (1, 1, 0), np.inf),
+        ("structure tensor", (0, 1, 1), np.nan),
+        ("unit vector", (1,), np.nan)])
+    def test_non_finite_input_rejected(self, where, index, value):
+        # inf at a diagonal entry keeps the tensor symmetric, and NaN fails
+        # every comparison of the unit and identity checks, so only a
+        # finiteness check stops these; a NaN entry is not an asymmetry
+        spin = make_spin_factor(1)
+        c, u = spin.structure.copy(), spin.unit.copy()
+        (c if where == "structure tensor" else u)[index] = value
+        with pytest.raises(StructureError, match=f"{where} must be finite"):
+            AlgebraSpec(spin.dim, c, u, "bad")
 
     def test_non_jordan_algebra_rejected(self):
         # unit e0, e1 o e2 = e1, e1^2 = e2^2 = 0: commutative and unital,
@@ -316,6 +330,49 @@ class TestMultMatrix:
             got = _mult_matrix(x.coeffs, a.structure) @ y.coeffs
             want = jordan_mul(x, y).coeffs
             assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
+
+
+class TestGenerated:
+    """The Arnoldi basis of C[x]: invariant under L_x and orthonormal."""
+
+    @staticmethod
+    def check(x):
+        q, h = _generated(x)
+        lx = _mult_matrix(x.coeffs, x.algebra.structure)
+        m = h.shape[0]
+        assert q.shape == (x.algebra.dim, m)
+        assert np.linalg.norm(lx @ q - q @ h) <= 1e-13 * np.linalg.norm(lx)
+        assert np.abs(q.conj().T @ q - np.eye(m)).max() <= 1e-13
+        return m
+
+    @pytest.mark.parametrize("desc", FAMILIES + ["matrix:8"])
+    def test_invariant_and_orthonormal(self, desc):
+        a = from_descriptor(desc)
+        rng = np.random.default_rng(17)
+        for cap in (0.01, 1.0, 5.0):
+            self.check(random_element(a, rng, norm_cap=cap))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    def test_dimension_is_the_matrix_size(self, n):
+        a = from_descriptor(f"matrix:{n}")
+        rng = np.random.default_rng(19)
+        for _ in range(5):
+            assert self.check(random_element(a, rng)) == n
+
+    def test_dimension_of_jordan_block(self):
+        a = make_matrix_jordan(3)
+        assert self.check(from_matrix(a, np.eye(3) + np.eye(3, k=1))) == 3
+
+    def test_dimension_of_spin_element(self):
+        a = make_spin_factor(4)
+        rng = np.random.default_rng(23)
+        for _ in range(5):
+            assert self.check(random_element(a, rng)) == 2
+
+    def test_unit_and_zero_generate_the_scalars(self):
+        a = make_matrix_jordan(3)
+        assert self.check(a.one()) == 1
+        assert self.check(a.zero()) == 1
 
 
 class TestIdentities:

@@ -276,6 +276,17 @@ class TestLog:
         with pytest.raises(BranchCut):
             log(f.element([0.0, 2.0]))
 
+    def test_branch_cut_clearance_is_resolved(self):
+        # 1e-9 from the cut is inside the 1e-8 clearance; 1e-6 is outside
+        # it, where Newton's first square-root iterate (1 + a) / 2 is
+        # nearly singular unless the spectrum is turned away from -1
+        f = make_function_algebra(2)
+        with pytest.raises(BranchCut):
+            log(f.element([-1.0 + 1e-9j, 2.0]))
+        y = f.element([-1.0 + 1e-6j, 2.0])
+        np.testing.assert_allclose(log(y).coeffs, np.log(y.coeffs),
+                                   atol=1e-12)
+
 
 class TestPowerMu:
     def test_zero_power(self):

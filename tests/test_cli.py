@@ -81,6 +81,15 @@ class TestSpectrum:
         assert abs(got[0] - 4.0) <= 1e-9
         assert abs(got[1] - 7.0) <= 1e-9
 
+    def test_matrix_jordan_block_is_one_point(self):
+        # [[1, 2], [0, 1]] is not diagonalizable; its spectrum is {1}
+        code, text = invoke(["spectrum", "--algebra", "matrix:2",
+                             "--element", "1,0,2,0,0,0,1,0"])
+        assert code == 0
+        got = parse_points(text)
+        assert len(got) == 1
+        assert abs(got[0] - 1.0) <= 1e-12
+
     def test_element_from_file(self, tmp_path):
         path = tmp_path / "el.txt"
         path.write_text("1,0\n0,0\n2,0\n")

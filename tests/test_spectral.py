@@ -24,6 +24,31 @@ from jordannum.spectral import SpectrumSet, u_inverse_residual
 FAMILIES = ["matrix:2", "matrix:3", "spin:4", "fn:5", "sum:fn:2+matrix:2"]
 
 
+def spin_nilpotent(algebra, rng):
+    """alpha + u with u.u = 0: u = r (p + i q) for orthonormal real p, q."""
+    q, _ = np.linalg.qr(rng.standard_normal((algebra.dim - 1, 2)))
+    u = (q[:, 0] + 1j * q[:, 1]) * rng.uniform(0.2, 0.7)
+    alpha = rng.uniform(0.5, 1.0) * cmath.exp(2j * np.pi * rng.random())
+    return algebra.element(np.concatenate([[alpha], u]))
+
+
+def jordan_block(n, eigenvalue):
+    """eigenvalue*I + N on matrix:n, N the nilpotent shift."""
+    m = eigenvalue * np.eye(n) + np.eye(n, k=1)
+    return make_matrix_jordan(n).element(m.reshape(n * n))
+
+
+# elements whose spectrum is one point of higher multiplicity
+DEFECTIVE = {
+    "block:3": lambda: jordan_block(3, 1.0),
+    "block:4": lambda: jordan_block(4, 2.0),
+    # [[1, 2], [0, 1]], also run through the CLI in test_cli.py
+    "block:2": lambda: make_matrix_jordan(2).element([1, 2, 0, 1]),
+    "spin_nilpotent": lambda: spin_nilpotent(make_spin_factor(4),
+                                             np.random.default_rng(0)),
+}
+
+
 def random_invertible(algebra, rng):
     while True:
         x = random_element(algebra, rng)
@@ -162,22 +187,28 @@ class TestSpectrum:
         assert hausdorff(shifted, [alpha * p + beta for p in base]) < 1e-7
 
     def test_pencil_consistency(self):
-        a = from_descriptor("spin:4")
-        rng = np.random.default_rng(59)
-        x = random_element(a, rng)
-        spec = jordan_spectrum(x)
-        one = a.one()
-        for _ in range(20):
-            lam = complex(rng.standard_normal(), rng.standard_normal())
-            if spec.distance(lam) < 10 * spec.dedupe_tol:
-                continue
-            s = np.linalg.svd(U_operator(x - one * lam).entries,
-                              compute_uv=False)
-            assert s[-1] > 1e-8 * s[0]
-        for p in spec.points:
-            s = np.linalg.svd(U_operator(x - one * p).entries,
-                              compute_uv=False)
-            assert s[-1] < 1e-6 * s[0]
+        # nothing spurious: U_{x - p 1} is singular at every reported point;
+        # off the spectrum it is well conditioned for the random elements (a
+        # Jordan block's U_{x - lam 1} is not, near its eigenvalue)
+        for name in FAMILIES + list(DEFECTIVE):
+            rng = np.random.default_rng(59)
+            if name in DEFECTIVE:
+                x = DEFECTIVE[name]()
+            else:
+                x = random_element(from_descriptor(name), rng)
+            spec = jordan_spectrum(x)
+            one = x.algebra.one()
+            for _ in range(20 if name in FAMILIES else 0):
+                lam = complex(rng.standard_normal(), rng.standard_normal())
+                if spec.distance(lam) < 10 * spec.dedupe_tol:
+                    continue
+                s = np.linalg.svd(U_operator(x - one * lam).entries,
+                                  compute_uv=False)
+                assert s[-1] > 1e-8 * s[0], name
+            for p in spec.points:
+                s = np.linalg.svd(U_operator(x - one * p).entries,
+                                  compute_uv=False)
+                assert s[-1] < 1e-6 * s[0], name
 
     def test_dedupe_invariant(self):
         a = from_descriptor("matrix:3")
@@ -188,6 +219,28 @@ class TestSpectrum:
             for i in range(len(pts)):
                 for j in range(i + 1, len(pts)):
                     assert abs(pts[i] - pts[j]) > spec.dedupe_tol
+
+    @pytest.mark.parametrize("name, eigenvalue", [
+        ("block:3", 1.0), ("block:4", 2.0), ("block:2", 1.0)])
+    def test_jordan_block_is_one_point(self, name, eigenvalue):
+        spec = jordan_spectrum(DEFECTIVE[name]())
+        assert len(spec.points) == 1
+        assert abs(spec.points[0] - eigenvalue) <= 1e-12
+
+    def test_spin_nilpotents(self):
+        a = make_spin_factor(4)
+        for seed in range(200):
+            x = spin_nilpotent(a, np.random.default_rng(seed))
+            alpha = x.coeffs[0]
+            spec = jordan_spectrum(x)
+            assert len(spec.points) == 1, seed
+            assert abs(spec.points[0] - alpha) <= 1e-12 * (1 + abs(alpha))
+
+    def test_eigenvalues_closer_than_the_tolerance_merge(self):
+        x = make_matrix_jordan(3).element(np.diag([1, 1 + 1e-9, 2]).ravel())
+        spec = jordan_spectrum(x)
+        assert hausdorff(spec.points, [1, 2]) <= 1e-9
+        assert len(spec.points) == 2
 
 
 class TestResolvent:

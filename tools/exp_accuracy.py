@@ -1,25 +1,29 @@
-"""Error of exp, expm1, log and the psi path rows against 40-digit references.
+"""Error of exp, expm1, log, the psi path rows and the spectrum, per family.
 
 For each family it prints one line per function: the median, 99th
 percentile and maximum of the relative error |got - ref| / |ref| of the
-coefficient vectors, over a fixed set of seeded inputs. The references are
-computed with mpmath at 40 digits: ``expm`` and ``logm`` on the matrix
-blocks, pointwise functions on ``fn``, and the closed forms on ``spin``
-(exp(alpha + u) = e^alpha (cosh s + u sinh(s) / s) with s^2 = u.u, and the
-log through the spectral values alpha +- s). mpmath is needed by this tool
-only. Two trees give the same lines exactly when their errors are the same,
-so an accuracy comparison is one ``diff``:
+coefficient vectors, over a fixed set of seeded inputs; for ``spectrum``,
+of the Hausdorff distance from the spectrum points to the reference
+eigenvalues, relative to 1 + R with R the largest reference modulus. The
+references are computed with mpmath at 40 digits: ``expm``, ``logm`` and
+``eig`` on the matrix blocks (a double-precision eigvals errs as much as
+what is measured), pointwise functions and the coordinates on ``fn``, and
+the closed forms on ``spin`` (exp(alpha + u) = e^alpha (cosh s + u sinh(s)
+/ s) with s^2 = u.u, the spectral values alpha +- s, and the log through
+them). mpmath is needed by this tool only. Two trees give the same lines
+exactly when their errors are the same, so an accuracy comparison is one
+``diff``:
 
     python tools/exp_accuracy.py > change.txt
     python tools/exp_accuracy.py --src ../other/src > other.txt
     diff other.txt change.txt
 
-``exp`` and ``expm1`` take x at norm caps 0.01-5, ``log`` takes y = exp(x)
-at caps 0.5-3, and ``path`` takes the rows exp(t x), t = 0, 1/16, ..., 1,
-for x at caps 0.01-5: from ``calculus._exp_path`` where the tree has it,
-else from one ``exp(x * t)`` call per row. ``--src`` names the source
-directory to import ``jordannum`` from; the default is the ``src``
-directory next to this script's parent.
+``exp``, ``expm1`` and ``spectrum`` take x at norm caps 0.01-5, ``log``
+takes y = exp(x) at caps 0.5-3, and ``path`` takes the rows exp(t x),
+t = 0, 1/16, ..., 1, for x at caps 0.01-5: from ``calculus._exp_path``
+where the tree has it, else from one ``exp(x * t)`` call per row.
+``--src`` names the source directory to import ``jordannum`` from; the
+default is the ``src`` directory next to this script's parent.
 """
 
 from __future__ import annotations
@@ -81,6 +85,43 @@ def reference(desc, coeffs, fn):
     return out
 
 
+def spectrum_reference(desc, coeffs):
+    """The eigenvalues of each direct summand of ``desc``, in mpmath."""
+    x = [mpmath.mpc(complex(v)) for v in coeffs]
+    out, lo = [], 0
+    for kind, size in _blocks(desc):
+        dim = size * size if kind == "matrix" else size + (kind == "spin")
+        block = x[lo:lo + dim]
+        if kind == "fn":
+            out += block
+        elif kind == "matrix":
+            out += mpmath.eig(mpmath.matrix(
+                [block[i * size:(i + 1) * size] for i in range(size)]),
+                left=False, right=False)
+        else:
+            s = mpmath.sqrt(mpmath.fsum(v * v for v in block[1:]))
+            out += [block[0] + s, block[0] - s]
+        lo += dim
+    return out
+
+
+def spectrum_errors(jn, desc):
+    """Hausdorff errors of jordan_spectrum relative to 1 + R on one family."""
+    a = jn.from_descriptor(desc)
+    rng = np.random.default_rng(223)
+    errs = []
+    for cap in CAPS:
+        for _ in range(60):
+            x = jn.random_element(a, rng, norm_cap=cap)
+            got = [mpmath.mpc(p) for p in jn.jordan_spectrum(x).points]
+            want = spectrum_reference(desc, x.coeffs)
+            hausdorff = max(
+                max(min(abs(g - w) for w in want) for g in got),
+                max(min(abs(g - w) for g in got) for w in want))
+            errs.append(float(hausdorff / (1 + max(abs(w) for w in want))))
+    return errs
+
+
 def rel_error(got, want) -> float:
     diff = mpmath.sqrt(mpmath.fsum(abs(mpmath.mpc(complex(g)) - w) ** 2
                                    for g, w in zip(got, want)))
@@ -129,7 +170,9 @@ def main(argv=None) -> int:
     mpmath.mp.dps = 40
     print("family function n median p99 max")
     for desc in FAMILIES:
-        for fn, errs in family_errors(jn, calculus, desc).items():
+        errors = family_errors(jn, calculus, desc)
+        errors["spectrum"] = spectrum_errors(jn, desc)
+        for fn, errs in errors.items():
             e = np.array(errs)
             print(f"{desc} {fn} {e.size} {np.median(e):.2e} "
                   f"{np.quantile(e, 0.99):.2e} {e.max():.2e}")
