@@ -18,7 +18,7 @@ share one nested trapezoid rule on the circle (``_nested_trapezoid``): when
 the node count doubles, the old nodes are kept and only the midpoints are
 added, so each node is evaluated once (Trefethen & Weideman, SIAM Rev.
 2014). ``holomorphic_calculus`` solves the resolvents at each new set of
-nodes as one batch.
+nodes on the m x m compression H of L_a to C[a] (``algebra._generated``).
 """
 
 from __future__ import annotations
@@ -28,11 +28,11 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import (Element, _mult_matrix, _product, _same_algebra,
-                      jordan_mul)
+from .algebra import (Element, _generated, _mult_matrix, _product,
+                      _same_algebra, jordan_mul)
 from .errors import (BranchCut, ContourViolation, ExpOverflow, JordanNumError,
                      QuadratureError)
-from .spectral import _resolvents, inverse, jordan_spectrum
+from .spectral import _solve_checked, inverse, jordan_spectrum
 
 _SERIES_TOL = 1e-18
 _BRANCH_CLEARANCE = 1e-8
@@ -41,6 +41,8 @@ _CAUCHY_NODES = 64
 _MAX_SQRT_STEPS = 64
 # rows * d^2 of one chunk of _exp_path
 _PATH_BATCH = 1 << 16
+# contour nodes per batched solve, which bounds the (nodes, m, m) stack
+_RESOLVENT_BATCH = 64
 
 
 @dataclass(frozen=True)
@@ -52,6 +54,8 @@ class Contour:
     nodes: int = 256
 
     def __post_init__(self):
+        if not np.isfinite([self.center, self.radius]).all():
+            raise ValueError("contour center and radius must be finite")
         if self.radius <= 0:
             raise ValueError("contour radius must be positive")
         if self.nodes < 32 or self.nodes % 2:
@@ -289,11 +293,12 @@ def holomorphic_calculus(h: Callable[[complex], complex], a: Element,
                          contour: Contour) -> Element:
     """(1/2 pi i) * integral of h(z) (z*1 - a)^{-1} dz over the contour.
 
-    Nested trapezoid rule from ``contour.nodes`` points, doubled until
-    stable (``_nested_trapezoid``): h is called once at each point of the
-    accepted rule, and the resolvents at each new set of points are solved
-    as one batch (``spectral._resolvents``), each checked for conditioning
-    as ``inverse`` checks it.
+    Each resolvent lies in C[a]: with L_a Q = Q H (``algebra._generated``),
+    (z*1 - a)^{-1} = Q (zI - H)^{-1} |1| e_1. So the nested trapezoid rule
+    (``_nested_trapezoid``), from ``contour.nodes`` points and doubled until
+    stable, calls h once at each point of the accepted rule and solves the
+    m x m systems of each new set of points in batches of at most
+    ``_RESOLVENT_BATCH``; ``spectral._solve_checked`` refuses a singular one.
     """
     spec = jordan_spectrum(a)
     margin = 0.05 * contour.radius
@@ -302,16 +307,23 @@ def holomorphic_calculus(h: Callable[[complex], complex], a: Element,
             raise ContourViolation(
                 f"spectrum point {p} is not strictly inside the contour"
             )
+    q, hmat = _generated(a)
+    m = hmat.shape[0]
+    rhs = np.linalg.norm(a.algebra.unit) * np.eye(m)[0]  # Q^H 1 = |1| e_1
 
     def sample(w):
         # dz / (2 pi i) = offset * dtheta / (2 pi)
         offs = contour.radius * w
         zetas = contour.center + offs
         hz = np.array([h(z) for z in zetas], dtype=complex)
-        return (hz * offs)[:, None] * _resolvents(a, zetas)
+        ys = [_solve_checked(z[:, None, None] * np.eye(m) - hmat,
+                             np.broadcast_to(rhs, (z.size, m)))
+              for z in np.split(zetas, range(_RESOLVENT_BATCH, zetas.size,
+                                             _RESOLVENT_BATCH))]
+        return (hz * offs)[:, None] * np.concatenate(ys)
 
-    return Element(a.algebra,
-                   _nested_trapezoid(sample, contour.nodes, "contour"))
+    y = _nested_trapezoid(sample, contour.nodes, "contour")
+    return Element(a.algebra, q @ y)
 
 
 def derivative_at_zero(f: HolomorphicCurve, rho: float) -> Element:

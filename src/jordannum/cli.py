@@ -39,6 +39,8 @@ def _parse_element(algebra: alg.AlgebraSpec, text: str) -> alg.Element:
         values = [float(t) for t in tokens]
     except ValueError as exc:
         raise ParseError(f"element coefficients must be numbers: {exc}") from exc
+    if not np.isfinite(values).all():
+        raise ParseError("element coefficients must be finite")
     if len(values) != 2 * algebra.dim:
         raise ParseError(
             f"expected {2 * algebra.dim} interleaved values for "

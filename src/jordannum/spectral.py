@@ -1,9 +1,11 @@
 """Jordan invertibility, inverses, resolvents, and the spectrum.
 
-An element a is invertible iff U_a is bijective, with a^{-1} = U_a^{-1}(a).
-The spectrum of a is that of L_a on the associative subalgebra
+An element a is invertible iff U_a is bijective, with a^{-1} = U_a^{-1}(a),
+and the resolvent (zeta*1 - a)^{-1} is the inverse of zeta*1 - a. The
+spectrum of a is that of L_a on the associative subalgebra
 C[a] = span{1, a, a^2, ...} (Faraut-Koranyi, Analysis on Symmetric Cones,
-ch. II), compressed to an m x m matrix by ``algebra._generated``.
+ch. II), compressed to an m x m matrix H by ``algebra._generated``; the
+contour calculus solves its resolvents on the same H.
 """
 
 from __future__ import annotations
@@ -12,11 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Element, U_operator, _generated, mult_operator
+from .algebra import Element, U_operator, _generated
 from .errors import NotInvertible, OnSpectrum
 
 DEFAULT_COND_TOL = 1e-10
-_RESOLVENT_BATCH = 64
 
 
 @dataclass(frozen=True)
@@ -44,7 +45,7 @@ def is_invertible(a: Element, cond_tol: float = DEFAULT_COND_TOL) -> bool:
 
 
 def _solve_checked(ops: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ops[k] x_k = rhs[k] for a stack of U operators.
+    """Solve ops[k] x_k = rhs[k] for a stack of square operators.
 
     Refuses the stack when any operator's smallest singular value is at most
     ``DEFAULT_COND_TOL`` times its largest, naming the first such operator's.
@@ -54,7 +55,8 @@ def _solve_checked(ops: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     if singular.any():
         smin = s[singular.argmax(), -1]
         raise NotInvertible(
-            f"U_a is numerically singular (smallest singular value {smin:.3e})",
+            f"operator is numerically singular (smallest singular value "
+            f"{smin:.3e})",
             smallest_singular_value=float(smin),
         )
     return np.linalg.solve(ops, rhs[:, :, None])[:, :, 0]
@@ -84,33 +86,9 @@ def jordan_spectrum(a: Element) -> SpectrumSet:
     return SpectrumSet(points=points, dedupe_tol=tol, spectral_radius=radius)
 
 
-def _resolvents(a: Element, zetas: np.ndarray) -> np.ndarray:
-    """Coefficients of (zeta*1 - a)^{-1}, one row for each zeta in zetas.
-
-    The inverse of zeta*1 - a is U_{zeta*1 - a}^{-1}(zeta*1 - a), and
-    U_{zeta*1 - a} = zeta^2 I - 2 zeta L_a + U_a, so L_a and U_a are formed
-    once and every node costs one batched SVD (the conditioning check of
-    ``inverse``) and one batched solve. Nodes go in batches of at most
-    ``_RESOLVENT_BATCH``, which bounds the operator stacks' memory.
-    """
-    la = mult_operator(a).entries
-    ua = U_operator(a).entries
-    eye = np.eye(a.algebra.dim)
-    zetas = np.asarray(zetas, dtype=complex)
-    out = np.empty((zetas.size, a.algebra.dim), dtype=complex)
-    for lo in range(0, zetas.size, _RESOLVENT_BATCH):
-        z = zetas[lo:lo + _RESOLVENT_BATCH, None]
-        # one temporary stack, then in place: each stack adds to peak memory
-        ops = ua - (2.0 * z)[:, :, None] * la
-        ops += (z * z)[:, :, None] * eye
-        out[lo:lo + len(z)] = _solve_checked(
-            ops, z * a.algebra.unit - a.coeffs)
-    return out
-
-
 def resolvent(a: Element, zeta: complex) -> Element:
-    """(zeta*1 - a)^{-1}; raises NotInvertible when zeta is on the spectrum."""
-    return Element(a.algebra, _resolvents(a, [zeta])[0])
+    """(zeta*1 - a)^{-1} by ``inverse``; NotInvertible on the spectrum."""
+    return inverse(a.algebra.one() * zeta - a)
 
 
 def _segment_distance(p: complex, a: complex, b: complex) -> float:

@@ -249,10 +249,12 @@ def geometric_grid(n_min: int = 16, n_max: int = 4096, ratio: int = 2):
 
 
 def check_grid(n_grid: Sequence[int]) -> tuple:
-    """The grid as ints: at least six points, each at least twice the last."""
+    """The grid as ints: at least six points >= 1, each >= twice the last."""
     n_grid = tuple(int(n) for n in n_grid)
     if len(n_grid) < 6:
         raise ValueError("need a geometric grid with at least 6 points")
+    if min(n_grid) < 1:
+        raise ValueError("grid points must be at least 1")
     if any(hi < 2 * lo for lo, hi in zip(n_grid, n_grid[1:])):
         raise ValueError("grid must be geometric with ratio >= 2")
     return n_grid

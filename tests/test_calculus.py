@@ -23,8 +23,10 @@ from jordannum import (
     random_element,
     resolvent,
 )
+from jordannum import spectral
 from jordannum.calculus import _MAX_CONTOUR_NODES, _exp_path
 from jordannum.errors import BranchCut, ContourViolation, ExpOverflow
+from test_spectral import DEFECTIVE
 
 FAMILIES = ["matrix:2", "matrix:3", "spin:4", "fn:5", "sum:fn:2+matrix:2"]
 
@@ -391,6 +393,26 @@ class TestHolomorphicCalculus:
         ref = jordan_power(x, 2)
         assert (got - ref).norm <= 1e-8 * max(ref.norm, 1.0)
 
+    def test_defective_elements_against_references(self):
+        for name, make in DEFECTIVE.items():
+            x = make()
+            radius = 2.0 * jordan_spectrum(x).spectral_radius + 1.0
+            got = holomorphic_calculus(cmath.exp, x, Contour(0.0, radius))
+            want = exp_reference(x.algebra.label, x.coeffs)
+            err = np.linalg.norm(got.coeffs - want) / np.linalg.norm(want)
+            assert err <= 1e-14, name
+
+    def test_never_forms_a_U_operator(self, monkeypatch):
+        # the resolvents are solved on the m x m compression H of L_a
+        def refuse(a):
+            raise AssertionError("U_operator called")
+
+        monkeypatch.setattr(spectral, "U_operator", refuse)
+        x = random_element(from_descriptor("matrix:3"),
+                           np.random.default_rng(113))
+        got = holomorphic_calculus(lambda z: z, x, Contour(0.0, 5.0))
+        assert (got - x).norm <= 1e-9 * max(x.norm, 1.0)
+
     def test_spectrum_outside_contour_rejected(self):
         a = from_descriptor("fn:5")
         with pytest.raises(ContourViolation):
@@ -401,6 +423,10 @@ class TestHolomorphicCalculus:
             Contour(0.0, 1.0, nodes=31)
         with pytest.raises(ValueError):
             Contour(0.0, -1.0)
+        for center, radius in ((0.0, np.nan), (np.inf, 1.0),
+                               (complex(0.0, np.nan), 1.0), (0.0, np.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                Contour(center, radius)
 
 
 class TestDerivativeAtZero:

@@ -110,6 +110,14 @@ class TestSpectrum:
                           "--element", "1,0"])
         assert code == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
+    def test_non_finite_is_a_parse_error(self, value, capsys):
+        code, text = invoke(["spectrum", "--algebra", "fn:2",
+                             "--element", f"{value},0,1,0"])
+        assert code == 2
+        assert text == ""
+        assert "finite" in capsys.readouterr().err
+
 
 class TestTrotter:
     @pytest.mark.parametrize("formula",

@@ -271,13 +271,20 @@ class TestResolvent:
             resolvent(f.element([1, 3]), 1.0)
 
     def test_batch_rejects_a_node_on_the_spectrum(self):
-        from jordannum.spectral import _resolvents
+        from jordannum.spectral import _solve_checked
         f = make_function_algebra(2)
         a = f.element([1, 3])
-        np.testing.assert_allclose(_resolvents(a, [0.0, 2.0]),
+
+        def solve(zetas):
+            shifted = [f.one() * zeta - a for zeta in zetas]
+            return _solve_checked(
+                np.array([U_operator(b).entries for b in shifted]),
+                np.array([b.coeffs for b in shifted]))
+
+        np.testing.assert_allclose(solve([0.0, 2.0]),
                                    [[-1, -1 / 3], [1, -1]])
         with pytest.raises(NotInvertible) as info:
-            _resolvents(a, [0.0, 2.0, 3.0, 5.0])
+            solve([0.0, 2.0, 3.0, 5.0])
         assert info.value.smallest_singular_value == 0.0
 
 

@@ -215,6 +215,12 @@ class TestConvergenceReport:
         with pytest.raises(ValueError):
             convergence_report("bogus", {"a": one, "b": one},
                                geometric_grid())
+        # (1 + y)^n by binary powering never ends for n < 0
+        with pytest.raises(ValueError, match="at least 1"):
+            trotter.check_grid([-1024, -512, -256, -128, -64, -32])
+        with pytest.raises(ValueError, match="at least 1"):
+            convergence_report("jordan_product", {"a": one, "b": one},
+                               [0] * 6)
 
     @pytest.mark.parametrize("formula_id, name", [
         ("jordan_product", "trotter_jordan"),

@@ -1,4 +1,4 @@
-"""Error of exp, expm1, log, the psi path rows and the spectrum, per family.
+"""Error of exp, expm1, log, the psi path, the contour and the spectrum.
 
 For each family it prints one line per function: the median, 99th
 percentile and maximum of the relative error |got - ref| / |ref| of the
@@ -22,6 +22,9 @@ exactly when their errors are the same, so an accuracy comparison is one
 takes y = exp(x) at caps 0.5-3, and ``path`` takes the rows exp(t x),
 t = 0, 1/16, ..., 1, for x at caps 0.01-5: from ``calculus._exp_path``
 where the tree has it, else from one ``exp(x * t)`` call per row.
+``contour`` takes the inputs of ``exp`` through the contour calculus,
+``holomorphic_calculus(cmath.exp, x, Contour(0, 2 R + 1))`` with R the
+spectral radius of x.
 ``--src`` names the source directory to import ``jordannum`` from; the
 default is the ``src`` directory next to this script's parent.
 """
@@ -29,6 +32,7 @@ default is the ``src`` directory next to this script's parent.
 from __future__ import annotations
 
 import argparse
+import cmath
 import sys
 from pathlib import Path
 
@@ -129,15 +133,19 @@ def rel_error(got, want) -> float:
 
 
 def family_errors(jn, calculus, desc):
-    """Lists of relative errors of exp, expm1, log and path on one family."""
+    """Relative errors of exp, expm1, log, path and contour on one family."""
     a = jn.from_descriptor(desc)
     rng = np.random.default_rng(211)
-    errs = {"exp": [], "expm1": [], "log": [], "path": []}
+    errs = {"exp": [], "expm1": [], "log": [], "path": [], "contour": []}
     for cap in CAPS:
         for _ in range(4):
             x = jn.random_element(a, rng, norm_cap=cap)
-            errs["exp"].append(rel_error(jn.exp(x).coeffs,
-                                         reference(desc, x.coeffs, "exp")))
+            want = reference(desc, x.coeffs, "exp")
+            errs["exp"].append(rel_error(jn.exp(x).coeffs, want))
+            contour = jn.Contour(
+                0.0, 2.0 * jn.jordan_spectrum(x).spectral_radius + 1.0)
+            errs["contour"].append(rel_error(
+                jn.holomorphic_calculus(cmath.exp, x, contour).coeffs, want))
             errs["expm1"].append(rel_error(calculus._expm1(x),
                                            reference(desc, x.coeffs, "expm1")))
         for _ in range(2):
