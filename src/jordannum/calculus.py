@@ -6,12 +6,14 @@ by the element, which is associative and commutative, so scalar algorithms
 carry over verbatim. There each term of a power series in x is the last
 one times x, so the exp, expm1 and log series form the d x d operator L_x
 once (``algebra._mult_matrix``) and take each term as one matrix-vector
-product.
+product; exp's is Horner's rule, its degree set before it runs from a
+bound on |L_x| (``_series``; as in Al-Mohy & Higham, SIAM J. Matrix Anal.
+Appl. 2009), so no term is tested.
 
 The exponential also runs on a stack of arguments, one per row
 (``_exp_path``, the points exp(t x) of a path): each row keeps its own
-scaling, series stop and squaring count, so it equals what ``exp(x * t)``
-computes, while the series and each squaring take one call over the rows.
+scaling, series degree and squaring count, so it equals ``exp(x * t)``,
+while the series and each squaring take one call over the rows.
 
 The two contour integrals, ``holomorphic_calculus`` and ``derivative_at_zero``,
 share one nested trapezoid rule on the circle (``_nested_trapezoid``): when
@@ -32,9 +34,15 @@ from .algebra import (Element, _generated, _mult_matrix, _product,
                       _same_algebra, jordan_mul)
 from .errors import (BranchCut, ContourViolation, ExpOverflow, JordanNumError,
                      QuadratureError)
-from .spectral import _solve_checked, inverse, jordan_spectrum
+from .spectral import (_clustered_eigenvalues, _solve_checked, inverse,
+                       jordan_spectrum)
 
 _SERIES_TOL = 1e-18
+_ELL_LIMIT = 2.0  # bound on ell = |L_x| after the scaling (``_scaled``)
+# degree m = 1..40 of exp's series suffices while ell <= _THETA[m - 1]
+_DEGREES = np.arange(1.0, 41.0)
+_THETA = (_SERIES_TOL * np.cumprod(_DEGREES + 1.0)
+          * (1.0 - _ELL_LIMIT / (_DEGREES + 2.0))) ** (1.0 / _DEGREES)
 _BRANCH_CLEARANCE = 1e-8
 _MAX_CONTOUR_NODES = 8192
 _CAUCHY_NODES = 64
@@ -70,15 +78,26 @@ class HolomorphicCurve:
     radius_r: float
 
 
-def _scaled(arg: np.ndarray):
-    """Squaring counts s and the coefficients of arg / 2^s, of norm <= 0.5.
+def _scaled(arg: np.ndarray, structure: np.ndarray):
+    """Squaring counts s, and x = arg / 2^s with L_x and ell >= |L_x|_2.
 
-    s is the least count >= 0 that brings the norm to 0.5 or below. arg may
-    carry leading batch axes; then each row has its own s.
+    s is the least count >= 0 that brings the coefficient norm of x to 0.5
+    and ell = sqrt(|L_x|_1 |L_x|_inf) to ``_ELL_LIMIT`` or below: a norm
+    does not bound L_x (scaling the structure tensor by c scales L_x by c).
+    On the standard families ell <= 2.23 |x| <= 1.12, so the norm alone
+    sets s. arg may carry leading batch axes; then each row has its own s.
     """
-    nrm = np.sqrt(_sq_norm(arg))
-    s = np.ceil(np.log2(np.maximum(2.0 * nrm, 1.0)))
-    return s, arg / (2.0 ** s)[..., None]
+    s = np.ceil(np.log2(np.maximum(2.0 * np.sqrt(_sq_norm(arg)), 1.0)))
+    x = arg / (2.0 ** s)[..., None]
+    lx = _mult_matrix(x, structure)
+    mag = np.abs(lx)
+    ell = np.sqrt(mag.sum(-2).max(-1) * mag.sum(-1).max(-1))
+    if (ell > _ELL_LIMIT).any():  # halving is exact: as if scaled once
+        more = np.ceil(np.log2(np.maximum(ell / _ELL_LIMIT, 1.0)))
+        half = 0.5 ** more
+        x, lx = x * half[..., None], lx * half[..., None, None]
+        ell, s = ell * half, s + more
+    return s, x, lx, ell
 
 
 def _sq_norm(v: np.ndarray) -> np.ndarray:
@@ -86,31 +105,23 @@ def _sq_norm(v: np.ndarray) -> np.ndarray:
     return np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag)
 
 
-def _series(x, structure, acc, term):
-    """acc + sum_{k>=1} term x^k / k!, stopped once a term is negligible.
+def _series(x: np.ndarray, lx: np.ndarray, ell: np.ndarray) -> np.ndarray:
+    """e^x - 1 = sum_{k=1}^m x^k / k! by Horner's rule, degree m set up front.
 
-    x may carry leading batch axes, one series per row. Each term is the
-    last one times L_x / k, with L_x formed once; the stop test
-    |term| <= _SERIES_TOL |acc| is taken per row on squared norms, and a
-    row that has stopped adds only zeros after. The result is summed again
-    from the smallest term up, which loses fewer digits than the running
-    sum the stop test reads.
+    From v = x, each step k = m, ..., 2 sets v <- x + L_x v / k (Horner for
+    (e^x - 1) / x, applied to x), summing from the smallest term up. m is
+    the least degree whose tail bound |x| ell^m / (m+1)! / (1 - ell / (m+2))
+    is within ``_SERIES_TOL`` |x| (``_THETA``). On a stack each row has its
+    own m: a row divides by inf until its own first step, so it keeps its
+    start value x and ends bitwise as it would alone.
     """
-    lx = _mult_matrix(x, structure)
-    tol2 = _SERIES_TOL ** 2
-    terms = [acc]
-    for k in range(1, 200):
-        term = np.matvec(lx, term) / complex(k)
-        acc = acc + term
-        terms.append(term)
-        done = _sq_norm(term) <= tol2 * _sq_norm(acc)
-        if done.ndim:
-            if done.all():
-                break
-            term = np.where(done[..., None], 0, term)
-        elif done:
-            break
-    return sum(reversed(terms))
+    m = np.searchsorted(_THETA, ell) + 1
+    ks = np.arange(float(m.max()), 1.0, -1.0)
+    div = np.where(m[..., None] >= ks, ks, np.inf)
+    v = x
+    for i in range(ks.size):
+        v = x + np.matvec(lx, v) / div[..., i, None]
+    return v
 
 
 def _square_repeatedly(square, acc, s, arg: np.ndarray) -> np.ndarray:
@@ -142,8 +153,8 @@ def _exp_rows(arg: np.ndarray, structure, unit) -> np.ndarray:
     Scaling-and-squaring: the series of arg / 2^s, then s squarings, with
     s per row (``_scaled``).
     """
-    s, x = _scaled(arg)
-    acc = _series(x, structure, unit, unit)
+    s, x, lx, ell = _scaled(arg, structure)
+    acc = unit + _series(x, lx, ell)
     return _square_repeatedly(lambda v: _product(v, v, structure), acc, s, arg)
 
 
@@ -175,9 +186,9 @@ def _expm1(a: Element) -> np.ndarray:
     digits of a small result are lost against 1; each squaring
     (1 + x)^2 - 1 becomes 2x + x^2.
     """
-    s, x = _scaled(a.coeffs)
     structure = a.algebra.structure
-    acc = _series(x, structure, np.zeros_like(x), a.algebra.unit)
+    s, x, lx, ell = _scaled(a.coeffs, structure)
+    acc = _series(x, lx, ell)
     return _square_repeatedly(
         lambda v: v + v + _product(v, v, structure), acc, s, a.coeffs)
 
@@ -294,20 +305,20 @@ def holomorphic_calculus(h: Callable[[complex], complex], a: Element,
     """(1/2 pi i) * integral of h(z) (z*1 - a)^{-1} dz over the contour.
 
     Each resolvent lies in C[a]: with L_a Q = Q H (``algebra._generated``),
-    (z*1 - a)^{-1} = Q (zI - H)^{-1} |1| e_1. So the nested trapezoid rule
+    (z*1 - a)^{-1} = Q (zI - H)^{-1} |1| e_1; the ContourViolation check
+    takes the spectrum from the same H. The nested trapezoid rule
     (``_nested_trapezoid``), from ``contour.nodes`` points and doubled until
     stable, calls h once at each point of the accepted rule and solves the
     m x m systems of each new set of points in batches of at most
     ``_RESOLVENT_BATCH``; ``spectral._solve_checked`` refuses a singular one.
     """
-    spec = jordan_spectrum(a)
+    q, hmat = _generated(a)
     margin = 0.05 * contour.radius
-    for p in spec.points:
+    for p in _clustered_eigenvalues(hmat).points:  # as jordan_spectrum(a)
         if abs(p - contour.center) >= contour.radius - margin:
             raise ContourViolation(
                 f"spectrum point {p} is not strictly inside the contour"
             )
-    q, hmat = _generated(a)
     m = hmat.shape[0]
     rhs = np.linalg.norm(a.algebra.unit) * np.eye(m)[0]  # Q^H 1 = |1| e_1
 

@@ -69,12 +69,17 @@ def inverse(a: Element) -> Element:
 
 
 def jordan_spectrum(a: Element) -> SpectrumSet:
-    """Spectrum of a: the eigenvalues of L_a compressed to C[a], clustered.
+    """Spectrum of a: the eigenvalues of L_a compressed to C[a], clustered."""
+    return _clustered_eigenvalues(_generated(a)[1])
+
+
+def _clustered_eigenvalues(hmat: np.ndarray) -> SpectrumSet:
+    """The eigenvalues of hmat, merged into clusters, as a SpectrumSet.
 
     Eigenvalues within ``dedupe_tol`` = 1e-6 (1 + max |eigenvalue|) are
     linked, and each single-linkage cluster is reported as its mean.
     """
-    raw = np.sort(np.linalg.eigvals(_generated(a)[1]))
+    raw = np.sort(np.linalg.eigvals(hmat))
     tol = 1e-6 * (1.0 + float(np.max(np.abs(raw))))
     linked = np.abs(raw[:, None] - raw[None, :]) <= tol
     for _ in range(raw.size.bit_length()):  # closure: row i is i's cluster

@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg
 
 from jordannum import (
+    AlgebraSpec,
     Contour,
     HolomorphicCurve,
     cos,
@@ -19,6 +20,7 @@ from jordannum import (
     log,
     make_function_algebra,
     make_matrix_jordan,
+    mult_operator,
     power_mu,
     random_element,
     resolvent,
@@ -105,10 +107,25 @@ class TestExp:
         rng = np.random.default_rng(109)
         for cap, squarings in ((0.5, 0), (1.0, 1), (4.0, 3)):
             x = random_element(a, rng, norm_cap=cap)
-            assert calculus._scaled(x.coeffs)[0] == squarings
+            assert calculus._scaled(x.coeffs, a.structure)[0] == squarings
             calls.clear()
             exp(x)
             assert len(calls) == squarings
+
+    @pytest.mark.parametrize("c", [50, 100, 200])
+    def test_rescaled_structure(self, c):
+        # matrix:2 with its structure times c and its unit over c: a small
+        # coefficient norm does not bound L_y, which is c times matrix:2's
+        from jordannum.calculus import _expm1
+        m2 = from_descriptor("matrix:2")
+        a = AlgebraSpec(4, m2.structure * c, m2.unit / c, f"matrix:2x{c}")
+        y = a.element([-0.35, 0.1j, -0.2, -0.3])
+        want = scipy.linalg.expm(mult_operator(y).entries) @ a.unit
+        assert np.linalg.norm(exp(y).coeffs - want) <= \
+            1e-13 * np.linalg.norm(want)
+        want1 = want - a.unit
+        assert np.linalg.norm(_expm1(y) - want1) <= \
+            1e-13 * np.linalg.norm(want1)
 
     def test_exp_inverse_pair(self):
         for desc in FAMILIES:
@@ -169,16 +186,15 @@ class TestExpPath:
             assert np.array_equal(rows[0], a.unit)
 
     def test_rows_agree_with_exp(self):
+        # the rows of one stack take series of different degrees
         ts = np.linspace(0.0, 1.0, 33)
         for desc in FAMILIES:
             a = from_descriptor(desc)
             rng = np.random.default_rng(131)
-            for cap in (0.5, 3.0, 20.0):
+            for cap in (0.01, 0.1, 0.5, 1.0, 2.0, 3.0, 5.0, 20.0):
                 x = random_element(a, rng, norm_cap=cap)
                 for t, row in zip(ts, _exp_path(x, ts)):
-                    want = exp(x * t).coeffs
-                    assert np.linalg.norm(row - want) <= \
-                        1e-14 * np.linalg.norm(want)
+                    assert np.array_equal(row, exp(x * t).coeffs)
 
     def test_chunked_equals_unchunked(self, monkeypatch):
         import jordannum.calculus as calculus
@@ -197,6 +213,16 @@ class TestExpPath:
             warnings.simplefilter("error")
             with pytest.raises(ExpOverflow):
                 _exp_path(x, np.linspace(0.0, 1.0, 5))
+
+
+@pytest.mark.parametrize("desc", FAMILIES + ["matrix:4"])
+def test_exp_and_expm1_of_zero_are_exact(desc):
+    # the lowest series degree (ell = 0): exp(0) is the unit and e^0 - 1 is
+    # zero, exactly
+    from jordannum.calculus import _expm1
+    a = from_descriptor(desc)
+    assert np.array_equal(exp(a.zero()).coeffs, a.unit)
+    assert np.array_equal(_expm1(a.zero()), np.zeros(a.dim))
 
 
 class TestExpm1:
@@ -412,6 +438,25 @@ class TestHolomorphicCalculus:
                            np.random.default_rng(113))
         got = holomorphic_calculus(lambda z: z, x, Contour(0.0, 5.0))
         assert (got - x).norm <= 1e-9 * max(x.norm, 1.0)
+
+    def test_one_arnoldi_per_call(self, monkeypatch):
+        # the ContourViolation check and the solves share one compression
+        import jordannum.algebra as algebra
+        import jordannum.calculus as calculus
+        calls = []
+
+        def counted(x):
+            calls.append(1)
+            return algebra._generated(x)
+
+        monkeypatch.setattr(calculus, "_generated", counted)
+        monkeypatch.setattr(spectral, "_generated", counted)
+        for desc in FAMILIES:
+            x = random_element(from_descriptor(desc),
+                               np.random.default_rng(139))
+            calls.clear()
+            holomorphic_calculus(np.exp, x, Contour(0.0, 5.0))
+            assert len(calls) == 1
 
     def test_spectrum_outside_contour_rejected(self):
         a = from_descriptor("fn:5")

@@ -25,6 +25,11 @@ where the tree has it, else from one ``exp(x * t)`` call per row.
 ``contour`` takes the inputs of ``exp`` through the contour calculus,
 ``holomorphic_calculus(cmath.exp, x, Contour(0, 2 R + 1))`` with R the
 spectral radius of x.
+``matrix:2x100`` is matrix:2 with its structure tensor times c = 100 and
+its unit over c, where a small coefficient norm does not bound L_x. It
+prints ``exp`` and ``expm1`` lines, for x at caps 0.01-5, against
+references taken through the isomorphism phi(v) = v / c from matrix:2:
+exp'(x) = exp(c x) / c and expm1'(x) = expm1(c x) / c (c x in mpmath).
 ``--src`` names the source directory to import ``jordannum`` from; the
 default is the ``src`` directory next to this script's parent.
 """
@@ -44,6 +49,7 @@ FAMILIES = ["matrix:2", "matrix:3", "matrix:4", "spin:4", "fn:5",
 CAPS = (0.01, 0.1, 0.5, 1.0, 2.0, 5.0)
 LOG_CAPS = (0.5, 1.0, 2.0, 3.0)
 PATH_TS = np.linspace(0.0, 1.0, 17)
+RESCALE = 100
 
 
 def _blocks(desc):
@@ -165,6 +171,32 @@ def family_errors(jn, calculus, desc):
     return errs
 
 
+def rescaled_errors(jn, calculus):
+    """Relative errors of exp and expm1 on matrix:2 rescaled by RESCALE."""
+    m2 = jn.from_descriptor("matrix:2")
+    a = jn.AlgebraSpec(4, m2.structure * RESCALE, m2.unit / RESCALE,
+                       f"matrix:2x{RESCALE}")
+    rng = np.random.default_rng(227)
+    errs = {"exp": [], "expm1": []}
+    for cap in CAPS:
+        for _ in range(4):
+            x = jn.random_element(a, rng, norm_cap=cap)
+            cx = [RESCALE * mpmath.mpc(complex(v)) for v in x.coeffs]
+            for fn, got in (("exp", jn.exp(x).coeffs),
+                            ("expm1", calculus._expm1(x))):
+                want = [v / RESCALE
+                        for v in _block_reference("matrix", 2, cx, fn)]
+                errs[fn].append(rel_error(got, want))
+    return errs
+
+
+def _print_lines(desc, errors):
+    for fn, errs in errors.items():
+        e = np.array(errs)
+        print(f"{desc} {fn} {e.size} {np.median(e):.2e} "
+              f"{np.quantile(e, 0.99):.2e} {e.max():.2e}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -180,10 +212,8 @@ def main(argv=None) -> int:
     for desc in FAMILIES:
         errors = family_errors(jn, calculus, desc)
         errors["spectrum"] = spectrum_errors(jn, desc)
-        for fn, errs in errors.items():
-            e = np.array(errs)
-            print(f"{desc} {fn} {e.size} {np.median(e):.2e} "
-                  f"{np.quantile(e, 0.99):.2e} {e.max():.2e}")
+        _print_lines(desc, errors)
+    _print_lines(f"matrix:2x{RESCALE}", rescaled_errors(jn, calculus))
     return 0
 
 
