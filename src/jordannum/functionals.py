@@ -20,7 +20,7 @@ from .calculus import _exp_path, exp
 from .errors import (BranchTrackingFailed, JordanNumError, NotSelfAdjoint,
                      NotUMultiplicative, UnsupportedAlgebra, ZeroFunctional,
                      ZeroOnPath)
-from .spectral import in_unbounded_component, is_invertible, jordan_spectrum
+from .spectral import is_invertible, jordan_spectrum
 
 _MIN_STEPS = 64
 _MAX_STEPS = 2 ** 16
@@ -191,41 +191,22 @@ def homogeneity_check(f: FunctionalHandle, x: Element, lam: complex) -> float:
 
 def affine_resolvent_check(f: FunctionalHandle, psi_x: complex, x: Element,
                            lam_grid: Sequence[complex]):
-    """Max residual of f(lam*1 - x) = lam - psi(x) on certified lam values.
+    """Max residual of f(lam*1 - x) = lam - psi(x) on lam off the spectrum.
 
-    Grid points not certified to lie in the unbounded spectral complement
-    component are skipped and returned alongside the residual.  When the
-    spectrum fits a line (within 1e-8), every off-spectrum lam is usable.
+    Every such lam*1 - x is principal (see ``principal_component_sample``).
+    Grid points within the spectrum's ``dedupe_tol`` are skipped and
+    returned alongside the residual.
     """
     spec = jordan_spectrum(x)
     one = x.algebra.one()
-    on_line = _spectrum_on_line(spec, tol=1e-8)
     residual = 0.0
     skipped = []
     for lam in lam_grid:
         if spec.distance(lam) <= spec.dedupe_tol:
             skipped.append(lam)
             continue
-        if not on_line and not in_unbounded_component(spec, lam):
-            skipped.append(lam)
-            continue
         residual = max(residual, abs(f(one * lam - x) - (lam - psi_x)))
     return residual, skipped
-
-
-def _spectrum_on_line(spec, tol: float) -> bool:
-    """True when all spectrum points fit a straight line within tol."""
-    pts = np.array(spec.points)
-    if len(pts) <= 2:
-        return True
-    base = pts[0]
-    rel = pts - base
-    direction = rel[np.argmax(np.abs(rel))]
-    if abs(direction) <= tol:
-        return True
-    direction /= abs(direction)
-    offsets = rel * np.conj(direction)
-    return bool(np.max(np.abs(offsets.imag)) <= tol)
 
 
 def pos_neg_parts(x: Element) -> tuple[Element, Element]:
@@ -249,7 +230,9 @@ def pos_neg_parts(x: Element) -> tuple[Element, Element]:
 def principal_component_sample(algebra: AlgebraSpec, depth: int,
                                seed: int) -> Element:
     """A random element U_{exp(a_1)} ... U_{exp(a_depth)}(1) of the principal
-    component of the invertibles."""
+    component of the invertibles. In finite dimension every invertible is
+    principal: the invertibles are the complement of the generic norm's
+    zero set, a complex hypersurface, so they are connected."""
     if depth < 1:
         raise ValueError("depth must be at least 1")
     rng = np.random.default_rng(seed)

@@ -5,7 +5,8 @@ and the resolvent (zeta*1 - a)^{-1} is the inverse of zeta*1 - a. The
 spectrum of a is that of L_a on the associative subalgebra
 C[a] = span{1, a, a^2, ...} (Faraut-Koranyi, Analysis on Symmetric Cones,
 ch. II), compressed to an m x m matrix H by ``algebra._generated``; the
-contour calculus solves its resolvents on the same H.
+contour calculus solves its resolvents on the same H. A finite spectrum
+has a connected complement, so ``in_unbounded_component`` is exact.
 """
 
 from __future__ import annotations
@@ -96,37 +97,15 @@ def resolvent(a: Element, zeta: complex) -> Element:
     return inverse(a.algebra.one() * zeta - a)
 
 
-def _segment_distance(p: complex, a: complex, b: complex) -> float:
-    """Distance from point p to the segment [a, b] in the plane."""
-    ab = b - a
-    denom = abs(ab) ** 2
-    if denom == 0.0:
-        return abs(p - a)
-    t = ((p - a).real * ab.real + (p - a).imag * ab.imag) / denom
-    t = min(1.0, max(0.0, t))
-    return abs(p - (a + t * ab))
-
-
 def in_unbounded_component(s: SpectrumSet, lam: complex) -> bool:
-    """Certificate that lam lies in the unbounded spectral complement component.
+    """True: lam off the finite spectrum s is in the unbounded component.
 
-    Returns True when certified; False means "not certified", not "inside".
+    A finite set has a connected complement. OnSpectrum is raised for lam
+    within ``s.dedupe_tol`` of a spectrum point.
     """
     if s.distance(lam) <= s.dedupe_tol:
         raise OnSpectrum(f"{lam} lies on the spectrum")
-    if abs(lam) > s.spectral_radius:
-        return True
-    centroid = sum(s.points) / len(s.points)
-    direction = lam - centroid
-    if direction == 0:
-        return False
-    direction /= abs(direction)
-    # walk the straight ray out to radius 2R and require clearance > tol
-    target_radius = 2.0 * s.spectral_radius
-    t_hi = target_radius + abs(lam - centroid)
-    end = lam + t_hi * direction
-    clearance = min(_segment_distance(p, lam, end) for p in s.points)
-    return bool(clearance > s.dedupe_tol)
+    return True
 
 
 def u_inverse_residual(x: Element, y: Element) -> float:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jordannum import (
     BranchTrackingFailed,
@@ -246,8 +248,8 @@ class TestAffineResolvent:
         assert residual <= 1e-9
 
     def test_real_line_spectrum_allows_interior_points(self):
-        # a Hermitian element has real spectrum; the line test lets every
-        # off-spectrum lam through, even ones near the middle of the range
+        # a Hermitian element has real spectrum; every off-spectrum lam is
+        # checked, even ones near the middle of the range
         a = from_descriptor("matrix:3")
         rng = np.random.default_rng(17)
         m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
@@ -256,6 +258,47 @@ class TestAffineResolvent:
         _, skipped = affine_resolvent_check(
             FunctionalHandle(lambda e: 0.0), 0.0, x, [1j, 0.5j])
         assert skipped == []
+
+    def test_centroid_of_spectrum_is_checked(self):
+        # the spectrum's centroid is 0, inside the triangle of its points;
+        # off the spectrum, lam*1 - x is invertible and principal
+        a = from_descriptor("fn:3")
+        x = a.element([1.0, -0.5 + 0.8j, -0.5 - 0.8j])
+        residual, skipped = affine_resolvent_check(
+            coordinate(a, 1), -0.5 + 0.8j, x, [0.0, 0.1 + 0.1j, 5.0, 1.0])
+        assert skipped == [1.0]
+        assert residual <= 1e-9
+
+    def test_enclosed_point_of_matrix_spectrum_is_checked(self):
+        # 0.2i lies inside the triangle 1, i, -1-i; the (1, 1) entry is
+        # f(lam*1 - x) = lam - i on diagonal elements
+        a = from_descriptor("matrix:3")
+        x = a.element(np.diag([1.0, 1j, -1.0 - 1j]).reshape(9))
+        residual, skipped = affine_resolvent_check(
+            coordinate(a, 4), 1j, x, [0.2j])
+        assert skipped == []
+        assert residual <= 1e-9
+
+    @settings(derandomize=True, max_examples=150, database=None,
+              deadline=None)
+    @given(k=st.integers(2, 5), data=st.data())
+    def test_skips_exactly_the_spectrum(self, k, data):
+        a = from_descriptor(f"fn:{k}")
+        z = st.complex_numbers(max_magnitude=3.0, allow_nan=False,
+                               allow_infinity=False)
+        coeffs = data.draw(st.lists(z, min_size=k, max_size=k))
+        x = a.element(coeffs)
+        # a free lam, one at or near a spectrum point, and the centroid
+        near = data.draw(st.sampled_from(coeffs)) + data.draw(
+            st.sampled_from([0.0, 1e-9, 1e-3j, -0.1]))
+        grid = [data.draw(z), near, sum(coeffs) / k]
+        j = data.draw(st.integers(0, k - 1))
+        residual, skipped = affine_resolvent_check(
+            coordinate(a, j), complex(x.coeffs[j]), x, grid)
+        spec = jordan_spectrum(x)
+        assert skipped == [lam for lam in grid
+                           if spec.distance(lam) <= spec.dedupe_tol]
+        assert residual <= 1e-9
 
 
 class TestPosNegParts:

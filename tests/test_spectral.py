@@ -298,12 +298,14 @@ class TestUnboundedComponent:
         assert in_unbounded_component(s, 1.5 + 0.0j) or \
             in_unbounded_component(s, 1.5 + 1e-3j)
 
-    def test_enclosed_point_not_certified(self):
-        # adjacent samples are ~6.3e-3 apart, so a ray from the centre
-        # cannot clear every point by more than half that gap
+    def test_enclosed_point_certified(self):
+        # a finite set has a connected complement, so the centre of a
+        # 1,000-point circle lies in the unbounded component
         circle = tuple(np.exp(2j * np.pi * k / 1000) for k in range(1000))
         s = SpectrumSet(points=circle, dedupe_tol=5e-3, spectral_radius=1.0)
-        assert not in_unbounded_component(s, 0.0)
+        assert in_unbounded_component(s, 0.0)
+        with pytest.raises(OnSpectrum):
+            in_unbounded_component(s, circle[250])
 
     def test_on_spectrum_raises(self):
         s = SpectrumSet(points=(1, 2), dedupe_tol=1e-6, spectral_radius=2.0)

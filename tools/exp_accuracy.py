@@ -18,16 +18,18 @@ exactly when their errors are the same, so an accuracy comparison is one
     python tools/exp_accuracy.py --src ../other/src > other.txt
     diff other.txt change.txt
 
-``exp``, ``expm1`` and ``spectrum`` take x at norm caps 0.01-5, ``log``
-takes y = exp(x) at caps 0.5-3, and ``path`` takes the rows exp(t x),
-t = 0, 1/16, ..., 1, for x at caps 0.01-5: from ``calculus._exp_path``
-where the tree has it, else from one ``exp(x * t)`` call per row.
+``exp`` and ``expm1`` take 198 inputs x, 33 at each norm cap 0.01-5,
+``spectrum`` 360 (60 per cap), ``log`` 200 inputs y = exp(x), 50 at each
+cap 0.5-3, and ``path`` the rows exp(t x), t = 0, 1/16, ..., 1, for two x
+per cap 0.01-5 (204 rows): from ``calculus._exp_path`` where the tree has
+it, else from one ``exp(x * t)`` call per row. A run takes about 50 s on
+one core of a 2-vCPU Intel Xeon.
 ``contour`` takes the inputs of ``exp`` through the contour calculus,
 ``holomorphic_calculus(cmath.exp, x, Contour(0, 2 R + 1))`` with R the
 spectral radius of x.
 ``matrix:2x100`` is matrix:2 with its structure tensor times c = 100 and
 its unit over c, where a small coefficient norm does not bound L_x. It
-prints ``exp`` and ``expm1`` lines, for x at caps 0.01-5, against
+prints ``exp`` and ``expm1`` lines, for 198 x at caps 0.01-5, against
 references taken through the isomorphism phi(v) = v / c from matrix:2:
 exp'(x) = exp(c x) / c and expm1'(x) = expm1(c x) / c (c x in mpmath).
 ``--src`` names the source directory to import ``jordannum`` from; the
@@ -48,6 +50,10 @@ FAMILIES = ["matrix:2", "matrix:3", "matrix:4", "spin:4", "fn:5",
             "sum:fn:2+matrix:2"]
 CAPS = (0.01, 0.1, 0.5, 1.0, 2.0, 5.0)
 LOG_CAPS = (0.5, 1.0, 2.0, 3.0)
+# inputs per cap: 198 per exp, expm1 and contour line, 200 per log line, so
+# that medians and p99s at rounding level move by a few per cent at most
+PER_CAP = 33
+LOG_PER_CAP = 50
 PATH_TS = np.linspace(0.0, 1.0, 17)
 RESCALE = 100
 
@@ -144,7 +150,7 @@ def family_errors(jn, calculus, desc):
     rng = np.random.default_rng(211)
     errs = {"exp": [], "expm1": [], "log": [], "path": [], "contour": []}
     for cap in CAPS:
-        for _ in range(4):
+        for _ in range(PER_CAP):
             x = jn.random_element(a, rng, norm_cap=cap)
             want = reference(desc, x.coeffs, "exp")
             errs["exp"].append(rel_error(jn.exp(x).coeffs, want))
@@ -164,7 +170,7 @@ def family_errors(jn, calculus, desc):
                                                       "exp"))
                              for t, row in zip(PATH_TS, rows)]
     for cap in LOG_CAPS:
-        for _ in range(6):
+        for _ in range(LOG_PER_CAP):
             y = jn.exp(jn.random_element(a, rng, norm_cap=cap))
             errs["log"].append(rel_error(jn.log(y).coeffs,
                                          reference(desc, y.coeffs, "log")))
@@ -179,7 +185,7 @@ def rescaled_errors(jn, calculus):
     rng = np.random.default_rng(227)
     errs = {"exp": [], "expm1": []}
     for cap in CAPS:
-        for _ in range(4):
+        for _ in range(PER_CAP):
             x = jn.random_element(a, rng, norm_cap=cap)
             cx = [RESCALE * mpmath.mpc(complex(v)) for v in x.coeffs]
             for fn, got in (("exp", jn.exp(x).coeffs),
