@@ -78,7 +78,7 @@ class HolomorphicCurve:
     radius_r: float
 
 
-def _scaled(arg: np.ndarray, structure: np.ndarray):
+def _scaled(arg: np.ndarray, algebra):
     """Squaring counts s, and x = arg / 2^s with L_x and ell >= |L_x|_2.
 
     s is the least count >= 0 that brings the coefficient norm of x to 0.5
@@ -89,7 +89,7 @@ def _scaled(arg: np.ndarray, structure: np.ndarray):
     """
     s = np.ceil(np.log2(np.maximum(2.0 * np.sqrt(_sq_norm(arg)), 1.0)))
     x = arg / (2.0 ** s)[..., None]
-    lx = _mult_matrix(x, structure)
+    lx = _mult_matrix(x, algebra)
     mag = np.abs(lx)
     ell = np.sqrt(mag.sum(-2).max(-1) * mag.sum(-1).max(-1))
     if (ell > _ELL_LIMIT).any():  # halving is exact: as if scaled once
@@ -147,21 +147,20 @@ def _square_repeatedly(square, acc, s, arg: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _exp_rows(arg: np.ndarray, structure, unit) -> np.ndarray:
+def _exp_rows(arg: np.ndarray, algebra) -> np.ndarray:
     """Coefficients of exp(arg), or of exp of each row of a stack.
 
     Scaling-and-squaring: the series of arg / 2^s, then s squarings, with
     s per row (``_scaled``).
     """
-    s, x, lx, ell = _scaled(arg, structure)
-    acc = unit + _series(x, lx, ell)
-    return _square_repeatedly(lambda v: _product(v, v, structure), acc, s, arg)
+    s, x, lx, ell = _scaled(arg, algebra)
+    acc = algebra.unit + _series(x, lx, ell)
+    return _square_repeatedly(lambda v: _product(v, v, algebra), acc, s, arg)
 
 
 def exp(a: Element) -> Element:
     """Exponential by scaling-and-squaring with a truncated power series."""
-    return Element(a.algebra,
-                   _exp_rows(a.coeffs, a.algebra.structure, a.algebra.unit))
+    return Element(a.algebra, _exp_rows(a.coeffs, a.algebra))
 
 
 def _exp_path(a: Element, ts: np.ndarray) -> np.ndarray:
@@ -170,12 +169,11 @@ def _exp_path(a: Element, ts: np.ndarray) -> np.ndarray:
     Row r is computed as ``exp(a * ts[r])`` computes it (``_exp_rows``),
     but the series and each squaring run once over a stack of rows. The
     rows go in chunks of at most ``_PATH_BATCH`` / d^2, which bounds the
-    (rows, d, d) temporaries of L_x and of the products.
+    (rows, d, d) stack of L_x.
     """
-    structure, unit = a.algebra.structure, a.algebra.unit
     step = max(1, _PATH_BATCH // a.algebra.dim ** 2)
     return np.concatenate([
-        _exp_rows(ts[lo:lo + step, None] * a.coeffs, structure, unit)
+        _exp_rows(ts[lo:lo + step, None] * a.coeffs, a.algebra)
         for lo in range(0, ts.size, step)])
 
 
@@ -186,11 +184,10 @@ def _expm1(a: Element) -> np.ndarray:
     digits of a small result are lost against 1; each squaring
     (1 + x)^2 - 1 becomes 2x + x^2.
     """
-    structure = a.algebra.structure
-    s, x, lx, ell = _scaled(a.coeffs, structure)
+    s, x, lx, ell = _scaled(a.coeffs, a.algebra)
     acc = _series(x, lx, ell)
     return _square_repeatedly(
-        lambda v: v + v + _product(v, v, structure), acc, s, a.coeffs)
+        lambda v: v + v + _product(v, v, a.algebra), acc, s, a.coeffs)
 
 
 def _sqrt(a: Element) -> Element:
@@ -253,7 +250,7 @@ def log(a: Element) -> Element:
         roots += 1
         if roots > 64:
             raise JordanNumError("square-root staging did not contract to 1")
-    lz = _mult_matrix((cur - one).coeffs, a.algebra.structure)
+    lz = _mult_matrix((cur - one).coeffs, a.algebra)
     term = one.coeffs
     acc = np.zeros_like(term)
     for k in range(1, 200):

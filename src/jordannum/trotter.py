@@ -83,30 +83,29 @@ def _offset_power(algebra, y: np.ndarray, n: int) -> Element:
     Uses (1 + y)(1 + z) - 1 = y + z + y o z, so the unit enters only once,
     at the end.
     """
-    structure = algebra.structure
     result = np.zeros_like(y)
     while n:
         if n & 1:
-            result = result + y + _product(result, y, structure)
+            result = result + y + _product(result, y, algebra)
         n >>= 1
         if n:
-            y = y + y + _product(y, y, structure)
+            y = y + y + _product(y, y, algebra)
     return Element(algebra, algebra.unit + result)
 
 
 def _pair_offset(x: np.ndarray, w: np.ndarray, y: np.ndarray,
-                 structure: np.ndarray) -> np.ndarray:
+                 algebra) -> np.ndarray:
     """U_{1+x, 1+w}(1 + y) - 1 = U_{1+x, 1+w}(y) + x + w + x o w.
 
     U_{1+x, 1+w}(y) = y + x o y + w o y + U_{x, w}(y) and
     U_{x, w}(y) = x o (w o y) + w o (x o y) - (x o w) o y. With w = x this is
     U_{1+x}(1 + y) - 1, term for term.
     """
-    xy = _product(x, y, structure)
-    wy = _product(w, y, structure)
-    xw = _product(x, w, structure)
-    u = (y + xy + wy + _product(x, wy, structure) + _product(w, xy, structure)
-         - _product(xw, y, structure))
+    xy = _product(x, y, algebra)
+    wy = _product(w, y, algebra)
+    xw = _product(x, w, algebra)
+    u = (y + xy + wy + _product(x, wy, algebra) + _product(w, xy, algebra)
+         - _product(xw, y, algebra))
     return u + (x + w + xw)
 
 
@@ -118,7 +117,7 @@ def trotter_jordan(a: Element, b: Element, n: int) -> Element:
     """
     _same_algebra(a, b)
     x, y = _expm1(a / n), _expm1(b / n)
-    base = x + y + _product(x, y, a.algebra.structure)
+    base = x + y + _product(x, y, a.algebra)
     return _offset_power(a.algebra, base, n)
 
 
@@ -133,7 +132,7 @@ def trotter_U(a: Element, b: Element, n: int) -> Element:
     _same_algebra(a, b)
     x, y = _expm1(a / n), _expm1(b / n)
     return _offset_power(
-        a.algebra, _pair_offset(x, x, y, a.algebra.structure), n)
+        a.algebra, _pair_offset(x, x, y, a.algebra), n)
 
 
 def trotter_U_pair(a: Element, b: Element, c: Element, n: int) -> Element:
@@ -148,7 +147,7 @@ def trotter_U_pair(a: Element, b: Element, c: Element, n: int) -> Element:
     _same_algebra(a, c)
     x, y, w = _expm1(a / n), _expm1(b / n), _expm1(c / n)
     return _offset_power(
-        a.algebra, _pair_offset(x, w, y, a.algebra.structure), n)
+        a.algebra, _pair_offset(x, w, y, a.algebra), n)
 
 
 def _fit_slope(n_grid, errors):
@@ -168,10 +167,11 @@ def general_trotter(f: HolomorphicCurve, plan: SequencePlan,
                     n_grid: Sequence[int]) -> ConvergenceReport:
     """Evaluate f(lambda_n)^(mu_n) along the grid against exp(lambda f'(0)).
 
-    Grid points where the principal-log precondition fails are skipped and
-    recorded; the limit statement only holds for sufficiently large n.
+    The grid must pass ``check_grid``. Grid points where the principal-log
+    precondition fails are skipped and recorded; the limit statement only
+    holds for sufficiently large n.
     """
-    n_grid = tuple(int(n) for n in n_grid)
+    n_grid = check_grid(n_grid)
     plan.check_on_grid(n_grid)
     f0 = f.eval(0.0)
     one = f0.algebra.one()

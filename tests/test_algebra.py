@@ -1,13 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from jordannum import (
     AlgebraSpec,
     U_operator,
     U_pair_operator,
+    exp,
     from_descriptor,
     jordan_mul,
     jordan_power,
+    jordan_spectrum,
     make_direct_sum,
     make_function_algebra,
     make_matrix_jordan,
@@ -17,8 +22,11 @@ from jordannum import (
 )
 from jordannum.algebra import Element, _generated, _mult_matrix, _product
 from jordannum.errors import AlgebraMismatch, ParseError, StructureError
+from test_basis_change import algebra
 
 FAMILIES = ["matrix:2", "matrix:3", "spin:4", "fn:5", "sum:fn:2+matrix:2"]
+# complex-weighted, user-supplied tensors (see test_basis_change.algebra)
+REBASED = ["matrix:3@P", "spin:3@P"]
 
 
 def as_matrix(x):
@@ -113,6 +121,39 @@ class TestConstructors:
                           (make_function_algebra(n), fn)):
             assert np.array_equal(spec.structure, np.array(ref, dtype=complex))
 
+    def test_direct_sum_is_block_diagonal(self):
+        a, b = make_function_algebra(2), make_matrix_jordan(2)
+        want = np.zeros((6, 6, 6), dtype=complex)
+        want[:2, :2, :2] = a.structure
+        want[2:, 2:, 2:] = b.structure
+        assert np.array_equal(make_direct_sum(a, b).structure, want)
+
+    @pytest.mark.parametrize("desc", FAMILIES + REBASED)
+    def test_dense_view_round_trips(self, desc):
+        # the entries rebuild the tensor bitwise, and a spec built from
+        # that tensor is the same spec
+        a = algebra(desc)
+        c = a.structure
+        b = AlgebraSpec(a.dim, c, a.unit, a.label)
+        assert np.array_equal(b.structure, c)
+        assert b == a
+        assert not c.flags.writeable
+
+    def test_spec_is_immutable(self):
+        a = make_matrix_jordan(2)
+        with pytest.raises(AttributeError):
+            a.label = "other"
+
+    def test_dense_view_is_the_supplied_tensor(self):
+        a = from_descriptor("spin:3")
+        rng = np.random.default_rng(3)
+        p = np.eye(4) + 0.1 * rng.standard_normal((4, 4))
+        pinv = np.linalg.inv(p)
+        c = np.einsum("ai,bj,abl,kl->ijk", p, p, a.structure, pinv)
+        c = 0.5 * (c + c.transpose(1, 0, 2))
+        assert np.array_equal(AlgebraSpec(4, c, pinv @ a.unit, "s").structure,
+                              c)
+
     def test_asymmetric_tensor_rejected(self):
         c = np.zeros((2, 2, 2), dtype=complex)
         c[0, 0, 0] = 1
@@ -146,6 +187,22 @@ class TestConstructors:
         c[1, 2, 1] = c[2, 1, 1] = 1
         with pytest.raises(StructureError, match="Jordan identity"):
             AlgebraSpec(3, c, np.array([1, 0, 0], dtype=complex), "bad")
+
+    @pytest.mark.parametrize("unit", [[0, 1, 0], [1, 0, 1e-6]])
+    def test_non_unit_rejected(self, unit):
+        spin = make_spin_factor(2)
+        with pytest.raises(StructureError, match="identity"):
+            AlgebraSpec(3, spin.structure, np.array(unit, dtype=complex),
+                        "bad")
+
+    def test_tensor_missing_an_output_rejected(self):
+        # no entry has output e1, so no unit can act as the identity; the
+        # zero tensor has no entries at all
+        c = np.zeros((2, 2, 2), dtype=complex)
+        c[0, 0, 0] = 1
+        for tensor in (c, np.zeros((2, 2, 2))):
+            with pytest.raises(StructureError, match="identity"):
+                AlgebraSpec(2, tensor, np.array([1, 0], dtype=complex), "bad")
 
     def test_identity_check_is_scale_free(self):
         # rescaling the structure by s and the unit by 1/s gives an
@@ -200,24 +257,25 @@ class TestProducts:
         assert jordan_mul(sx, sz).norm == 0.0
 
     def test_commutativity_exact(self):
-        for desc in FAMILIES:
-            a = from_descriptor(desc)
+        for desc in FAMILIES + REBASED:
+            a = algebra(desc)
             rng = np.random.default_rng(7)
             x, y = random_element(a, rng), random_element(a, rng)
             assert (jordan_mul(x, y) - jordan_mul(y, x)).norm == 0.0
 
-    @pytest.mark.parametrize("desc", FAMILIES + ["spin:3"])
+    @pytest.mark.parametrize("desc", FAMILIES + ["spin:3", "matrix:12"]
+                             + REBASED)
     def test_stacked_rows_equal_single_products_bitwise(self, desc):
-        a = from_descriptor(desc)
+        a = algebra(desc)
         rng = np.random.default_rng(47)
         xs = np.array([random_element(a, rng, norm_cap=3.0).coeffs
                        for _ in range(9)])
         ys = np.array([random_element(a, rng, norm_cap=3.0).coeffs
                        for _ in range(9)])
-        stacked = _product(xs, ys, a.structure)
+        stacked = _product(xs, ys, a)
         for x, y, row in zip(xs, ys, stacked):
-            assert np.array_equal(row, _product(x, y, a.structure))
-        assert np.array_equal(stacked, _product(ys, xs, a.structure))
+            assert np.array_equal(row, _product(x, y, a))
+        assert np.array_equal(stacked, _product(ys, xs, a))
 
     def test_algebra_mismatch(self):
         x = make_function_algebra(2).one()
@@ -317,7 +375,7 @@ class TestMultMatrix:
         for _ in range(5):
             x = random_element(a, rng, norm_cap=3.0)
             want = np.einsum("i,ijk->kj", x.coeffs, a.structure)
-            assert np.array_equal(_mult_matrix(x.coeffs, a.structure), want)
+            assert np.array_equal(_mult_matrix(x.coeffs, a), want)
             assert np.array_equal(mult_operator(x).entries, want)
 
     @pytest.mark.parametrize("desc", FAMILIES + ["spin:3"])
@@ -327,7 +385,7 @@ class TestMultMatrix:
         for _ in range(5):
             x = random_element(a, rng, norm_cap=3.0)
             y = random_element(a, rng, norm_cap=3.0)
-            got = _mult_matrix(x.coeffs, a.structure) @ y.coeffs
+            got = _mult_matrix(x.coeffs, a) @ y.coeffs
             want = jordan_mul(x, y).coeffs
             assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
 
@@ -338,7 +396,7 @@ class TestGenerated:
     @staticmethod
     def check(x):
         q, h = _generated(x)
-        lx = _mult_matrix(x.coeffs, x.algebra.structure)
+        lx = _mult_matrix(x.coeffs, x.algebra)
         m = h.shape[0]
         assert q.shape == (x.algebra.dim, m)
         assert np.linalg.norm(lx @ q - q @ h) <= 1e-13 * np.linalg.norm(lx)
@@ -464,3 +522,34 @@ class TestPowers:
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
             jordan_power(make_function_algebra(2).one(), -1)
+
+
+class TestLargeDimension:
+    """matrix:16, d = 256, where the dense tensor alone would be 268 MB."""
+
+    def test_builds_without_the_dense_tensor(self):
+        tracemalloc.start()
+        try:
+            from_descriptor.__wrapped__("matrix:16")  # past the cache
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
+
+    def test_matches_matrix_products(self):
+        a = from_descriptor("matrix:16")
+        rng = np.random.default_rng(53)
+        for cap in (0.5, 2.0):
+            x, y = (random_element(a, rng, norm_cap=cap) for _ in range(2))
+            xm, ym = as_matrix(x), as_matrix(y)
+            for got, want in (
+                    (jordan_mul(x, y), 0.5 * (xm @ ym + ym @ xm)),
+                    (U_operator(x).apply(y), xm @ ym @ xm),
+                    (exp(x), scipy.linalg.expm(xm))):
+                assert np.linalg.norm(as_matrix(got) - want) <= \
+                    1e-12 * max(np.linalg.norm(want), 1.0)
+            want = np.linalg.eigvals(xm)
+            got = jordan_spectrum(x).points
+            assert len(got) == 16
+            assert max(min(abs(g - w) for w in want) for g in got) <= \
+                1e-10 * (1.0 + np.abs(want).max())

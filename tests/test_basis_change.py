@@ -31,6 +31,15 @@ def _rebased(algebra, p, pinv):
                        pinv @ algebra.unit, algebra.label + "@P")
 
 
+def algebra(desc):
+    """``from_descriptor(desc)``; for ``"<desc>@P"``, that family in the
+    basis of the seed-311 P, a user-supplied tensor with complex weights."""
+    if not desc.endswith("@P"):
+        return from_descriptor(desc)
+    a = from_descriptor(desc[:-2])
+    return _rebased(a, *_change_of_basis(a.dim, 311))
+
+
 def _hausdorff(s, t):
     return max(max(min(abs(a - b) for b in t) for a in s),
                max(min(abs(a - b) for a in s) for b in t))

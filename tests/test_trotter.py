@@ -315,6 +315,23 @@ class TestGeneralTrotter:
             assert (via_curve - direct).norm <= 1e-7 * max(direct.norm, 1.0), \
                 name
 
+    @pytest.mark.parametrize("grid", [
+        [],                                   # was IndexError
+        [0, 16, 32, 64, 128, 256],            # was ZeroDivisionError
+        [-16, 16, 32, 64, 128, 256],          # was accepted
+        [16, 16, 32, 64, 128, 256],           # repeated: was accepted
+        [512, 256, 128, 64, 32, 16],          # descending: was accepted
+        [16, 32, 64, 128, 256],               # five points: was accepted
+    ])
+    def test_grid_is_checked(self, grid):
+        # the same rules as convergence_report's grid (check_grid)
+        a = from_descriptor("fn:2")
+        x = a.element([0.3, -0.2])
+        f = HolomorphicCurve(lambda z: exp(x * z), radius_r=2.0)
+        plan = SequencePlan(lambda n: 1.0 / n, lambda n: float(n), 1.0)
+        with pytest.raises(ValueError, match="grid"):
+            general_trotter(f, plan, grid)
+
     def test_requires_unit_at_zero(self):
         a = from_descriptor("fn:5")
         f = HolomorphicCurve(lambda z: a.one() * 2.0, radius_r=1.0)

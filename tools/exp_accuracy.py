@@ -22,11 +22,14 @@ exactly when their errors are the same, so an accuracy comparison is one
 ``spectrum`` 360 (60 per cap), ``log`` 200 inputs y = exp(x), 50 at each
 cap 0.5-3, and ``path`` the rows exp(t x), t = 0, 1/16, ..., 1, for two x
 per cap 0.01-5 (204 rows): from ``calculus._exp_path`` where the tree has
-it, else from one ``exp(x * t)`` call per row. A run takes about 50 s on
-one core of a 2-vCPU Intel Xeon.
+it, else from one ``exp(x * t)`` call per row. A run takes 50-110 s on
+one core of a 2-vCPU Intel Xeon, whose speed varies from minute to minute.
 ``contour`` takes the inputs of ``exp`` through the contour calculus,
 ``holomorphic_calculus(cmath.exp, x, Contour(0, 2 R + 1))`` with R the
 spectral radius of x.
+``matrix:8`` prints only ``exp`` and ``spectrum`` lines, on 25 inputs per
+cap 0.01-5 (150 each, seeded as the other families' lines are); its
+40-digit references make these lines take about 25 s.
 ``matrix:2x100`` is matrix:2 with its structure tensor times c = 100 and
 its unit over c, where a small coefficient norm does not bound L_x. It
 prints ``exp`` and ``expm1`` lines, for 198 x at caps 0.01-5, against
@@ -48,6 +51,8 @@ import numpy as np
 
 FAMILIES = ["matrix:2", "matrix:3", "matrix:4", "spin:4", "fn:5",
             "sum:fn:2+matrix:2"]
+# exp and spectrum lines only, with this many inputs per cap
+LARGE = {"matrix:8": 25}
 CAPS = (0.01, 0.1, 0.5, 1.0, 2.0, 5.0)
 LOG_CAPS = (0.5, 1.0, 2.0, 3.0)
 # inputs per cap: 198 per exp, expm1 and contour line, 200 per log line, so
@@ -121,13 +126,13 @@ def spectrum_reference(desc, coeffs):
     return out
 
 
-def spectrum_errors(jn, desc):
+def spectrum_errors(jn, desc, per_cap=60):
     """Hausdorff errors of jordan_spectrum relative to 1 + R on one family."""
     a = jn.from_descriptor(desc)
     rng = np.random.default_rng(223)
     errs = []
     for cap in CAPS:
-        for _ in range(60):
+        for _ in range(per_cap):
             x = jn.random_element(a, rng, norm_cap=cap)
             got = [mpmath.mpc(p) for p in jn.jordan_spectrum(x).points]
             want = spectrum_reference(desc, x.coeffs)
@@ -177,6 +182,19 @@ def family_errors(jn, calculus, desc):
     return errs
 
 
+def exp_errors(jn, desc, per_cap):
+    """Relative errors of exp alone on one family."""
+    a = jn.from_descriptor(desc)
+    rng = np.random.default_rng(211)
+    errs = []
+    for cap in CAPS:
+        for _ in range(per_cap):
+            x = jn.random_element(a, rng, norm_cap=cap)
+            errs.append(rel_error(jn.exp(x).coeffs,
+                                  reference(desc, x.coeffs, "exp")))
+    return errs
+
+
 def rescaled_errors(jn, calculus):
     """Relative errors of exp and expm1 on matrix:2 rescaled by RESCALE."""
     m2 = jn.from_descriptor("matrix:2")
@@ -219,6 +237,9 @@ def main(argv=None) -> int:
         errors = family_errors(jn, calculus, desc)
         errors["spectrum"] = spectrum_errors(jn, desc)
         _print_lines(desc, errors)
+    for desc, per_cap in LARGE.items():
+        _print_lines(desc, {"exp": exp_errors(jn, desc, per_cap),
+                            "spectrum": spectrum_errors(jn, desc, per_cap)})
     _print_lines(f"matrix:2x{RESCALE}", rescaled_errors(jn, calculus))
     return 0
 
