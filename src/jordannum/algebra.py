@@ -108,7 +108,10 @@ class AlgebraSpec:
         pair = np.stack([t, bc])
         outer = _product(pair, _product(pair[::-1], v, self), self)
         resid = (outer[0] - outer[1]).sum(axis=1)
-        scale = np.abs(_mult_matrix(t, self)).max(axis=(2, 3)).prod(axis=1)
+        # the max-abs entries among _mult_matrix's sums, before the d x d fill
+        i, values, starts, _ = self._lx
+        scale = np.abs(np.add.reduceat(t.take(i, axis=-1) * values, starts,
+                                       axis=-1)).max(axis=-1).prod(axis=1)
         rel = np.max(np.abs(resid).max(axis=1)
                      / (scale * np.abs(v).max(axis=(1, 2))))
         if rel > _JORDAN_ID_TOL:
@@ -334,25 +337,27 @@ def U_pair_operator(a: Element, c: Element) -> OperatorMatrix:
     return OperatorMatrix(a.algebra, la @ lc + lc @ la - lac)
 
 
-def jordan_power(a: Element, n: int) -> Element:
-    """Integer power a^n by binary powering (valid by power associativity).
+def _power(mul, base, n: int):
+    """base^n for n >= 1 by binary powering under a power-associative ``mul``.
 
-    The result starts as the power of the lowest set bit of n, not as the
-    unit, and the base is not squared past the highest bit.
+    The result starts as the power of n's lowest set bit, not as a unit,
+    and the base is not squared past the highest bit.
     """
-    if n < 0:
-        raise ValueError("jordan_power requires a nonnegative exponent")
-    if n == 0:
-        return a.algebra.one()
     result = None
-    base = a
     while True:
         if n & 1:
-            result = base if result is None else jordan_mul(result, base)
+            result = base if result is None else mul(result, base)
         n >>= 1
         if not n:
             return result
-        base = jordan_mul(base, base)
+        base = mul(base, base)
+
+
+def jordan_power(a: Element, n: int) -> Element:
+    """Integer power a^n by binary powering (valid by power associativity)."""
+    if n < 0:
+        raise ValueError("jordan_power requires a nonnegative exponent")
+    return a.algebra.one() if n == 0 else _power(jordan_mul, a, n)
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,10 @@ product; exp's is Horner's rule, its degree set before it runs from a
 bound on |L_x| (``_series``; as in Al-Mohy & Higham, SIAM J. Matrix Anal.
 Appl. 2009), so no term is tested.
 
-The exponential also runs on a stack of arguments, one per row
-(``_exp_path``, the points exp(t x) of a path): each row keeps its own
-scaling, series degree and squaring count, so it equals ``exp(x * t)``,
-while the series and each squaring take one call over the rows.
+exp and e^x - 1 also run on a stack of arguments, one per row: the path
+exp(t x) (``_exp_path``), e^{+-ix} in ``cos``, a Trotter step's operands.
+Each row keeps its scaling, series degree and squaring count, so it is
+bitwise its single call; the series and each squaring run once over rows.
 
 The two contour integrals, ``holomorphic_calculus`` and ``derivative_at_zero``,
 share one nested trapezoid rule on the circle (``_nested_trapezoid``): when
@@ -177,17 +177,17 @@ def _exp_path(a: Element, ts: np.ndarray) -> np.ndarray:
         for lo in range(0, ts.size, step)])
 
 
-def _expm1(a: Element) -> np.ndarray:
-    """Coefficients of e^a - 1, accurate relative to |e^a - 1| for small a.
+def _expm1(arg: np.ndarray, algebra) -> np.ndarray:
+    """e^arg - 1 for arg or each of its rows, accurate relative to |e^arg - 1|.
 
     The same scaling and series as ``exp`` without the unit term, so no
     digits of a small result are lost against 1; each squaring
     (1 + x)^2 - 1 becomes 2x + x^2.
     """
-    s, x, lx, ell = _scaled(a.coeffs, a.algebra)
+    s, x, lx, ell = _scaled(arg, algebra)
     acc = _series(x, lx, ell)
     return _square_repeatedly(
-        lambda v: v + v + _product(v, v, a.algebra), acc, s, a.coeffs)
+        lambda v: v + v + _product(v, v, algebra), acc, s, arg)
 
 
 def _sqrt(a: Element) -> Element:
@@ -359,5 +359,6 @@ def derivative_at_zero(f: HolomorphicCurve, rho: float) -> Element:
 
 
 def cos(a: Element) -> Element:
-    """Cosine via the exponential: (e^{ia} + e^{-ia}) / 2."""
-    return 0.5 * (exp(a * 1j) + exp(a * (-1j)))
+    """Cosine (e^{ia} + e^{-ia}) / 2, its exponentials as one stacked call."""
+    rows = _exp_rows(a.coeffs * np.array([[1j], [-1j]]), a.algebra)
+    return 0.5 * Element(a.algebra, rows[0] + rows[1])

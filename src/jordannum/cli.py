@@ -54,6 +54,16 @@ def _fmt(x: float) -> str:
     return f"{x:.15g}"
 
 
+def _write(args, out, lines):
+    """Write the report lines, LF-terminated, to --out if given, else out."""
+    text = "\n".join(lines) + "\n"
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+    else:
+        out.write(text)
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -151,13 +161,7 @@ def _cmd_trotter(args, out):
     else:
         lines.append(f"# slope={_fmt(report.fitted_slope)}")
     lines.append(f"# target_norm={_fmt(report.target_norm)}")
-    text = "\n".join(lines) + "\n"
-
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-    else:
-        out.write(text)
+    _write(args, out, lines)
 
     # convergence sanity: the last error above the floor must not exceed
     # the first one
@@ -214,12 +218,7 @@ def _cmd_functional(args, out):
 
     lines = list(report.as_lines())
     lines.append(f"sign_flipped={sign_flipped}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle_:
-            handle_.write(text)
-    else:
-        out.write(text)
+    _write(args, out, lines)
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 

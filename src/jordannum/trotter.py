@@ -14,13 +14,16 @@ associativity base^n = exp(s + O(n^-2)). The curve limit is first order by
 contrast: f(lambda) = 1 + lambda f'(0) + O(lambda^2) leaves an O(lambda_n)
 error, i.e. O(1/n) for the plan lambda_n = 1/n, mu_n = n.
 
-The bases are evaluated in unit-offset form. Each exponential is carried as
-e^{a/n} - 1 (``_expm1``), the base as base - 1, and the power as
-(1+y)(1+z) - 1 = y + z + y o z; the unit is added once at the end. A base
-1 + O(1/n) rounded as a whole keeps only about eps absolute accuracy, and
-n-th powering multiplies that to about n eps; carried as an offset, it keeps
-eps relative accuracy, so on commuting inputs, where every formula is exact,
-the error stays at rounding level for every n.
+The bases are evaluated in unit-offset form, by one step routine
+(``_step``); the second formula is the third at c = a, since U_{x,x} = U_x.
+Each exponential is carried as e^{v/n} - 1, a step's as the rows of one
+``_expm1`` call, the base as base - 1, and the power as
+(1+y)(1+z) - 1 = y + z + y o z, by binary powering (``algebra._power``);
+the unit is added once at the end. A base 1 + O(1/n) rounded as a whole
+keeps only about eps absolute accuracy, and n-th powering multiplies that to
+about n eps; carried as an offset, it keeps eps relative accuracy, so on
+commuting inputs, where every formula is exact, the error stays at rounding
+level for every n.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.linalg
 
-from .algebra import Element, _product, _same_algebra
+from .algebra import Element, _power, _product, _same_algebra
 from .calculus import (HolomorphicCurve, _expm1, derivative_at_zero, exp,
                        power_mu)
 from .errors import BranchCut, InsufficientData, UnsupportedAlgebra
@@ -77,23 +80,12 @@ class SequencePlan:
             )
 
 
-def _offset_power(algebra, y: np.ndarray, n: int) -> Element:
-    """(1 + y)^n by binary powering of offsets.
-
-    Uses (1 + y)(1 + z) - 1 = y + z + y o z, so the unit enters only once,
-    at the end.
-    """
-    result = np.zeros_like(y)
-    while n:
-        if n & 1:
-            result = result + y + _product(result, y, algebra)
-        n >>= 1
-        if n:
-            y = y + y + _product(y, y, algebra)
-    return Element(algebra, algebra.unit + result)
+def _offset_mul(y: np.ndarray, z: np.ndarray, algebra) -> np.ndarray:
+    """(1 + y) o (1 + z) - 1 = y + z + y o z."""
+    return y + z + _product(y, z, algebra)
 
 
-def _pair_offset(x: np.ndarray, w: np.ndarray, y: np.ndarray,
+def _pair_offset(x: np.ndarray, y: np.ndarray, w: np.ndarray,
                  algebra) -> np.ndarray:
     """U_{1+x, 1+w}(1 + y) - 1 = U_{1+x, 1+w}(y) + x + w + x o w.
 
@@ -109,45 +101,46 @@ def _pair_offset(x: np.ndarray, w: np.ndarray, y: np.ndarray,
     return u + (x + w + xw)
 
 
+def _step(operands: Sequence[Element], n, base) -> Element:
+    """(1 + base(x, ..., algebra))^n, with x = e^{v/n} - 1 for each operand v,
+    all as rows of one ``_expm1`` call; n must be an integer >= 1."""
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"step count n must be an integer >= 1, got {n!r}")
+    a = operands[0]
+    for v in operands[1:]:
+        _same_algebra(a, v)
+    algebra = a.algebra
+    rows = _expm1(np.stack([v.coeffs for v in operands]) / complex(n),
+                  algebra)
+    y = _power(lambda y, z: _offset_mul(y, z, algebra),
+               base(*rows, algebra), n)
+    return Element(algebra, algebra.unit + y)
+
+
 def trotter_jordan(a: Element, b: Element, n: int) -> Element:
     """(e^{a/n} o e^{b/n})^n, converging to e^{a+b} with error O(n^-2).
 
-    Evaluated in unit-offset form (see the module docstring): with
-    x = e^{a/n} - 1 and y = e^{b/n} - 1 the base is 1 + x + y + x o y.
+    With x = e^{a/n} - 1 and y = e^{b/n} - 1 the base is 1 + x + y + x o y.
     """
-    _same_algebra(a, b)
-    x, y = _expm1(a / n), _expm1(b / n)
-    base = x + y + _product(x, y, a.algebra)
-    return _offset_power(a.algebra, base, n)
+    return _step((a, b), n, _offset_mul)
 
 
 def trotter_U(a: Element, b: Element, n: int) -> Element:
     """(U_{e^{a/n}}(e^{b/n}))^n, converging to e^{2a+b} with error O(n^-2).
 
-    Evaluated in unit-offset form (see the module docstring): with
-    x = e^{a/n} - 1 and y = e^{b/n} - 1 the base is
-    1 + U_{1+x}(y) + x + x + x o x, computed as ``trotter_U_pair`` does for
-    c = a, so that the two agree bitwise there.
+    U_{x, x} = U_x, so this is ``trotter_U_pair`` at c = a.
     """
-    _same_algebra(a, b)
-    x, y = _expm1(a / n), _expm1(b / n)
-    return _offset_power(
-        a.algebra, _pair_offset(x, x, y, a.algebra), n)
+    return trotter_U_pair(a, b, a, n)
 
 
 def trotter_U_pair(a: Element, b: Element, c: Element, n: int) -> Element:
     """(U_{e^{a/n}, e^{c/n}}(e^{b/n}))^n, converging to e^{a+b+c} with error
     O(n^-2).
 
-    Evaluated in unit-offset form (see the module docstring): with
-    x = e^{a/n} - 1, y = e^{b/n} - 1 and w = e^{c/n} - 1 the base is
-    1 + U_{1+x, 1+w}(y) + x + w + x o w.
+    With x = e^{a/n} - 1, y = e^{b/n} - 1 and w = e^{c/n} - 1 the base is
+    1 + U_{1+x, 1+w}(y) + x + w + x o w (``_pair_offset``).
     """
-    _same_algebra(a, b)
-    _same_algebra(a, c)
-    x, y, w = _expm1(a / n), _expm1(b / n), _expm1(c / n)
-    return _offset_power(
-        a.algebra, _pair_offset(x, w, y, a.algebra), n)
+    return _step((a, b, c), n, _pair_offset)
 
 
 def _fit_slope(n_grid, errors):

@@ -536,6 +536,17 @@ class TestLargeDimension:
             tracemalloc.stop()
         assert peak < 32e6
 
+    def test_matrix_32_builds_without_the_dense_operators(self):
+        # d = 1024: the Jordan identity check needs the max-abs entries of
+        # L_a, L_b and L_c, not their (2, 3, d, d) stack (100 MB)
+        tracemalloc.start()
+        try:
+            from_descriptor.__wrapped__("matrix:32")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
+
     def test_matches_matrix_products(self):
         a = from_descriptor("matrix:16")
         rng = np.random.default_rng(53)

@@ -125,7 +125,7 @@ class TestExp:
         assert np.linalg.norm(exp(y).coeffs - want) <= \
             1e-13 * np.linalg.norm(want)
         want1 = want - a.unit
-        assert np.linalg.norm(_expm1(y) - want1) <= \
+        assert np.linalg.norm(_expm1(y.coeffs, a) - want1) <= \
             1e-13 * np.linalg.norm(want1)
 
     def test_exp_inverse_pair(self):
@@ -224,7 +224,19 @@ def test_exp_and_expm1_of_zero_are_exact(desc):
     from jordannum.calculus import _expm1
     a = from_descriptor(desc)
     assert np.array_equal(exp(a.zero()).coeffs, a.unit)
-    assert np.array_equal(_expm1(a.zero()), np.zeros(a.dim))
+    assert np.array_equal(_expm1(a.zero().coeffs, a), np.zeros(a.dim))
+
+
+@pytest.mark.parametrize("desc", FAMILIES + ["matrix:8"])
+def test_cos_is_its_two_exponentials_bitwise(desc):
+    # cos takes e^{ix} and e^{-ix} as two rows of one stacked exp, and each
+    # row is bitwise its single call
+    a = from_descriptor(desc)
+    rng = np.random.default_rng(89)
+    for cap in (0.01, 1.0, 5.0):
+        x = random_element(a, rng, norm_cap=cap)
+        assert np.array_equal(cos(x).coeffs,
+                              (0.5 * (exp(1j * x) + exp(-1j * x))).coeffs)
 
 
 class TestExpm1:
@@ -234,7 +246,7 @@ class TestExpm1:
         from jordannum.calculus import _expm1
         f = make_function_algebra(4)
         z = np.array([1e-9, -2e-5 + 1e-6j, 3e-3j, 3.0])
-        np.testing.assert_allclose(_expm1(f.element(z)), np.expm1(z),
+        np.testing.assert_allclose(_expm1(z, f), np.expm1(z),
                                    rtol=1e-14, atol=0)
 
     def test_agrees_with_exp(self):
@@ -243,7 +255,8 @@ class TestExpm1:
             a = from_descriptor(desc)
             x = random_element(a, np.random.default_rng(83), norm_cap=2.0)
             want = (exp(x) - a.one()).coeffs
-            assert np.linalg.norm(_expm1(x) - want) <= 1e-13 * exp(x).norm
+            assert np.linalg.norm(_expm1(x.coeffs, a) - want) <= \
+                1e-13 * exp(x).norm
 
 
 class TestLog:

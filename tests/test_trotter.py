@@ -1,3 +1,5 @@
+import signal
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -113,6 +115,55 @@ class TestProductFormulae:
         x, y, z = (random_element(s, rng) for _ in range(3))
         target = exp(x + y + z)
         assert (trotter_U_pair(x, y, z, 4096) - target).norm <= 1e-2
+
+
+PRODUCTS = [("trotter_jordan", 2), ("trotter_U", 2), ("trotter_U_pair", 3)]
+
+
+class TestStep:
+    @pytest.mark.parametrize("n", [-1, 0, 2.5, 2.0])
+    @pytest.mark.parametrize("name, arity", PRODUCTS)
+    def test_step_count_must_be_a_positive_integer(self, name, arity, n):
+        # a negative n once shifted forever in the binary powering, so the
+        # alarm turns a hang into a failure
+        one = from_descriptor("spin:3").one()
+
+        def timeout(signum, frame):
+            raise TimeoutError(f"{name}(..., {n!r}) did not return")
+
+        previous = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(1)
+        try:
+            with pytest.raises(ValueError, match="integer >= 1"):
+                getattr(trotter, name)(*[one] * arity, n)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    @pytest.mark.parametrize("name, arity", PRODUCTS)
+    def test_one_expm1_call_per_step(self, name, arity, monkeypatch):
+        a = from_descriptor("matrix:2")
+        rng = np.random.default_rng(167)
+        args = [random_element(a, rng) for _ in range(arity)]
+        calls = []
+        original = trotter._expm1
+
+        def counted(arg, algebra):
+            calls.append(arg)
+            return original(arg, algebra)
+
+        monkeypatch.setattr(trotter, "_expm1", counted)
+        for n in (1, 5, 64):
+            calls.clear()
+            getattr(trotter, name)(*args, n)
+            assert len(calls) == 1
+
+    def test_numpy_integer_step_count(self):
+        a = from_descriptor("fn:3")
+        rng = np.random.default_rng(173)
+        x, y = random_element(a, rng), random_element(a, rng)
+        assert np.array_equal(trotter_jordan(x, y, np.int64(12)).coeffs,
+                              trotter_jordan(x, y, 12).coeffs)
 
 
 class TestAssociativeIdentity:
