@@ -90,14 +90,19 @@ def _scaled(arg: np.ndarray, algebra):
     s = np.ceil(np.log2(np.maximum(2.0 * np.sqrt(_sq_norm(arg)), 1.0)))
     x = arg / (2.0 ** s)[..., None]
     lx = _mult_matrix(x, algebra)
-    mag = np.abs(lx)
-    ell = np.sqrt(mag.sum(-2).max(-1) * mag.sum(-1).max(-1))
+    ell = _ell(lx)
     if (ell > _ELL_LIMIT).any():  # halving is exact: as if scaled once
         more = np.ceil(np.log2(np.maximum(ell / _ELL_LIMIT, 1.0)))
         half = 0.5 ** more
         x, lx = x * half[..., None], lx * half[..., None, None]
         ell, s = ell * half, s + more
     return s, x, lx, ell
+
+
+def _ell(lx: np.ndarray) -> np.ndarray:
+    """sqrt(|L|_1 |L|_inf) >= |L|_2, per matrix of a stack."""
+    mag = np.abs(lx)
+    return np.sqrt(mag.sum(-2).max(-1) * mag.sum(-1).max(-1))
 
 
 def _sq_norm(v: np.ndarray) -> np.ndarray:
@@ -220,11 +225,14 @@ def _sqrt(a: Element) -> Element:
 def log(a: Element) -> Element:
     """Principal logarithm by inverse scaling-and-squaring.
 
-    Repeated square roots (``_sqrt``, incremental Newton) bring a within
-    0.25 of the unit, after a branch check on the spectrum of a; then the
-    Mercator series of log(1 + z) runs on coefficient arrays, each term one
-    product by the operator L_z formed once, and one Element is built at
-    the end and scaled by 2^roots.
+    Repeated square roots (``_sqrt``, incremental Newton) of a, after a
+    branch check on its spectrum, bring z = root - 1 to norm 0.25 and
+    ell(L_z) = sqrt(|L_z|_1 |L_z|_inf) to 0.6 or below: the norm of z
+    alone does not bound L_z (``_scaled``). Then the Mercator series of
+    log(1 + z) runs on coefficient arrays, each term one product by the
+    operator L_z, and one Element is built at the end and scaled by
+    2^roots. A series that has not met its stop test after 200 terms
+    raises JordanNumError.
 
     Newton's first iterate (1 + a) / 2 is singular if -1 is in the spectrum,
     and digits are lost near the negative axis. So a spectrum reaching into
@@ -245,12 +253,13 @@ def log(a: Element) -> Element:
     one = a.algebra.one()
     cur = a * (-1j if turn == 1 else 1j) if turn else a
     roots = 0
-    while (cur - one).norm > 0.25:
+    lz = _mult_matrix((cur - one).coeffs, a.algebra)
+    while (cur - one).norm > 0.25 or _ell(lz) > 0.6:
+        if roots == 64:
+            raise JordanNumError("square-root staging did not contract to 1")
         cur = _sqrt(cur)
         roots += 1
-        if roots > 64:
-            raise JordanNumError("square-root staging did not contract to 1")
-    lz = _mult_matrix((cur - one).coeffs, a.algebra)
+        lz = _mult_matrix((cur - one).coeffs, a.algebra)
     term = one.coeffs
     acc = np.zeros_like(term)
     for k in range(1, 200):
@@ -259,6 +268,8 @@ def log(a: Element) -> Element:
         if _sq_norm(term) / k ** 2 < _SERIES_TOL ** 2 * max(_sq_norm(acc),
                                                             1e-60):
             break
+    else:
+        raise JordanNumError("log series did not converge in 200 terms")
     out = acc * float(2 ** roots)
     if turn:
         out += (0.5j * np.pi * turn) * a.algebra.unit

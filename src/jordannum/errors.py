@@ -22,7 +22,8 @@ class ParseError(JordanNumError):
 
 
 class NotInvertible(JordanNumError):
-    """Jordan inverse does not exist; carries the smallest singular value of U_a."""
+    """Jordan inverse does not exist; carries the smallest singular value of
+    the refused operator: H, L_a compressed to C[a], or zeta I - H."""
 
     def __init__(self, message, smallest_singular_value=None):
         super().__init__(message)

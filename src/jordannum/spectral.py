@@ -1,11 +1,11 @@
 """Jordan invertibility, inverses, resolvents, and the spectrum.
 
-An element a is invertible iff U_a is bijective, with a^{-1} = U_a^{-1}(a),
-and the resolvent (zeta*1 - a)^{-1} is the inverse of zeta*1 - a. The
-spectrum of a is that of L_a on the associative subalgebra
+All stand on one compression, of L_a to the associative subalgebra
 C[a] = span{1, a, a^2, ...} (Faraut-Koranyi, Analysis on Symmetric Cones,
-ch. II), compressed to an m x m matrix H by ``algebra._generated``; the
-contour calculus solves its resolvents on the same H. A finite spectrum
+ch. II): L_a Q = Q H, H m x m (``algebra._generated``). sigma(a) is H's;
+a is invertible iff H is, as a^{-1} lies in C[a] (McCrimmon, A Taste of
+Jordan Algebras, 2004), and then a^{-1} = Q H^{-1} |1| e_1. The resolvent
+and the contour calculus solve (zeta I - H) y = |1| e_1. A finite spectrum
 has a connected complement, so ``in_unbounded_component`` is exact.
 """
 
@@ -40,8 +40,8 @@ class SpectrumSet:
 
 
 def is_invertible(a: Element, cond_tol: float = DEFAULT_COND_TOL) -> bool:
-    """True iff the smallest singular value of U_a clears cond_tol relatively."""
-    s = np.linalg.svd(U_operator(a).entries, compute_uv=False)
+    """True iff the smallest singular value of H clears cond_tol relatively."""
+    s = np.linalg.svd(_generated(a)[1], compute_uv=False)
     return bool(s[-1] > cond_tol * s[0])
 
 
@@ -64,9 +64,10 @@ def _solve_checked(ops: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def inverse(a: Element) -> Element:
-    """Jordan inverse b = U_a^{-1}(a), solved as a linear system."""
-    ua = U_operator(a).entries
-    return Element(a.algebra, _solve_checked(ua[None], a.coeffs[None])[0])
+    """Jordan inverse a^{-1} = Q y in C[a], where H y = |1| e_1 = Q^H 1."""
+    q, h = _generated(a)
+    rhs = np.linalg.norm(a.algebra.unit) * np.eye(h.shape[0])[:1]
+    return Element(a.algebra, q @ _solve_checked(h[None], rhs)[0])
 
 
 def jordan_spectrum(a: Element) -> SpectrumSet:

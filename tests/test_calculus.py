@@ -312,6 +312,21 @@ class TestLog:
                 worst = max(worst, (exp(log(y)) - y).norm / y.norm)
         assert worst <= 2e-14
 
+    @pytest.mark.parametrize("c", [10, 100])
+    @pytest.mark.parametrize("diag", [(1.0, -0.5), (0.8, 0.0)])
+    def test_rescaled_structure(self, c, diag):
+        # matrix:2 with its structure times c and its unit over c, the image
+        # of matrix:2 under phi(v) = v / c: log(phi(e^X)) = phi(X). There
+        # |z| <= 0.25 does not bound L_z, and a square-root staging that
+        # stops on the norm alone left the Mercator series diverging
+        m2 = from_descriptor("matrix:2")
+        a = AlgebraSpec(4, m2.structure * c, m2.unit / c, f"matrix:2x{c}")
+        x = np.diag(diag)
+        y = a.element(scipy.linalg.expm(x).reshape(-1) / c)
+        want = x.reshape(-1) / c
+        assert np.linalg.norm(log(y).coeffs - want) <= \
+            1e-14 * np.linalg.norm(want)
+
     def test_branch_cut_raises(self):
         f = make_function_algebra(2)
         with pytest.raises(BranchCut):

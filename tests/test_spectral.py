@@ -76,6 +76,16 @@ class TestInvertibility:
         f = make_function_algebra(3)
         assert not is_invertible(f.element([1, 0, 2]))
 
+    @pytest.mark.parametrize("desc", FAMILIES)
+    def test_singular_exactly_on_the_spectrum(self, desc):
+        # p 1 - x is singular at each spectrum point p, and invertible
+        # 1e-3 off it: invertibility and the spectrum read the same H
+        x = random_element(from_descriptor(desc), np.random.default_rng(71))
+        one = x.algebra.one()
+        for p in jordan_spectrum(x).points:
+            assert not is_invertible(one * p - x)
+            assert is_invertible(one * (p + 1e-3) - x)
+
 
 class TestInverse:
     def test_unit_is_self_inverse(self):
@@ -110,6 +120,42 @@ class TestInverse:
                 sq = jordan_mul(x, x)
                 assert (jordan_mul(sq, b) - x).norm <= \
                     1e-8 * cond * max(x.norm, 1.0)
+
+    @pytest.mark.parametrize("small", [1e-6, 1e-9])
+    def test_ill_conditioned_fn(self, small):
+        # H is refused only when its own condition number 1 / small is 1e10
+        # or more; a rule on U_a = L_a^2 refused 1e6 already. H's entries
+        # carry rounding errors of eps, so the inverse errs by up to about
+        # eps / small (measured: 5.6e-12 and 4.7e-10)
+        x = make_function_algebra(2).element([1.0, small])
+        want = np.array([1.0, 1.0 / small])
+        assert is_invertible(x)
+        assert np.linalg.norm(inverse(x).coeffs - want) <= \
+            1e-16 / small * np.linalg.norm(want)
+
+    @staticmethod
+    def similar_diagonal(diag):
+        """P diag P^-1 on matrix:3 and its inverse, P complex Gaussian."""
+        rng = np.random.default_rng(0)
+        p = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        pinv = np.linalg.inv(p)
+        x = make_matrix_jordan(3).element((p @ np.diag(diag) @ pinv).ravel())
+        return x, (p @ np.diag(1.0 / np.asarray(diag)) @ pinv).ravel()
+
+    def test_ill_conditioned_matrix(self):
+        # condition number about 1.4e7
+        x, want = self.similar_diagonal([1.0, 1e-6, 2.0])
+        assert np.linalg.norm(inverse(x).coeffs - want) <= \
+            1e-8 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("delta", [1e-9, 1e-12, 1e-14])
+    def test_nearly_repeated_eigenvalue(self, delta):
+        # Arnoldi stops once h_{j+1,j} <= 1e-12 |L_x|_F, as the spectrum
+        # and the contour do, so eigenvalues 1 and 1 + delta may share one
+        # Krylov direction: the inverse then errs at about that level
+        x, want = self.similar_diagonal([1.0, 1.0 + delta, 2.0])
+        assert np.linalg.norm(inverse(x).coeffs - want) <= \
+            1e-11 * np.linalg.norm(want)
 
     def test_singular_raises_with_diagnostic(self):
         f = make_function_algebra(3)

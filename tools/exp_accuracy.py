@@ -1,16 +1,19 @@
-"""Error of exp, expm1, log, the psi path, the contour and the spectrum.
+"""Error of exp, expm1, log, inverse, the psi path, the contour, the spectrum.
 
 For each family it prints one line per function: the median, 99th
 percentile and maximum of the relative error |got - ref| / |ref| of the
 coefficient vectors, over a fixed set of seeded inputs; for ``spectrum``,
 of the Hausdorff distance from the spectrum points to the reference
 eigenvalues, relative to 1 + R with R the largest reference modulus. The
-references are computed with mpmath at 40 digits: ``expm``, ``logm`` and
-``eig`` on the matrix blocks (a double-precision eigvals errs as much as
-what is measured), pointwise functions and the coordinates on ``fn``, and
-the closed forms on ``spin`` (exp(alpha + u) = e^alpha (cosh s + u sinh(s)
-/ s) with s^2 = u.u, the spectral values alpha +- s, and the log through
-them). mpmath is needed by this tool only. Two trees give the same lines
+references are computed with mpmath at 40 digits: ``expm``, ``logm``, the
+inverse and ``eig`` on the matrix blocks (a double-precision eigvals errs
+as much as what is measured), pointwise functions and the coordinates on
+``fn``, and the closed forms on ``spin`` (exp(alpha + u) = e^alpha (cosh s
++ u sinh(s) / s) with s^2 = u.u, the spectral values alpha +- s, the log
+through them, and (alpha + u)^-1 = (alpha - u) / (alpha^2 - u.u)). An
+input the tree refuses (any ``JordanNumError``) is left out of the
+figures, and the line ends with ``refused`` and their count. mpmath is
+needed by this tool only. Two trees give the same lines
 exactly when their errors are the same, so an accuracy comparison is one
 ``diff``:
 
@@ -20,9 +23,10 @@ exactly when their errors are the same, so an accuracy comparison is one
 
 ``exp`` and ``expm1`` take 198 inputs x, 33 at each norm cap 0.01-5,
 ``spectrum`` 360 (60 per cap), ``log`` 200 inputs y = exp(x), 50 at each
-cap 0.5-3, and ``path`` the rows exp(t x), t = 0, 1/16, ..., 1, for two x
-per cap 0.01-5 (204 rows): from ``calculus._exp_path`` where the tree has
-it, else from one ``exp(x * t)`` call per row. A run takes 50-110 s on
+cap 0.5-3, ``inverse`` 160 inputs x, 40 at each cap 0.5-3, and ``path``
+the rows exp(t x), t = 0, 1/16, ..., 1, for two x per cap 0.01-5 (204
+rows): from ``calculus._exp_path`` where the tree has it, else from one
+``exp(x * t)`` call per row. A run takes 50-110 s on
 one core of a 2-vCPU Intel Xeon, whose speed varies from minute to minute.
 ``contour`` takes the inputs of ``exp`` through the contour calculus,
 ``holomorphic_calculus(cmath.exp, x, Contour(0, 2 R + 1))`` with R the
@@ -32,9 +36,11 @@ cap 0.01-5 (150 each, seeded as the other families' lines are); its
 40-digit references make these lines take about 25 s.
 ``matrix:2x100`` is matrix:2 with its structure tensor times c = 100 and
 its unit over c, where a small coefficient norm does not bound L_x. It
-prints ``exp`` and ``expm1`` lines, for 198 x at caps 0.01-5, against
+prints ``exp`` and ``expm1`` lines, for 198 x at caps 0.01-5, and a
+``log`` line, for 200 y = exp(x) with c x at caps 0.5-3, against
 references taken through the isomorphism phi(v) = v / c from matrix:2:
-exp'(x) = exp(c x) / c and expm1'(x) = expm1(c x) / c (c x in mpmath).
+exp'(x) = exp(c x) / c, expm1'(x) = expm1(c x) / c and log'(y) =
+log(c y) / c (c x and c y in mpmath).
 ``--src`` names the source directory to import ``jordannum`` from; the
 default is the ``src`` directory next to this script's parent.
 """
@@ -60,6 +66,7 @@ LOG_CAPS = (0.5, 1.0, 2.0, 3.0)
 # that medians and p99s at rounding level move by a few per cent at most
 PER_CAP = 33
 LOG_PER_CAP = 50
+INV_PER_CAP = 40
 PATH_TS = np.linspace(0.0, 1.0, 17)
 RESCALE = 100
 
@@ -73,16 +80,23 @@ def _blocks(desc):
 
 
 def _block_reference(kind, n, x, fn):
-    """fn ('exp', 'expm1' or 'log') of one block's coefficients, in mpmath."""
+    """fn ('exp', 'expm1', 'log' or 'inverse') of one block's coefficients,
+    in mpmath."""
     if kind == "fn":
+        if fn == "inverse":
+            return [1 / v for v in x]
         return [getattr(mpmath, fn)(v) for v in x]
     if kind == "matrix":
         m = mpmath.matrix([[x[i * n + j] for j in range(n)] for i in range(n)])
-        f = mpmath.logm(m) if fn == "log" else mpmath.expm(m)
+        f = {"log": mpmath.logm, "inverse": lambda v: v ** -1}.get(
+            fn, mpmath.expm)(m)
         if fn == "expm1":
             f = f - mpmath.eye(n)
         return [f[i, j] for i in range(n) for j in range(n)]
     alpha, u = x[0], x[1:]
+    if fn == "inverse":
+        det = alpha * alpha - mpmath.fsum(v * v for v in u)
+        return [alpha / det] + [-v / det for v in u]
     s = mpmath.sqrt(mpmath.fsum(v * v for v in u))
     if fn == "log":
         lp, lm = mpmath.log(alpha + s), mpmath.log(alpha - s)
@@ -150,6 +164,29 @@ def rel_error(got, want) -> float:
     return float(diff / mpmath.sqrt(mpmath.fsum(abs(w) ** 2 for w in want)))
 
 
+def refusable(fn, x, want):
+    """rel_error of fn(x).coeffs against want; None if fn refuses x."""
+    from jordannum.errors import JordanNumError
+    try:
+        got = fn(x).coeffs
+    except JordanNumError:
+        return None
+    return rel_error(got, want)
+
+
+def inverse_errors(jn, desc):
+    """Relative errors of the Jordan inverse on one family; None if refused."""
+    a = jn.from_descriptor(desc)
+    rng = np.random.default_rng(229)
+    errs = []
+    for cap in LOG_CAPS:
+        for _ in range(INV_PER_CAP):
+            x = jn.random_element(a, rng, norm_cap=cap)
+            errs.append(refusable(jn.inverse, x,
+                                  reference(desc, x.coeffs, "inverse")))
+    return errs
+
+
 def expm1(calculus, x):
     """The coefficients of e^x - 1 by ``calculus._expm1``, which takes
     (arg, algebra), or the Element in trees older than that signature."""
@@ -205,7 +242,8 @@ def exp_errors(jn, desc, per_cap):
 
 
 def rescaled_errors(jn, calculus):
-    """Relative errors of exp and expm1 on matrix:2 rescaled by RESCALE."""
+    """Relative errors of exp, expm1 and log on matrix:2 rescaled by RESCALE.
+    """
     m2 = jn.from_descriptor("matrix:2")
     a = jn.AlgebraSpec(4, m2.structure * RESCALE, m2.unit / RESCALE,
                        f"matrix:2x{RESCALE}")
@@ -220,14 +258,24 @@ def rescaled_errors(jn, calculus):
                 want = [v / RESCALE
                         for v in _block_reference("matrix", 2, cx, fn)]
                 errs[fn].append(rel_error(got, want))
+    errs["log"] = []
+    for cap in LOG_CAPS:
+        for _ in range(LOG_PER_CAP):
+            y = jn.exp(jn.random_element(a, rng, norm_cap=cap / RESCALE))
+            cy = [RESCALE * mpmath.mpc(complex(v)) for v in y.coeffs]
+            want = [v / RESCALE
+                    for v in _block_reference("matrix", 2, cy, "log")]
+            errs["log"].append(refusable(jn.log, y, want))
     return errs
 
 
 def _print_lines(desc, errors):
     for fn, errs in errors.items():
-        e = np.array(errs)
+        e = np.array([v for v in errs if v is not None])
+        refused = len(errs) - e.size
         print(f"{desc} {fn} {e.size} {np.median(e):.2e} "
-              f"{np.quantile(e, 0.99):.2e} {e.max():.2e}")
+              f"{np.quantile(e, 0.99):.2e} {e.max():.2e}"
+              + (f" refused {refused}" if refused else ""))
 
 
 def main(argv=None) -> int:
@@ -245,6 +293,7 @@ def main(argv=None) -> int:
     for desc in FAMILIES:
         errors = family_errors(jn, calculus, desc)
         errors["spectrum"] = spectrum_errors(jn, desc)
+        errors["inverse"] = inverse_errors(jn, desc)
         _print_lines(desc, errors)
     for desc, per_cap in LARGE.items():
         _print_lines(desc, {"exp": exp_errors(jn, desc, per_cap),

@@ -8,7 +8,8 @@ the best-of-N time per call, in microseconds, of
 - ``stack65``: ``_product`` of two stacks of 65 rows (a ψ path's size);
 - ``L_x``: ``algebra._mult_matrix``, the d x d matrix of y -> x o y;
 - ``jordan_mul``, ``exp``, ``U_operator``, ``spectrum``
-  (``jordan_spectrum``) and ``inverse`` (of 2 + x);
+  (``jordan_spectrum``), ``inverse`` and ``is_invertible`` (of 2 + x) and
+  ``resolvent`` (of x at 3);
 - ``build``: ``from_descriptor`` with its cache cleared first.
 
 Each time is the least over 9 repeats of the mean over a batch of calls
@@ -42,7 +43,7 @@ import numpy as np  # noqa: E402
 FAMILIES = ["fn:5", "spin:4", "matrix:2", "matrix:3", "matrix:4",
             "matrix:8", "matrix:10", "matrix:12", "matrix:16"]
 COLUMNS = ["product", "stack65", "L_x", "jordan_mul", "exp", "U_operator",
-           "spectrum", "inverse", "build"]
+           "spectrum", "inverse", "is_invertible", "resolvent", "build"]
 REPEAT = 9
 MIN_BATCH_S = 0.02
 
@@ -82,6 +83,8 @@ def kernels(jn, desc):
         ("U_operator", lambda: jn.U_operator(x)),
         ("spectrum", lambda: jn.jordan_spectrum(x)),
         ("inverse", lambda: jn.inverse(w)),
+        ("is_invertible", lambda: jn.is_invertible(w)),
+        ("resolvent", lambda: jn.resolvent(x, 3.0)),
         ("build", build),
     ], a
 
