@@ -5,8 +5,11 @@ C[a] = span{1, a, a^2, ...} (Faraut-Koranyi, Analysis on Symmetric Cones,
 ch. II): L_a Q = Q H, H m x m (``algebra._generated``). sigma(a) is H's;
 a is invertible iff H is, as a^{-1} lies in C[a] (McCrimmon, A Taste of
 Jordan Algebras, 2004), and then a^{-1} = Q H^{-1} |1| e_1. The resolvent
-and the contour calculus solve (zeta I - H) y = |1| e_1. A finite spectrum
-has a connected complement, so ``in_unbounded_component`` is exact.
+and the contour calculus solve (zeta I - H) y = |1| e_1. Each solve refuses
+a system whose smallest singular value is at most ``DEFAULT_COND_TOL`` of
+its largest; the SVD runs only on systems that |A|_F |A^-1|_F, an upper
+bound on the condition number, does not clear (``_solve_checked``). A finite
+spectrum has a connected complement, so ``in_unbounded_component`` is exact.
 """
 
 from __future__ import annotations
@@ -50,16 +53,30 @@ def _solve_checked(ops: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
     Refuses the stack when any operator's smallest singular value is at most
     ``DEFAULT_COND_TOL`` times its largest, naming the first such operator's.
+    kappa_2 <= |A|_F |A^-1|_F, so an operator whose bound is below
+    0.1 / ``DEFAULT_COND_TOL`` cannot be refused. Only the others (non-finite
+    ones, or all when ``inv`` meets an exactly singular one) have their
+    singular values taken, by the same rule.
     """
-    s = np.linalg.svd(ops, compute_uv=False)
-    singular = s[:, -1] <= DEFAULT_COND_TOL * s[:, 0]
-    if singular.any():
-        smin = s[singular.argmax(), -1]
-        raise NotInvertible(
-            f"operator is numerically singular (smallest singular value "
-            f"{smin:.3e})",
-            smallest_singular_value=float(smin),
-        )
+    try:
+        inv = np.linalg.inv(ops)
+    except np.linalg.LinAlgError:
+        doubt = np.ones(len(ops), dtype=bool)
+    else:
+        with np.errstate(invalid="ignore", over="ignore"):  # inf, nan: doubt
+            kappa2 = (np.square(np.abs(ops)).sum(axis=(1, 2))
+                      * np.square(np.abs(inv)).sum(axis=(1, 2)))
+        doubt = ~(kappa2 < (0.1 / DEFAULT_COND_TOL) ** 2)
+    if doubt.any():
+        s = np.linalg.svd(ops[doubt], compute_uv=False)
+        singular = s[:, -1] <= DEFAULT_COND_TOL * s[:, 0]
+        if singular.any():
+            smin = s[singular.argmax(), -1]
+            raise NotInvertible(
+                f"operator is numerically singular (smallest singular value "
+                f"{smin:.3e})",
+                smallest_singular_value=float(smin),
+            )
     return np.linalg.solve(ops, rhs[:, :, None])[:, :, 0]
 
 

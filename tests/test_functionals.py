@@ -423,3 +423,29 @@ class TestVerifyCharacterTheorem:
         assert lines[-1] == "passed=True"
         assert any(line.startswith("exp_agreement_residual=")
                    for line in lines)
+
+    def test_one_spectrum_per_sample(self, monkeypatch):
+        # both the spectral-valued and the spectrum-membership residuals
+        # read the same spectra: one jordan_spectrum call per sample
+        a = from_descriptor("sum:fn:2+matrix:2")
+        f = coordinate(a, 1)
+        expected = verify_character_theorem(f, a, seed=6, n_samples=6)
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return jordan_spectrum(x)
+
+        monkeypatch.setattr(functionals, "jordan_spectrum", counted)
+        report = verify_character_theorem(f, a, seed=6, n_samples=6)
+        samples = list(calls)
+        monkeypatch.undo()
+        assert len(samples) == 6
+        assert list(report.as_lines()) == list(expected.as_lines())
+        residual, _ = is_spectral_valued(f, samples)
+        assert report.spectral_residual == residual
+
+    def test_no_samples(self):
+        a = from_descriptor("fn:2")
+        with pytest.raises(ValueError, match="at least one sample"):
+            verify_character_theorem(coordinate(a, 0), a, n_samples=0)

@@ -334,6 +334,85 @@ class TestResolvent:
         assert info.value.smallest_singular_value == 0.0
 
 
+class TestSolveChecked:
+    """The refusal contract of ``spectral._solve_checked``: operators whose
+    smallest singular value is at most 1e-10 of their largest are refused,
+    naming the first one's, and every other stack is solved by
+    ``np.linalg.solve`` unchanged."""
+
+    @staticmethod
+    def solve(ops, rhs=None):
+        from jordannum.spectral import _solve_checked
+        ops = np.asarray(ops, dtype=complex)
+        if rhs is None:
+            rhs = np.ones(ops.shape[:2], dtype=complex)
+        return _solve_checked(ops, rhs)
+
+    @pytest.mark.parametrize("desc", ["matrix:2", "matrix:3", "matrix:4",
+                                      "spin:4", "fn:5",
+                                      "sum:fn:2+matrix:2"])
+    def test_contour_stack_is_solve_bitwise(self, desc):
+        from jordannum.algebra import _generated
+        a = from_descriptor(desc)
+        x = random_element(a, np.random.default_rng(71))
+        _, hmat = _generated(x)
+        m = hmat.shape[0]
+        radius = 2 * jordan_spectrum(x).spectral_radius + 1
+        zetas = radius * np.exp(2j * np.pi * (np.arange(64) + 0.5) / 64)
+        ops = zetas[:, None, None] * np.eye(m) - hmat
+        rhs = np.broadcast_to(np.linalg.norm(a.unit) * np.eye(m)[0], (64, m))
+        assert np.array_equal(self.solve(ops, rhs),
+                              np.linalg.solve(ops, rhs[:, :, None])[:, :, 0])
+
+    def test_accepts_above_the_rule(self):
+        # kappa_F is about 5e9, so the bound does not clear it; the rule does
+        got = self.solve([np.diag([1.0, 2e-10])])
+        np.testing.assert_allclose(got, [[1.0, 5e9]], rtol=1e-15)
+
+    def test_refuses_below_the_rule(self):
+        with pytest.raises(NotInvertible) as info:
+            self.solve([np.diag([1.0, 5e-11])])
+        assert info.value.smallest_singular_value == pytest.approx(5e-11)
+
+    def test_exactly_singular_in_the_stack(self):
+        ops = [np.eye(2), 2 * np.eye(2), np.diag([1.0, 0.0]), 3 * np.eye(2)]
+        with pytest.raises(NotInvertible) as info:
+            self.solve(ops)
+        assert info.value.smallest_singular_value == 0.0
+
+    def test_refuses_exactly_where_the_svd_rule_does(self):
+        # 3x3 operators with condition numbers 1e8..1e12, across the rule
+        rng = np.random.default_rng(73)
+
+        def unitary():
+            z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+            return np.linalg.qr(z)[0]
+
+        ops = np.array([(unitary() * [1.0, cond ** -0.5, 1 / cond])
+                        @ unitary() for cond in np.logspace(8, 12, 41)])
+        s = np.linalg.svd(ops, compute_uv=False)
+        refused = s[:, -1] <= 1e-10 * s[:, 0]
+        assert 0 < refused.sum() < len(ops)
+        for op, smin, no in zip(ops, s[:, -1], refused):
+            if no:
+                with pytest.raises(NotInvertible) as info:
+                    self.solve([op])
+                assert info.value.smallest_singular_value == smin
+            else:
+                assert np.array_equal(self.solve([op])[0],
+                                      np.linalg.solve(op, np.ones(3)))
+        with pytest.raises(NotInvertible) as info:
+            self.solve(ops)
+        assert info.value.smallest_singular_value == s[refused.argmax(), -1]
+
+    def test_names_the_first_refused_operator(self):
+        ops = [2 * np.eye(2), np.diag([1.0, 2e-10]), np.eye(2),
+               np.diag([1.0, 5e-11]), np.diag([1.0, 1e-12])]
+        with pytest.raises(NotInvertible) as info:
+            self.solve(ops)
+        assert info.value.smallest_singular_value == pytest.approx(5e-11)
+
+
 class TestUnboundedComponent:
     def test_outside_disk(self):
         s = SpectrumSet(points=(1, 2, 3), dedupe_tol=1e-6, spectral_radius=3.0)

@@ -10,6 +10,9 @@ the best-of-N time per call, in microseconds, of
 - ``jordan_mul``, ``exp``, ``U_operator``, ``spectrum``
   (``jordan_spectrum``), ``inverse`` and ``is_invertible`` (of 2 + x) and
   ``resolvent`` (of x at 3);
+- ``contour``: ``holomorphic_calculus(cmath.exp, x, Contour(0, 2R + 1))``,
+  R the spectral radius of x;
+- ``log``: ``log(exp(x))``, with exp(x) taken once before the timing;
 - ``build``: ``from_descriptor`` with its cache cleared first.
 
 Each time is the least over 9 repeats of the mean over a batch of calls
@@ -29,6 +32,7 @@ it does not; the tool passes whichever the tree's ``_product`` names.
 from __future__ import annotations
 
 import argparse
+import cmath
 import inspect
 import os
 import sys
@@ -43,7 +47,8 @@ import numpy as np  # noqa: E402
 FAMILIES = ["fn:5", "spin:4", "matrix:2", "matrix:3", "matrix:4",
             "matrix:8", "matrix:10", "matrix:12", "matrix:16"]
 COLUMNS = ["product", "stack65", "L_x", "jordan_mul", "exp", "U_operator",
-           "spectrum", "inverse", "is_invertible", "resolvent", "build"]
+           "spectrum", "inverse", "is_invertible", "resolvent", "contour",
+           "log", "build"]
 REPEAT = 9
 MIN_BATCH_S = 0.02
 
@@ -67,6 +72,8 @@ def kernels(jn, desc):
     xs, ys = (np.array([jn.random_element(a, rng).coeffs for _ in range(65)])
               for _ in range(2))
     w = x + 2.0 * a.one()
+    contour = jn.Contour(0, 2 * jn.jordan_spectrum(x).spectral_radius + 1)
+    ex = jn.exp(x)
     dense = "structure" in inspect.signature(algebra._product).parameters
     arg = a.structure if dense else a
 
@@ -85,6 +92,8 @@ def kernels(jn, desc):
         ("inverse", lambda: jn.inverse(w)),
         ("is_invertible", lambda: jn.is_invertible(w)),
         ("resolvent", lambda: jn.resolvent(x, 3.0)),
+        ("contour", lambda: jn.holomorphic_calculus(cmath.exp, x, contour)),
+        ("log", lambda: jn.log(ex)),
         ("build", build),
     ], a
 
