@@ -24,6 +24,8 @@ _JORDAN_ID_TOL = 1e-12
 _UNIT_TOL = 1e-12
 # Arnoldi in _generated stops once h_{j+1,j} <= this times ||L_x||_F
 _KRYLOV_TOL = 1e-12
+# ||L_x||_F outside this range could over- or underflow the squared norms
+_ARNOLDI_RANGE = (1e-100, 1e100)
 
 
 class AlgebraSpec:
@@ -293,10 +295,19 @@ def _generated(x: Element) -> tuple[np.ndarray, np.ndarray]:
     Arnoldi on L_x from the normalised unit, with classical Gram-Schmidt run
     twice per step, stopping once h_{j+1,j} <= ``_KRYLOV_TOL`` ||L_x||_F:
     then L_x Q = Q H, H is upper Hessenberg and m <= d is the degree of x's
-    minimal polynomial.
+    minimal polynomial. Outside ``_ARNOLDI_RANGE`` it runs on 2^-e L_x, with
+    entries below 1 in modulus, and scales H back: exactly, as e is an int.
     """
     lx = _mult_matrix(x.coeffs, x.algebra)
-    tol = _KRYLOV_TOL * np.linalg.norm(lx)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(lx)
+    e = 0
+    if not _ARNOLDI_RANGE[0] <= norm <= _ARNOLDI_RANGE[1]:
+        # frexp(0) gives e = 0; e >= -1022 keeps 2^-e finite
+        e = max(int(np.frexp(np.abs(lx).max())[1]), -1022)
+        lx = lx * 2.0 ** -e
+        norm = np.linalg.norm(lx)
+    tol = _KRYLOV_TOL * norm
     d = x.algebra.dim
     q = np.zeros((d, d), dtype=complex)  # basis vectors as rows
     h = np.zeros((d, d), dtype=complex)
@@ -312,7 +323,8 @@ def _generated(x: Element) -> tuple[np.ndarray, np.ndarray]:
             break
         h[j + 1, j] = beta
         q[j + 1] = w / beta
-    return q[:j + 1].T, h[:j + 1, :j + 1]
+    h = h[:j + 1, :j + 1]
+    return q[:j + 1].T, (h * 2.0 ** e if e else h)
 
 
 def mult_operator(a: Element) -> OperatorMatrix:

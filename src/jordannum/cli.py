@@ -54,89 +54,70 @@ def _fmt(x: float) -> str:
     return f"{x:.15g}"
 
 
-def _write(args, out, lines):
-    """Write the report lines, LF-terminated, to --out if given, else out."""
+def _write(path, out, lines):
+    """Write the report lines, LF-terminated, to file ``path`` or to out."""
     text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
+    if path:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
     else:
         out.write(text)
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each takes the parsed flags and the algebra and returns the
+# report lines and the exit code.
 
 
-def _cmd_validate(args, out):
-    algebra = parse_algebra(args.algebra)
-    rng = np.random.default_rng(args.seed)
-    checks = []
+# validate's checks in report order: (name, tolerance of the worst residual)
+_CHECKS = (("jordan_identity", 1e-10), ("fundamental_formula", 1e-9),
+           ("linearized_U", 1e-10), ("power_associativity", 1e-9))
 
-    def sample():
-        return alg.random_element(algebra, rng)
 
-    jordan_res = 0.0
-    fundamental_res = 0.0
-    linearized_res = 0.0
-    power_res = 0.0
-    for _ in range(args.samples):
-        a, b = sample(), sample()
-        sq = alg.jordan_mul(a, a)
-        lhs = alg.jordan_mul(alg.jordan_mul(sq, b), a)
-        rhs = alg.jordan_mul(alg.jordan_mul(a, b), sq)
-        scale = (1.0 + a.norm) ** 3 * (1.0 + b.norm)
-        jordan_res = max(jordan_res, (lhs - rhs).norm / scale)
-
-        u_a = alg.U_operator(a)
-        uab = alg.U_operator(u_a.apply(b)).entries
-        ua = u_a.entries
-        ub = alg.U_operator(b).entries
-        prod = ua @ ub @ ua
-        fundamental_res = max(
-            fundamental_res,
+def _residuals(a, b):
+    """The relative residuals of the ``_CHECKS`` identities at a and b."""
+    sq = alg.jordan_mul(a, a)
+    lhs = alg.jordan_mul(alg.jordan_mul(sq, b), a)
+    rhs = alg.jordan_mul(alg.jordan_mul(a, b), sq)
+    u_a = alg.U_operator(a)
+    uab = alg.U_operator(u_a.apply(b)).entries
+    ua = u_a.entries
+    ub = alg.U_operator(b).entries
+    prod = ua @ ub @ ua
+    u_sum = alg.U_operator(a + b).entries
+    u_split = ua + 2.0 * alg.U_pair_operator(a, b).entries + ub
+    p5 = alg.jordan_power(a, 5)
+    p23 = alg.jordan_mul(alg.jordan_power(a, 2), alg.jordan_power(a, 3))
+    return ((lhs - rhs).norm / ((1.0 + a.norm) ** 3 * (1.0 + b.norm)),
             np.linalg.norm(uab - prod) / max(np.linalg.norm(prod), 1e-30),
-        )
-
-        u_sum = alg.U_operator(a + b).entries
-        u_split = ua + 2.0 * alg.U_pair_operator(a, b).entries + ub
-        linearized_res = max(
-            linearized_res,
-            np.linalg.norm(u_sum - u_split) / max(np.linalg.norm(u_sum), 1e-30),
-        )
-
-        p5 = alg.jordan_power(a, 5)
-        p23 = alg.jordan_mul(alg.jordan_power(a, 2), alg.jordan_power(a, 3))
-        power_res = max(power_res,
-                        (p5 - p23).norm / max(p5.norm, 1e-30))
-
-    checks.append(("jordan_identity", jordan_res, 1e-10))
-    checks.append(("fundamental_formula", fundamental_res, 1e-9))
-    checks.append(("linearized_U", linearized_res, 1e-10))
-    checks.append(("power_associativity", power_res, 1e-9))
-
-    failed = False
-    for name, value, tol in checks:
-        ok = value <= tol
-        failed = failed or not ok
-        out.write(f"{name}: {'pass' if ok else 'FAIL'} "
-                  f"(residual {_fmt(value)}, tol {_fmt(tol)})\n")
-    return EXIT_CHECK_FAILED if failed else EXIT_OK
+            np.linalg.norm(u_sum - u_split)
+            / max(np.linalg.norm(u_sum), 1e-30),
+            (p5 - p23).norm / max(p5.norm, 1e-30))
 
 
-def _cmd_spectrum(args, out):
-    algebra = parse_algebra(args.algebra)
+def _cmd_validate(args, algebra):
+    rng = np.random.default_rng(args.seed)
+    worst = [0.0] * len(_CHECKS)
+    for _ in range(args.samples):
+        a, b = (alg.random_element(algebra, rng) for _ in range(2))
+        worst = [max(w, r) for w, r in zip(worst, _residuals(a, b))]
+    lines = [f"{name}: {'pass' if value <= tol else 'FAIL'} "
+             f"(residual {_fmt(value)}, tol {_fmt(tol)})"
+             for (name, tol), value in zip(_CHECKS, worst)]
+    failed = any(value > tol for (_, tol), value in zip(_CHECKS, worst))
+    return lines, EXIT_CHECK_FAILED if failed else EXIT_OK
+
+
+def _cmd_spectrum(args, algebra):
     if not args.element:
         raise ParseError("spectrum requires --element")
     element = _parse_element(algebra, args.element)
-    spec = spectral.jordan_spectrum(element)
-    for p in sorted(spec.points, key=lambda z: (z.real, z.imag)):
-        out.write(f"{_fmt(p.real)},{_fmt(p.imag)}\n")
-    return EXIT_OK
+    points = sorted(spectral.jordan_spectrum(element).points,
+                    key=lambda z: (z.real, z.imag))
+    return [f"{_fmt(p.real)},{_fmt(p.imag)}" for p in points], EXIT_OK
 
 
-def _cmd_trotter(args, out):
-    algebra = parse_algebra(args.algebra)
+def _cmd_trotter(args, algebra):
     if args.formula not in trotter.FORMULAE:
         raise ParseError(f"unknown formula {args.formula!r}; choose from "
                          f"{sorted(trotter.FORMULAE)}")
@@ -151,24 +132,17 @@ def _cmd_trotter(args, out):
 
     report = trotter.convergence_report(args.formula, params, grid)
 
-    lines = ["formula,algebra,seed,n,error"]
-    for n, err in zip(report.n_grid, report.errors):
-        lines.append(
-            f"{args.formula},{args.algebra},{args.seed},{n},{_fmt(err)}"
-        )
-    if report.exact:
-        lines.append("# slope=exact")
-    else:
-        lines.append(f"# slope={_fmt(report.fitted_slope)}")
-    lines.append(f"# target_norm={_fmt(report.target_norm)}")
-    _write(args, out, lines)
+    lines = ["formula,algebra,seed,n,error"] + [
+        f"{args.formula},{args.algebra},{args.seed},{n},{_fmt(err)}"
+        for n, err in zip(report.n_grid, report.errors)]
+    slope = "exact" if report.exact else _fmt(report.fitted_slope)
+    lines += [f"# slope={slope}", f"# target_norm={_fmt(report.target_norm)}"]
 
     # convergence sanity: the last error above the floor must not exceed
     # the first one
     above = [e for e in report.errors if e > trotter.ERROR_FLOOR]
-    if above and above[-1] > above[0]:
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+    return lines, (EXIT_CHECK_FAILED if above and above[-1] > above[0]
+                   else EXIT_OK)
 
 
 def _builtin_functional(name: str, algebra: alg.AlgebraSpec):
@@ -200,8 +174,7 @@ def _builtin_functional(name: str, algebra: alg.AlgebraSpec):
     raise ParseError(f"unknown functional {name!r}")
 
 
-def _cmd_functional(args, out):
-    algebra = parse_algebra(args.algebra)
+def _cmd_functional(args, algebra):
     if not args.functional:
         raise ParseError("functional subcommand requires --functional")
     handle = _builtin_functional(args.functional, algebra)
@@ -218,8 +191,7 @@ def _cmd_functional(args, out):
 
     lines = list(report.as_lines())
     lines.append(f"sign_flipped={sign_flipped}")
-    _write(args, out, lines)
-    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+    return lines, EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +232,29 @@ def _load_config(path: str) -> dict:
     return values
 
 
+# flag: (type, default); a flag's dest is its name, "--n-grid" -> n_grid
+_FLAGS = {
+    "algebra": (str, None),
+    "config": (str, None),
+    "out": (str, None),
+    "seed": (int, 0),
+    "samples": (positive_int, 20),
+    "element": (str, None),
+    "formula": (str, next(iter(trotter.FORMULAE))),
+    "n_grid": (str, "16:4096:2"),
+    "functional": (str, None),
+}
+
+# subcommand: (command, the flags it reads besides --algebra, --config and
+# --out, which every subcommand takes)
+_COMMANDS = {
+    "validate": (_cmd_validate, ("seed", "samples")),
+    "spectrum": (_cmd_spectrum, ("element",)),
+    "trotter": (_cmd_trotter, ("seed", "formula", "n_grid")),
+    "functional": (_cmd_functional, ("seed", "samples", "functional")),
+}
+
+
 def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     """The argument parser; ``defaults`` replaces the subcommands' defaults."""
     parser = argparse.ArgumentParser(
@@ -267,20 +262,12 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
         description="Jordan-algebra numerical experiments",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in ("validate", "spectrum", "trotter", "functional"):
+    for name, (_, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--algebra", required=False)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=positive_int, default=20)
-        p.add_argument("--config")
-        p.add_argument("--out")
-        if name == "spectrum":
-            p.add_argument("--element")
-        if name == "trotter":
-            p.add_argument("--formula", default=next(iter(trotter.FORMULAE)))
-            p.add_argument("--n-grid", dest="n_grid", default="16:4096:2")
-        if name == "functional":
-            p.add_argument("--functional")
+        for flag in ("algebra", "config", "out") + flags:
+            kind, default = _FLAGS[flag]
+            p.add_argument("--" + flag.replace("_", "-"), dest=flag,
+                           type=kind, default=default)
         p.set_defaults(**(defaults or {}))
     return parser
 
@@ -291,6 +278,7 @@ def _parse_args(argv):
     The file's values become the parser's defaults before a second parse,
     so a flag given on the command line wins even when it equals the
     built-in default, and argparse converts the values as it would flags.
+    A key the subcommand does not read is ignored.
     """
     args = build_parser().parse_args(argv)
     if not args.config:
@@ -301,21 +289,16 @@ def _parse_args(argv):
     return build_parser(file_values).parse_args(argv)
 
 
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "spectrum": _cmd_spectrum,
-    "trotter": _cmd_trotter,
-    "functional": _cmd_functional,
-}
-
-
 def run(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
     try:
         args = _parse_args(argv)
         if not args.algebra:
             raise ParseError("an algebra descriptor is required")
-        return _COMMANDS[args.subcommand](args, out)
+        command, _ = _COMMANDS[args.subcommand]
+        lines, code = command(args, parse_algebra(args.algebra))
+        _write(args.out, out, lines)
+        return code
     except SystemExit as exc:  # argparse's usage errors, --help
         return EXIT_USAGE if exc.code else EXIT_OK
     except (ParseError, OSError) as exc:

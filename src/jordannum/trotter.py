@@ -156,6 +156,30 @@ def _fit_slope(n_grid, errors):
     return float(slope)
 
 
+def _report(formula_id: str, n_grid: tuple, target: Element,
+            approx: Callable[[int], Element]) -> ConvergenceReport:
+    """Errors of approx(n) against target along the grid, with their slope.
+
+    Grid points where approx raises ``BranchCut`` are skipped and recorded;
+    fewer than four usable points raise ``InsufficientData``.
+    """
+    used, errors, skipped = [], [], []
+    for n in n_grid:
+        try:
+            errors.append((approx(n) - target).norm)
+        except BranchCut:
+            skipped.append(n)
+        else:
+            used.append(n)
+    if len(used) < 4:
+        raise InsufficientData(
+            f"only {len(used)} usable grid points after skipping {skipped}"
+        )
+    return ConvergenceReport(formula_id, tuple(used), tuple(errors),
+                             _fit_slope(used, errors), target.norm,
+                             tuple(skipped))
+
+
 def general_trotter(f: HolomorphicCurve, plan: SequencePlan,
                     n_grid: Sequence[int]) -> ConvergenceReport:
     """Evaluate f(lambda_n)^(mu_n) along the grid against exp(lambda f'(0)).
@@ -172,31 +196,8 @@ def general_trotter(f: HolomorphicCurve, plan: SequencePlan,
         raise ValueError("curve must satisfy f(0) = 1")
     deriv = derivative_at_zero(f, rho=0.5 * f.radius_r)
     target = exp(deriv * plan.limit_lambda)
-    tnorm = target.norm
-
-    used, errors, skipped = [], [], []
-    for n in n_grid:
-        lam = plan.lambda_seq(n)
-        mu = plan.mu_seq(n)
-        try:
-            approx = power_mu(f.eval(lam), mu)
-        except BranchCut:
-            skipped.append(n)
-            continue
-        used.append(n)
-        errors.append((approx - target).norm)
-    if len(used) < 4:
-        raise InsufficientData(
-            f"only {len(used)} usable grid points after skipping {skipped}"
-        )
-    return ConvergenceReport(
-        formula_id="general",
-        n_grid=tuple(used),
-        errors=tuple(errors),
-        fitted_slope=_fit_slope(used, errors),
-        target_norm=tnorm,
-        skipped=tuple(skipped),
-    )
+    return _report("general", n_grid, target, lambda n: power_mu(
+        f.eval(plan.lambda_seq(n)), plan.mu_seq(n)))
 
 
 def _matrix_of(x: Element) -> np.ndarray:
@@ -277,7 +278,5 @@ def convergence_report(formula_id: str, params: dict,
     if formula_id not in FORMULAE:
         raise ValueError(f"unknown formula id {formula_id!r}")
     _, exponent, product = FORMULAE[formula_id]
-    target = exp(exponent(params))
-    errors = tuple((product(params, n) - target).norm for n in n_grid)
-    return ConvergenceReport(formula_id, n_grid, errors,
-                             _fit_slope(n_grid, errors), target.norm)
+    return _report(formula_id, n_grid, exp(exponent(params)),
+                   lambda n: product(params, n))

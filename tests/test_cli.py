@@ -253,6 +253,46 @@ class TestConfig:
         assert code == 2
 
 
+class TestOut:
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--algebra", "spin:4", "--seed", "3", "--samples", "5"],
+        ["spectrum", "--algebra", "fn:3", "--element", "1,0,0,2,-5,0"],
+        ["trotter", "--algebra", "fn:2", "--n-grid", "16:512:2"],
+        ["functional", "--algebra", "fn:3", "--functional", "char:1",
+         "--samples", "6"],
+    ])
+    def test_out_file_holds_the_stdout_bytes(self, argv, tmp_path):
+        code, text = invoke(argv)
+        path = tmp_path / "report.txt"
+        out_code, out_text = invoke(argv + ["--out", str(path)])
+        assert (out_code, out_text) == (code, "")
+        assert path.read_bytes() == text.encode("utf-8")
+
+
+class TestFlagsPerSubcommand:
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--algebra", "fn:3", "--element", "1,0,0,2,-5,0",
+         "--seed", "1"],
+        ["spectrum", "--algebra", "fn:3", "--element", "1,0,0,2,-5,0",
+         "--samples", "3"],
+        ["trotter", "--algebra", "fn:2", "--samples", "3"],
+        ["validate", "--algebra", "fn:2", "--formula", "U_single"],
+    ])
+    def test_flag_the_subcommand_does_not_read_is_rejected(self, argv,
+                                                           capsys):
+        code, text = invoke(argv)
+        assert code == 2
+        assert text == ""
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_config_key_the_subcommand_does_not_read_is_ignored(self,
+                                                                tmp_path):
+        argv = ["trotter", "--algebra", "fn:2", "--n-grid", "16:512:2"]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("samples = 3\nelement = 1,0\n")
+        assert invoke(argv + ["--config", str(cfg)]) == invoke(argv)
+
+
 class TestUsageErrors:
     def test_no_algebra(self):
         code, _ = invoke(["validate"])

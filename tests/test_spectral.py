@@ -413,6 +413,47 @@ class TestSolveChecked:
         assert info.value.smallest_singular_value == pytest.approx(5e-11)
 
 
+class TestExtremeScales:
+    """Arnoldi runs on L_x scaled by a power of two into a safe range, so
+    x * s keeps the inverse and the spectrum of x far beyond the scales
+    where the squared norms of L_x's Krylov vectors overflow (1e200) or
+    underflow (1e-200)."""
+
+    SCALED = ["fn:2", "matrix:2", "spin:3", "matrix:3", "sum:fn:2+matrix:2"]
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    @pytest.mark.parametrize("desc", SCALED)
+    def test_inverse(self, desc, scale):
+        a = from_descriptor(desc)
+        x = random_element(a, np.random.default_rng(43)) + 2.0 * a.one()
+        want = inverse(x).coeffs
+        assert is_invertible(x * scale)
+        got = inverse(x * scale).coeffs * scale
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_singular_stays_singular(self, scale):
+        x = make_function_algebra(3).element([1, 0, 2]) * scale
+        assert not is_invertible(x)
+        with pytest.raises(NotInvertible):
+            inverse(x)
+
+    @pytest.mark.parametrize("desc", SCALED)
+    def test_spectrum(self, desc):
+        # only at 1e200: at 1e-200 every point lies within dedupe_tol's
+        # absolute floor of 1e-6 of every other, and they merge into one
+        x = random_element(from_descriptor(desc), np.random.default_rng(47))
+        want = [p * 1e200 for p in jordan_spectrum(x).points]
+        got = jordan_spectrum(x * 1e200).points
+        assert len(got) == len(want)
+        assert hausdorff(got, want) <= 1e-13 * 1e200
+
+    def test_zero_element(self):
+        zero = from_descriptor("matrix:2").zero()
+        assert jordan_spectrum(zero).points == (0.0,)
+        assert not is_invertible(zero)
+
+
 class TestUnboundedComponent:
     def test_outside_disk(self):
         s = SpectrumSet(points=(1, 2, 3), dedupe_tol=1e-6, spectral_radius=3.0)

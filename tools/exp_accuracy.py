@@ -25,8 +25,7 @@ exactly when their errors are the same, so an accuracy comparison is one
 ``spectrum`` 360 (60 per cap), ``log`` 200 inputs y = exp(x), 50 at each
 cap 0.5-3, ``inverse`` 160 inputs x, 40 at each cap 0.5-3, and ``path``
 the rows exp(t x), t = 0, 1/16, ..., 1, for two x per cap 0.01-5 (204
-rows): from ``calculus._exp_path`` where the tree has it, else from one
-``exp(x * t)`` call per row. A run takes 50-110 s on
+rows) from ``calculus._exp_path``. A run takes 50-110 s on
 one core of a 2-vCPU Intel Xeon, whose speed varies from minute to minute.
 ``contour`` takes the inputs of ``exp`` through the contour calculus,
 ``holomorphic_calculus(cmath.exp, x, Contour(0, 2 R + 1))`` with R the
@@ -49,7 +48,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import inspect
 import sys
 from pathlib import Path
 
@@ -188,10 +186,7 @@ def inverse_errors(jn, desc):
 
 
 def expm1(calculus, x):
-    """The coefficients of e^x - 1 by ``calculus._expm1``, which takes
-    (arg, algebra), or the Element in trees older than that signature."""
-    if len(inspect.signature(calculus._expm1).parameters) == 1:
-        return calculus._expm1(x)
+    """The coefficients of e^x - 1 by ``calculus._expm1``."""
     return calculus._expm1(x.coeffs, x.algebra)
 
 
@@ -213,10 +208,7 @@ def family_errors(jn, calculus, desc):
                                            reference(desc, x.coeffs, "expm1")))
         for _ in range(2):
             x = jn.random_element(a, rng, norm_cap=cap)
-            if hasattr(calculus, "_exp_path"):
-                rows = calculus._exp_path(x, PATH_TS)
-            else:
-                rows = [jn.exp(x * t).coeffs for t in PATH_TS]
+            rows = calculus._exp_path(x, PATH_TS)
             errs["path"] += [rel_error(row, reference(desc, t * x.coeffs,
                                                       "exp"))
                              for t, row in zip(PATH_TS, rows)]

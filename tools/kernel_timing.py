@@ -1,8 +1,7 @@
 """Per-call times of the algebra kernels, layer by layer, on one thread.
 
 For each family it prints one line: the dimension d, the number of stored
-structure entries where the tree keeps them (``-`` where it does not), and
-the best-of-N time per call, in microseconds, of
+structure entries, and the best-of-N time per call, in microseconds, of
 
 - ``product``: ``algebra._product`` of two coefficient vectors;
 - ``stack65``: ``_product`` of two stacks of 65 rows (a ψ path's size);
@@ -17,23 +16,20 @@ the best-of-N time per call, in microseconds, of
 
 Each time is the least over 9 repeats of the mean over a batch of calls
 sized to take at least 20 ms. BLAS is pinned to one thread before numpy is
-imported. At ``matrix:16`` a dense tree holds a 268 MB tensor. Two trees
-give comparable tables when run one after the other on the same machine:
+imported. Two trees give comparable tables when run one after the other on
+the same machine:
 
     python tools/kernel_timing.py > change.txt
     python tools/kernel_timing.py --src ../other/src > other.txt
 
 ``--src`` names the source directory to import ``jordannum`` from; the
-default is the ``src`` directory next to this script's parent. The kernels
-take the algebra where the tree stores entries and its dense tensor where
-it does not; the tool passes whichever the tree's ``_product`` names.
+default is the ``src`` directory next to this script's parent.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
-import inspect
 import os
 import sys
 import timeit
@@ -74,17 +70,15 @@ def kernels(jn, desc):
     w = x + 2.0 * a.one()
     contour = jn.Contour(0, 2 * jn.jordan_spectrum(x).spectral_radius + 1)
     ex = jn.exp(x)
-    dense = "structure" in inspect.signature(algebra._product).parameters
-    arg = a.structure if dense else a
 
     def build():
         jn.from_descriptor.cache_clear()
         return jn.from_descriptor(desc)
 
     return [
-        ("product", lambda: algebra._product(x.coeffs, y.coeffs, arg)),
-        ("stack65", lambda: algebra._product(xs, ys, arg)),
-        ("L_x", lambda: algebra._mult_matrix(x.coeffs, arg)),
+        ("product", lambda: algebra._product(x.coeffs, y.coeffs, a)),
+        ("stack65", lambda: algebra._product(xs, ys, a)),
+        ("L_x", lambda: algebra._mult_matrix(x.coeffs, a)),
         ("jordan_mul", lambda: jn.jordan_mul(x, y)),
         ("exp", lambda: jn.exp(x)),
         ("U_operator", lambda: jn.U_operator(x)),
@@ -110,10 +104,8 @@ def main(argv=None) -> int:
     print("family d entries " + " ".join(COLUMNS) + "  (us per call)")
     for desc in FAMILIES:
         calls, a = kernels(jn, desc)
-        entries = getattr(a, "_values", None)
         times = [best_us(fn) for _, fn in calls]
-        nnz = "-" if entries is None else str(entries.size)
-        print(f"{desc} {a.dim} {nnz} "
+        print(f"{desc} {a.dim} {a._values.size} "
               + " ".join(f"{t:.4g}" for t in times), flush=True)
         del calls, a
         jn.from_descriptor.cache_clear()
