@@ -21,6 +21,10 @@ the node count doubles, the old nodes are kept and only the midpoints are
 added, so each node is evaluated once (Trefethen & Weideman, SIAM Rev.
 2014). ``holomorphic_calculus`` solves the resolvents at each new set of
 nodes on the m x m compression H of L_a to C[a] (``algebra._generated``).
+``derivative_at_zero`` starts at the coarsest level whose aliasing bound
+(rho / R)^N, for a curve analytic on |z| < R, is within the rule's stop
+tolerance, from 16 nodes up to a cap of 64: 32 at rho = R / 2, so the
+first doubling that can stop it is 32 -> 64.
 """
 
 from __future__ import annotations
@@ -45,6 +49,8 @@ _THETA = (_SERIES_TOL * np.cumprod(_DEGREES + 1.0)
           * (1.0 - _ELL_LIMIT / (_DEGREES + 2.0))) ** (1.0 / _DEGREES)
 _BRANCH_CLEARANCE = 1e-8
 _MAX_CONTOUR_NODES = 8192
+# a doubling that moves the nested rule by at most this much, relative, ends it
+_QUADRATURE_TOL = 1e-9
 _CAUCHY_NODES = 64
 _MAX_SQRT_STEPS = 64
 # rows * d^2 of one chunk of _exp_path
@@ -76,6 +82,10 @@ class HolomorphicCurve:
 
     eval: Callable[[complex], Element]
     radius_r: float
+
+    def __post_init__(self):
+        if not self.radius_r > 0:  # inf is allowed: an entire curve
+            raise ValueError("curve radius_r must be positive and not NaN")
 
 
 def _scaled(arg: np.ndarray, algebra):
@@ -289,8 +299,9 @@ def _nested_trapezoid(sample: Callable[[np.ndarray], np.ndarray],
     rule takes ``nodes`` equispaced points; each doubling adds only the
     midpoints theta = 2 pi (k + 1/2) / n to the running sum, so every point
     is sampled once. The rule is accepted when a doubling moves it by at
-    most 1e-9 relative; ``name`` names it in the QuadratureError raised when
-    that does not happen below ``_MAX_CONTOUR_NODES`` points.
+    most ``_QUADRATURE_TOL`` relative; ``name`` names it in the
+    QuadratureError raised when that does not happen below
+    ``_MAX_CONTOUR_NODES`` points.
     """
     n = nodes
     total = sample(np.exp(2j * np.pi * np.arange(n) / n)).sum(axis=0)
@@ -300,7 +311,8 @@ def _nested_trapezoid(sample: Callable[[np.ndarray], np.ndarray],
             np.exp(2j * np.pi * (np.arange(n) + 0.5) / n)).sum(axis=0)
         n *= 2
         cur = total / n
-        if np.linalg.norm(cur - prev) <= 1e-9 * max(np.linalg.norm(cur), 1.0):
+        if (np.linalg.norm(cur - prev)
+                <= _QUADRATURE_TOL * max(np.linalg.norm(cur), 1.0)):
             return cur
         prev = cur
     raise QuadratureError(
@@ -349,11 +361,23 @@ def derivative_at_zero(f: HolomorphicCurve, rho: float) -> Element:
     """f'(0) by the Cauchy coefficient formula on the circle of radius rho.
 
     f'(0) = (1/2 pi i) * integral of f(z) / z^2 dz, by the nested trapezoid
-    rule from ``_CAUCHY_NODES`` points (``_nested_trapezoid``); ``f.eval``
-    is called once at each point of the accepted rule.
+    rule (``_nested_trapezoid``); ``f.eval`` is called once at each point of
+    the accepted rule. For f analytic on |z| < R = ``f.radius_r``, the
+    N-point rule errs by O((rho / R)^N) (Trefethen & Weideman, SIAM Rev.
+    2014), so the first level is the least power of two N_0 >= 16 with
+    (rho / R)^N_0 <= ``_QUADRATURE_TOL``, capped at ``_CAUCHY_NODES``: 32
+    at rho = R / 2, and 64 once rho / R > 1e-9^(1/32) = 0.523. The first
+    rule that can be accepted has 2 N_0 points, so below the cap its
+    aliasing bound (rho / R)^(2 N_0) <= 1e-18 is at rounding level. Where
+    the bound asks for more, the rule starts at 64 and doubles as before:
+    a larger first level sums in fewer, larger batches and rounds worse.
     """
-    if rho <= 0 or rho >= f.radius_r:
-        raise ValueError("sampling radius must lie in (0, radius_r)")
+    if not (0 < rho < f.radius_r) or not np.isfinite(rho):
+        raise ValueError("sampling radius must be finite and in (0, radius_r)")
+    ratio = rho / f.radius_r
+    nodes = 16
+    while ratio ** nodes > _QUADRATURE_TOL and nodes < _CAUCHY_NODES:
+        nodes *= 2
     first = None
 
     def sample(w):
@@ -365,7 +389,7 @@ def derivative_at_zero(f: HolomorphicCurve, rho: float) -> Element:
             _same_algebra(first, v)
         return np.array([v.coeffs for v in values]) / (rho * w)[:, None]
 
-    coeffs = _nested_trapezoid(sample, _CAUCHY_NODES, "Cauchy")
+    coeffs = _nested_trapezoid(sample, nodes, "Cauchy")
     return Element(first.algebra, coeffs)
 
 

@@ -504,6 +504,12 @@ class TestHolomorphicCalculus:
                 Contour(center, radius)
 
 
+def pole_curve(x, radius):
+    """z -> 1 + x z / (1 - z / radius): f'(0) = x, a pole at z = radius."""
+    one = x.algebra.one()
+    return lambda z: one + x * (complex(z) / (1.0 - complex(z) / radius))
+
+
 class TestDerivativeAtZero:
     def test_constant_curve(self):
         a = from_descriptor("matrix:2")
@@ -519,7 +525,8 @@ class TestDerivativeAtZero:
         assert (got - x).norm <= 1e-9 * max(x.norm, 1.0)
 
     def test_curve_evaluated_once_per_node(self):
-        # accepted at 128 nodes; summing each rule afresh made 64 + 128 calls
+        # rho / R = 1/4: the rule starts at 16 nodes and is accepted at 32;
+        # summing each rule afresh would make 16 + 32 calls
         a = from_descriptor("spin:3")
         x = random_element(a, np.random.default_rng(113))
         nodes = []
@@ -529,7 +536,84 @@ class TestDerivativeAtZero:
             return exp(x * z)
 
         derivative_at_zero(HolomorphicCurve(curve, radius_r=2.0), rho=0.5)
-        assert len(nodes) == len(set(nodes)) == 128
+        assert len(nodes) == len(set(nodes)) == 32
+
+    @pytest.mark.parametrize("ratio, pole, count", [
+        (0.5, False, 64),   # starts at 32
+        (0.9, True, 512),   # starts at the cap, 64, and doubles three times
+    ])
+    def test_evaluation_count(self, ratio, pole, count):
+        a = from_descriptor("spin:3")
+        x = random_element(a, np.random.default_rng(113))
+        nodes = []
+
+        def curve(z):
+            nodes.append(z)
+            return pole_curve(x, 2.0)(z) if pole else exp(x * z)
+
+        got = derivative_at_zero(HolomorphicCurve(curve, radius_r=2.0),
+                                 rho=2.0 * ratio)
+        assert len(nodes) == len(set(nodes)) == count
+        assert (got - x).norm <= 1e-14 * x.norm
+
+    @pytest.mark.parametrize("ratio", [0.73, 0.8, 0.9, 0.95])
+    def test_capped_start_is_the_64_node_rule(self, ratio):
+        # where (rho / R)^32 > 1e-9 the rule starts at 64 nodes, as it always
+        # did, so the result is bitwise that rule's
+        from jordannum.calculus import _nested_trapezoid
+        a = from_descriptor("spin:3")
+        x = random_element(a, np.random.default_rng(131))
+        curve = pole_curve(x, 1.0)
+
+        def sample(w):
+            return (np.array([curve(ratio * z).coeffs for z in w])
+                    / (ratio * w)[:, None])
+
+        got = derivative_at_zero(HolomorphicCurve(curve, radius_r=1.0),
+                                 rho=ratio)
+        assert np.array_equal(got.coeffs,
+                              _nested_trapezoid(sample, 64, "Cauchy"))
+
+    @pytest.mark.parametrize("desc", ["spin:3", "matrix:3", "fn:5"])
+    def test_pole_at_radius(self, desc):
+        # 1 + x z / (1 - z / R) is analytic on |z| < R only; at rho = R / 2
+        # the rule starts at 32 nodes and stops at 64
+        a = from_descriptor(desc)
+        rng = np.random.default_rng(137)
+        for _ in range(5):
+            x = random_element(a, rng)
+            f = HolomorphicCurve(pole_curve(x, 1.5), radius_r=1.5)
+            got = derivative_at_zero(f, rho=0.75)
+            assert (got - x).norm <= 1e-14 * x.norm
+
+    @pytest.mark.parametrize("radius", [np.nan, 0.0, -1.0])
+    def test_radius_validation(self, radius):
+        # a NaN radius reached the curve as z = NaN and failed inside it
+        a = from_descriptor("fn:2")
+        with pytest.raises(ValueError, match="radius_r"):
+            HolomorphicCurve(lambda z: a.one(), radius_r=radius)
+
+    def test_entire_curve(self):
+        # radius_r = inf: rho / R = 0, so the rule starts at 16 nodes
+        a = from_descriptor("fn:2")
+        x = a.element([0.3, -0.2])
+        f = HolomorphicCurve(lambda z: exp(x * z), radius_r=np.inf)
+        assert (derivative_at_zero(f, rho=1.0) - x).norm <= 1e-15
+        with pytest.raises(ValueError, match="finite"):
+            derivative_at_zero(f, rho=np.inf)
+
+    def test_nan_rho_rejected_before_the_curve_is_called(self):
+        a = from_descriptor("fn:2")
+        nodes = []
+
+        def curve(z):
+            nodes.append(z)
+            return a.one()
+
+        with pytest.raises(ValueError, match="sampling radius"):
+            derivative_at_zero(HolomorphicCurve(curve, radius_r=1.0),
+                               rho=np.nan)
+        assert nodes == []
 
     def test_product_curve_and_finite_difference(self):
         a = from_descriptor("matrix:2")

@@ -30,6 +30,11 @@ one core of a 2-vCPU Intel Xeon, whose speed varies from minute to minute.
 ``contour`` takes the inputs of ``exp`` through the contour calculus,
 ``holomorphic_calculus(cmath.exp, x, Contour(0, 2 R + 1))`` with R the
 spectral radius of x.
+The three ``cauchy`` lines take ``derivative_at_zero`` against the exact
+f'(0) = x, for 198 x at caps 0.01-5, on curves given with radius_r = R =
+2: ``cauchy_exp0.5`` is exp(x z) at rho = R / 2, and ``cauchy_pole0.5``
+and ``cauchy_pole0.9`` are 1 + x z / (1 - z / R), which has a pole at R,
+at rho = R / 2 and 0.9 R. They add about 25 s to a run.
 ``matrix:8`` prints only ``exp`` and ``spectrum`` lines, on 25 inputs per
 cap 0.01-5 (150 each, seeded as the other families' lines are); its
 40-digit references make these lines take about 25 s.
@@ -67,6 +72,7 @@ LOG_PER_CAP = 50
 INV_PER_CAP = 40
 PATH_TS = np.linspace(0.0, 1.0, 17)
 RESCALE = 100
+CAUCHY_R = 2.0
 
 
 def _blocks(desc):
@@ -220,6 +226,32 @@ def family_errors(jn, calculus, desc):
     return errs
 
 
+def cauchy_errors(jn, desc):
+    """Relative errors of derivative_at_zero against f'(0) = x on one
+    family."""
+    a = jn.from_descriptor(desc)
+    one = a.one()
+    rng = np.random.default_rng(233)
+    errs = {"cauchy_exp0.5": [], "cauchy_pole0.5": [], "cauchy_pole0.9": []}
+    for cap in CAPS:
+        for _ in range(PER_CAP):
+            x = jn.random_element(a, rng, norm_cap=cap)
+            want = [mpmath.mpc(complex(v)) for v in x.coeffs]
+
+            def pole(z, x=x):
+                return one + x * (complex(z) / (1.0 - complex(z) / CAUCHY_R))
+
+            for name, curve, ratio in (
+                    ("cauchy_exp0.5", lambda z, x=x: jn.exp(x * z), 0.5),
+                    ("cauchy_pole0.5", pole, 0.5),
+                    ("cauchy_pole0.9", pole, 0.9)):
+                got = jn.derivative_at_zero(
+                    jn.HolomorphicCurve(curve, radius_r=CAUCHY_R),
+                    rho=ratio * CAUCHY_R)
+                errs[name].append(rel_error(got.coeffs, want))
+    return errs
+
+
 def exp_errors(jn, desc, per_cap):
     """Relative errors of exp alone on one family."""
     a = jn.from_descriptor(desc)
@@ -286,6 +318,7 @@ def main(argv=None) -> int:
         errors = family_errors(jn, calculus, desc)
         errors["spectrum"] = spectrum_errors(jn, desc)
         errors["inverse"] = inverse_errors(jn, desc)
+        errors.update(cauchy_errors(jn, desc))
         _print_lines(desc, errors)
     for desc, per_cap in LARGE.items():
         _print_lines(desc, {"exp": exp_errors(jn, desc, per_cap),

@@ -12,12 +12,17 @@ structure entries, and the best-of-N time per call, in microseconds, of
 - ``contour``: ``holomorphic_calculus(cmath.exp, x, Contour(0, 2R + 1))``,
   R the spectral radius of x;
 - ``log``: ``log(exp(x))``, with exp(x) taken once before the timing;
+- ``cauchy``: ``derivative_at_zero`` of the curve z -> exp(x z), given
+  with radius_r = 2, at rho = 1;
 - ``build``: ``from_descriptor`` with its cache cleared first.
 
 Each time is the least over 9 repeats of the mean over a batch of calls
-sized to take at least 20 ms. BLAS is pinned to one thread before numpy is
-imported. Two trees give comparable tables when run one after the other on
-the same machine:
+sized to take at least 20 ms, at reference speed: the batch's wall time is
+scaled by the ``small`` calibration loop of ``perfbench/speed.py``, run
+right before and right after it (and inside it every 0.1 s), as the
+benchmark scales its experiments. BLAS is pinned to one thread before numpy
+is imported. Two trees give comparable tables when run one after the other
+on the same machine:
 
     python tools/kernel_timing.py > change.txt
     python tools/kernel_timing.py --src ../other/src > other.txt
@@ -40,22 +45,27 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from speed import Speed  # noqa: E402
+
 FAMILIES = ["fn:5", "spin:4", "matrix:2", "matrix:3", "matrix:4",
             "matrix:8", "matrix:10", "matrix:12", "matrix:16"]
 COLUMNS = ["product", "stack65", "L_x", "jordan_mul", "exp", "U_operator",
            "spectrum", "inverse", "is_invertible", "resolvent", "contour",
-           "log", "build"]
+           "log", "cauchy", "build"]
 REPEAT = 9
 MIN_BATCH_S = 0.02
 
 
-def best_us(fn):
-    """Least mean time per call, in microseconds, over ``REPEAT`` batches."""
+def best_us(fn, speed):
+    """Least mean time per call at reference speed, in microseconds, over
+    ``REPEAT`` batches."""
     timer = timeit.Timer(fn)
     number = 1
     while timer.timeit(number) < MIN_BATCH_S:
         number *= 2
-    return 1e6 * min(timer.repeat(repeat=REPEAT, number=number)) / number
+    return 1e6 * min(speed.timed(lambda: timer.timeit(number))[2]
+                     for _ in range(REPEAT)) / number
 
 
 def kernels(jn, desc):
@@ -69,6 +79,7 @@ def kernels(jn, desc):
               for _ in range(2))
     w = x + 2.0 * a.one()
     contour = jn.Contour(0, 2 * jn.jordan_spectrum(x).spectral_radius + 1)
+    curve = jn.HolomorphicCurve(lambda z: jn.exp(x * z), radius_r=2.0)
     ex = jn.exp(x)
 
     def build():
@@ -88,6 +99,7 @@ def kernels(jn, desc):
         ("resolvent", lambda: jn.resolvent(x, 3.0)),
         ("contour", lambda: jn.holomorphic_calculus(cmath.exp, x, contour)),
         ("log", lambda: jn.log(ex)),
+        ("cauchy", lambda: jn.derivative_at_zero(curve, 1.0)),
         ("build", build),
     ], a
 
@@ -101,10 +113,12 @@ def main(argv=None) -> int:
     sys.path.insert(0, args.src)
     import jordannum as jn
 
-    print("family d entries " + " ".join(COLUMNS) + "  (us per call)")
+    speed = Speed("small")
+    print("family d entries " + " ".join(COLUMNS)
+          + "  (us per call at reference speed)")
     for desc in FAMILIES:
         calls, a = kernels(jn, desc)
-        times = [best_us(fn) for _, fn in calls]
+        times = [best_us(fn, speed) for _, fn in calls]
         print(f"{desc} {a.dim} {a._values.size} "
               + " ".join(f"{t:.4g}" for t in times), flush=True)
         del calls, a
