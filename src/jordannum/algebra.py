@@ -8,7 +8,8 @@ output (``np.add.reduceat``), and no step builds or scans the dense d^3
 tensor unless a caller hands one in or asks for ``.structure``. Elements
 are coefficient vectors against the basis; every family (matrix, spin
 factor, function algebra, direct sums) goes through the same generic
-product path.
+product path. The ``family:n`` format is known only here: ``_FAMILIES``
+builds each family, and ``_family_size`` checks entries, not just labels.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import AlgebraMismatch, ParseError, StructureError
+from .errors import (AlgebraMismatch, ParseError, StructureError,
+                     UnsupportedAlgebra)
 
 _JORDAN_ID_TOL = 1e-12
 _UNIT_TOL = 1e-12
@@ -448,9 +450,13 @@ def make_direct_sum(a: AlgebraSpec, b: AlgebraSpec) -> AlgebraSpec:
 # ---------------------------------------------------------------------------
 # Descriptor grammar: matrix:<n> | spin:<k> | fn:<k> | sum:<desc>+<desc>
 
+_FAMILIES = {"matrix": make_matrix_jordan, "spin": make_spin_factor,
+             "fn": make_function_algebra}
+
 
 def _parse_size(text, offset):
-    if not text or not text.isdigit():
+    # isdecimal, not isdigit: int() refuses digits such as "²"
+    if not text or not text.isdecimal():
         raise ParseError(f"expected a positive integer, got {text!r}", offset)
     n = int(text)
     if n < 1:
@@ -465,18 +471,11 @@ def from_descriptor(descriptor: str) -> AlgebraSpec:
 
 
 def _parse_descriptor(descriptor: str, base: int) -> AlgebraSpec:
-    if descriptor.startswith("matrix:"):
-        n = _parse_size(descriptor[7:], base + 7)
-        return make_matrix_jordan(n)
-    if descriptor.startswith("spin:"):
-        n = _parse_size(descriptor[5:], base + 5)
-        return make_spin_factor(n)
-    if descriptor.startswith("fn:"):
-        n = _parse_size(descriptor[3:], base + 3)
-        return make_function_algebra(n)
-    if descriptor.startswith("sum:"):
-        body = descriptor[4:]
-        parts = body.split("+")
+    kind, colon, rest = descriptor.partition(":")
+    if colon and kind in _FAMILIES:
+        return _FAMILIES[kind](_parse_size(rest, base + len(kind) + 1))
+    if colon and kind == "sum":
+        parts = rest.split("+")
         if len(parts) < 2:
             raise ParseError("sum needs at least two summands", base + 4)
         offset = base + 4
@@ -489,6 +488,21 @@ def _parse_descriptor(descriptor: str, base: int) -> AlgebraSpec:
             out = make_direct_sum(out, nxt)
         return out
     raise ParseError(f"unknown algebra family in {descriptor!r}", base)
+
+
+def _family_size(algebra: AlgebraSpec, family: str, what: str) -> int:
+    """n if ``algebra`` equals ``family:n`` entry by entry, as a relabelled or
+    rescaled tensor does not. n <= dim in every family, so no longer size is
+    parsed and no larger algebra is built."""
+    label = algebra.label
+    kind, _, size = label.partition(":")
+    if (kind == family and size.isdecimal()
+            and len(size) <= len(str(algebra.dim))
+            and 0 < int(size) <= algebra.dim
+            and algebra == from_descriptor(label)):
+        return int(size)
+    raise UnsupportedAlgebra(
+        f"{what} requires a {family} algebra, got {label!r}")
 
 
 def random_element(algebra: AlgebraSpec, rng: np.random.Generator,

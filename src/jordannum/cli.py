@@ -17,16 +17,11 @@ from . import algebra as alg
 from . import functionals as fn
 from . import spectral
 from . import trotter
-from .errors import JordanNumError, ParseError
+from .errors import JordanNumError, ParseError, UnsupportedAlgebra
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
-
-
-def parse_algebra(descriptor: str) -> alg.AlgebraSpec:
-    """Parse ``matrix:<n> | spin:<k> | fn:<k> | sum:<desc>+<desc>``."""
-    return alg.from_descriptor(descriptor)
 
 
 def _parse_element(algebra: alg.AlgebraSpec, text: str) -> alg.Element:
@@ -164,9 +159,10 @@ def _builtin_functional(name: str, algebra: alg.AlgebraSpec):
         return fn.FunctionalHandle(
             lambda x: complex(x.coeffs[idx]) ** 2, label=name)
     if name == "trace":
-        if not algebra.label.startswith("matrix:"):
-            raise ParseError("trace functional requires a matrix algebra")
-        n = int(algebra.label.split(":")[1])
+        try:
+            n = alg._family_size(algebra, "matrix", "trace functional")
+        except UnsupportedAlgebra as exc:
+            raise ParseError(str(exc)) from exc
         diag = [i * n + i for i in range(n)]
         return fn.FunctionalHandle(
             lambda x: complex(sum(x.coeffs[i] for i in diag)) / n,
@@ -296,7 +292,7 @@ def run(argv=None, out=None) -> int:
         if not args.algebra:
             raise ParseError("an algebra descriptor is required")
         command, _ = _COMMANDS[args.subcommand]
-        lines, code = command(args, parse_algebra(args.algebra))
+        lines, code = command(args, alg.from_descriptor(args.algebra))
         _write(args.out, out, lines)
         return code
     except SystemExit as exc:  # argparse's usage errors, --help

@@ -14,12 +14,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import (AlgebraSpec, Element, U_operator, jordan_mul,
-                      random_element)
+from .algebra import (AlgebraSpec, Element, U_operator, _family_size,
+                      jordan_mul, random_element)
 from .calculus import _exp_path, exp
 from .errors import (BranchTrackingFailed, JordanNumError, NotSelfAdjoint,
-                     NotUMultiplicative, UnsupportedAlgebra, ZeroFunctional,
-                     ZeroOnPath)
+                     NotUMultiplicative, ZeroFunctional, ZeroOnPath)
 from .spectral import is_invertible, jordan_spectrum
 
 _MIN_STEPS = 64
@@ -74,11 +73,7 @@ class CharacterReport:
 
 def characters(algebra: AlgebraSpec) -> list[FunctionalHandle]:
     """The coordinate-evaluation characters of a function algebra C^k."""
-    if not algebra.label.startswith("fn:"):
-        raise UnsupportedAlgebra(
-            f"characters are enumerated only for fn algebras, got "
-            f"{algebra.label!r}"
-        )
+    _family_size(algebra, "fn", "characters")
 
     def make(i):
         return FunctionalHandle(lambda x, i=i: complex(x.coeffs[i]),
@@ -211,12 +206,7 @@ def affine_resolvent_check(f: FunctionalHandle, psi_x: complex, x: Element,
 
 def pos_neg_parts(x: Element) -> tuple[Element, Element]:
     """Orthogonal positive/negative parts of a Hermitian matrix element."""
-    label = x.algebra.label
-    if not label.startswith("matrix:"):
-        raise UnsupportedAlgebra(
-            f"pos_neg_parts requires a matrix algebra, got {label!r}"
-        )
-    n = int(label.split(":")[1])
+    n = _family_size(x.algebra, "matrix", "pos_neg_parts")
     m = x.coeffs.reshape(n, n)
     if np.linalg.norm(m - m.conj().T) > 1e-10:
         raise NotSelfAdjoint("element is not Hermitian")

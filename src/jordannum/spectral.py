@@ -42,10 +42,10 @@ class SpectrumSet:
         return min(abs(z - p) for p in self.points)
 
 
-def is_invertible(a: Element, cond_tol: float = DEFAULT_COND_TOL) -> bool:
-    """True iff the smallest singular value of H clears cond_tol relatively."""
+def is_invertible(a: Element) -> bool:
+    """True iff H's least singular value clears DEFAULT_COND_TOL relatively."""
     s = np.linalg.svd(_generated(a)[1], compute_uv=False)
-    return bool(s[-1] > cond_tol * s[0])
+    return bool(s[-1] > DEFAULT_COND_TOL * s[0])
 
 
 def _solve_checked(ops: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -34,10 +34,10 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.linalg
 
-from .algebra import Element, _power, _product, _same_algebra
+from .algebra import Element, _family_size, _power, _product, _same_algebra
 from .calculus import (HolomorphicCurve, _expm1, derivative_at_zero, exp,
                        power_mu)
-from .errors import BranchCut, InsufficientData, UnsupportedAlgebra
+from .errors import BranchCut, InsufficientData
 
 ERROR_FLOOR = 1e-12
 
@@ -186,7 +186,8 @@ def general_trotter(f: HolomorphicCurve, plan: SequencePlan,
 
     The grid must pass ``check_grid``. Grid points where the principal-log
     precondition fails are skipped and recorded; the limit statement only
-    holds for sufficiently large n.
+    holds for sufficiently large n. f'(0) is sampled at rho = R / 2, or at
+    rho = 1 for an entire curve (``radius_r`` R = inf).
     """
     n_grid = check_grid(n_grid)
     plan.check_on_grid(n_grid)
@@ -194,19 +195,15 @@ def general_trotter(f: HolomorphicCurve, plan: SequencePlan,
     one = f0.algebra.one()
     if (f0 - one).norm > 1e-12:
         raise ValueError("curve must satisfy f(0) = 1")
-    deriv = derivative_at_zero(f, rho=0.5 * f.radius_r)
+    rho = 0.5 * f.radius_r if np.isfinite(f.radius_r) else 1.0
+    deriv = derivative_at_zero(f, rho=rho)
     target = exp(deriv * plan.limit_lambda)
     return _report("general", n_grid, target, lambda n: power_mu(
         f.eval(plan.lambda_seq(n)), plan.mu_seq(n)))
 
 
 def _matrix_of(x: Element) -> np.ndarray:
-    label = x.algebra.label
-    if not label.startswith("matrix:"):
-        raise UnsupportedAlgebra(
-            f"associative identity requires a matrix algebra, got {label!r}"
-        )
-    n = int(label.split(":")[1])
+    n = _family_size(x.algebra, "matrix", "associative identity")
     return x.coeffs.reshape(n, n)
 
 

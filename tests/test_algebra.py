@@ -8,6 +8,8 @@ from jordannum import (
     AlgebraSpec,
     U_operator,
     U_pair_operator,
+    associative_identity_check,
+    characters,
     exp,
     from_descriptor,
     jordan_mul,
@@ -18,10 +20,12 @@ from jordannum import (
     make_matrix_jordan,
     make_spin_factor,
     mult_operator,
+    pos_neg_parts,
     random_element,
 )
 from jordannum.algebra import Element, _generated, _mult_matrix, _product
-from jordannum.errors import AlgebraMismatch, ParseError, StructureError
+from jordannum.errors import (AlgebraMismatch, ParseError, StructureError,
+                              UnsupportedAlgebra)
 from test_basis_change import algebra
 
 FAMILIES = ["matrix:2", "matrix:3", "spin:4", "fn:5", "sum:fn:2+matrix:2"]
@@ -231,7 +235,7 @@ class TestDescriptor:
         assert from_descriptor("sum:fn:2+spin:3").dim == 6
 
     @pytest.mark.parametrize("bad", ["matrix:0", "fn:", "spin:-1", "cube:2",
-                                     "sum:fn:2"])
+                                     "sum:fn:2", "fn:\u00b2"])
     def test_rejects(self, bad):
         with pytest.raises(ParseError):
             from_descriptor(bad)
@@ -240,6 +244,59 @@ class TestDescriptor:
         with pytest.raises(ParseError) as err:
             from_descriptor("sum:fn:2+cube:3")
         assert err.value.offset == 9
+
+
+class TestFamilyChecks:
+    """The family operations read the entries, not only the label."""
+
+    def test_permuted_matrix_basis_refused(self):
+        # matrix:2 in the basis E11, E22, E12, E21, under its old label
+        m2, p = from_descriptor("matrix:2"), [0, 3, 1, 2]
+        a = AlgebraSpec(4, m2.structure[np.ix_(p, p, p)], m2.unit[p],
+                        "matrix:2")
+        x = a.element([1.0, 2.0, 2.0, -1.0])
+        with pytest.raises(UnsupportedAlgebra, match="matrix:2"):
+            pos_neg_parts(x)
+        with pytest.raises(UnsupportedAlgebra, match="matrix:2"):
+            associative_identity_check(x, a.one(), 4)
+
+    def test_rescaled_matrix_refused(self):
+        m2 = from_descriptor("matrix:2")
+        a = AlgebraSpec(4, m2.structure * 100, m2.unit / 100, "matrix:2x100")
+        with pytest.raises(UnsupportedAlgebra, match="matrix:2x100"):
+            pos_neg_parts(a.one())
+        with pytest.raises(UnsupportedAlgebra, match="matrix:2x100"):
+            associative_identity_check(a.one(), a.one(), 4)
+
+    def test_spin_labelled_fn_refused(self):
+        s2 = from_descriptor("spin:2")
+        with pytest.raises(UnsupportedAlgebra, match="fn:3"):
+            characters(AlgebraSpec(3, s2.structure, s2.unit, "fn:3"))
+
+    @pytest.mark.parametrize("label", [
+        "fn:3", "fn:02", "fn:\u00b2", "fn", "spin:1",
+        pytest.param("fn:" + "9" * 5000, id="fn:9x5000")])
+    def test_mislabelled_fn_refused_without_a_build(self, label):
+        # a size above the dimension is refused before any algebra is built
+        f2 = from_descriptor("fn:2")
+        a = AlgebraSpec(2, f2.structure, f2.unit, label)
+        misses = from_descriptor.cache_info().misses
+        with pytest.raises(UnsupportedAlgebra):
+            characters(a)
+        assert from_descriptor.cache_info().misses == misses
+
+    def test_equal_entries_accepted(self):
+        m2, f3 = from_descriptor("matrix:2"), from_descriptor("fn:3")
+        a = AlgebraSpec(4, m2.structure, m2.unit, "matrix:2")
+        b = AlgebraSpec(3, f3.structure, f3.unit, "fn:3")
+        assert a is not m2 and b is not f3
+        x = a.element([2.0, 0.0, 0.0, -3.0])
+        pos, neg = pos_neg_parts(x)
+        assert np.allclose(pos.coeffs, [2.0, 0.0, 0.0, 0.0], atol=1e-12)
+        assert np.allclose(neg.coeffs, [0.0, 0.0, 0.0, 3.0], atol=1e-12)
+        assert associative_identity_check(x, a.one(), 4) <= 1e-10
+        assert [f.label for f in characters(b)] == ["char:0", "char:1",
+                                                    "char:2"]
 
 
 class TestProducts:

@@ -4,8 +4,8 @@ import io
 
 import pytest
 
-from jordannum import ParseError
-from jordannum.cli import parse_algebra, run
+from jordannum import ParseError, from_descriptor
+from jordannum.cli import run
 
 
 def invoke(argv):
@@ -23,19 +23,19 @@ def parse_points(text):
 
 class TestParseAlgebra:
     def test_families(self):
-        assert parse_algebra("matrix:3").dim == 9
-        assert parse_algebra("spin:4").dim == 5
-        assert parse_algebra("fn:6").dim == 6
-        assert parse_algebra("sum:fn:2+matrix:2").dim == 6
+        assert from_descriptor("matrix:3").dim == 9
+        assert from_descriptor("spin:4").dim == 5
+        assert from_descriptor("fn:6").dim == 6
+        assert from_descriptor("sum:fn:2+matrix:2").dim == 6
 
     def test_three_summands(self):
-        assert parse_algebra("sum:fn:1+fn:1+spin:2").dim == 5
+        assert from_descriptor("sum:fn:1+fn:1+spin:2").dim == 5
 
     @pytest.mark.parametrize("bad", ["matrix:0", "cube:3", "matrix",
                                      "sum:fn:2", "fn:-1", ""])
     def test_rejects(self, bad):
         with pytest.raises(ParseError):
-            parse_algebra(bad)
+            from_descriptor(bad)
 
 
 class TestValidate:
@@ -184,6 +184,13 @@ class TestFunctional:
                              "--functional", "trace", "--samples", "20"])
         assert code == 1
         assert "passed=False" in text
+
+    def test_trace_needs_a_matrix_algebra(self, capsys):
+        code, text = invoke(["functional", "--algebra", "fn:3",
+                             "--functional", "trace"])
+        assert code == 2
+        assert text == ""
+        assert "requires a matrix algebra" in capsys.readouterr().err
 
     def test_zero_samples_rejected(self, capsys):
         code, text = invoke(["functional", "--algebra", "fn:3",

@@ -315,6 +315,15 @@ class TestGeneralTrotter:
         rep = general_trotter(f, plan, geometric_grid())
         assert all(e <= 1e-8 for e in rep.errors)
 
+    def test_entire_curve(self):
+        # radius_r = inf: f'(0) is sampled at rho = 1
+        a = from_descriptor("fn:2")
+        x = a.element([0.3 - 0.1j, -0.7])
+        f = HolomorphicCurve(lambda z: exp(x * z), radius_r=np.inf)
+        plan = SequencePlan(lambda n: 1.0 / n, lambda n: float(n), 1.0)
+        rep = general_trotter(f, plan, geometric_grid())
+        assert rep.exact
+
     def test_remark_curve(self):
         a = from_descriptor("matrix:2")
         rng = np.random.default_rng(223)

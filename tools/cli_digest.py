@@ -44,6 +44,11 @@ INVOCATIONS = _TROTTER + [
     ["functional", "--algebra", "fn:4", "--functional", "negchar:0"],
     ["validate", "--algebra", "matrix:3", "--seed", "1", "--samples", "10"],
     ["spectrum", "--algebra", "matrix:2", "--element", "1,0,2,0,0,0,1,0"],
+    # usage errors: exit 2 with nothing on stdout
+    ["functional", "--algebra", "fn:3", "--functional", "trace"],
+    ["validate", "--algebra", "matrix:0"],
+    ["validate", "--algebra", "ring:2"],
+    ["validate", "--algebra", "sum:fn:2"],
 ]
 
 
