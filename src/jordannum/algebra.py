@@ -458,7 +458,10 @@ def _parse_size(text, offset):
     # isdecimal, not isdigit: int() refuses digits such as "²"
     if not text or not text.isdecimal():
         raise ParseError(f"expected a positive integer, got {text!r}", offset)
-    n = int(text)
+    try:
+        n = int(text)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise ParseError(f"size too big ({len(text)} digits)", offset) from None
     if n < 1:
         raise ParseError(f"size must be positive, got {n}", offset)
     return n

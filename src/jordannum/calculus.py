@@ -48,6 +48,7 @@ _DEGREES = np.arange(1.0, 41.0)
 _THETA = (_SERIES_TOL * np.cumprod(_DEGREES + 1.0)
           * (1.0 - _ELL_LIMIT / (_DEGREES + 2.0))) ** (1.0 / _DEGREES)
 _BRANCH_CLEARANCE = 1e-8
+_CONTOUR_NODES = 256  # holomorphic_calculus's first rule
 _MAX_CONTOUR_NODES = 8192
 # a doubling that moves the nested rule by at most this much, relative, ends it
 _QUADRATURE_TOL = 1e-9
@@ -61,19 +62,16 @@ _RESOLVENT_BATCH = 64
 
 @dataclass(frozen=True)
 class Contour:
-    """A circle |zeta - center| = radius discretized with ``nodes`` points."""
+    """The circle |zeta - center| = radius."""
 
     center: complex
     radius: float
-    nodes: int = 256
 
     def __post_init__(self):
         if not np.isfinite([self.center, self.radius]).all():
             raise ValueError("contour center and radius must be finite")
         if self.radius <= 0:
             raise ValueError("contour radius must be positive")
-        if self.nodes < 32 or self.nodes % 2:
-            raise ValueError("contour node count must be even and >= 32")
 
 
 @dataclass(frozen=True)
@@ -327,7 +325,7 @@ def holomorphic_calculus(h: Callable[[complex], complex], a: Element,
     Each resolvent lies in C[a]: with L_a Q = Q H (``algebra._generated``),
     (z*1 - a)^{-1} = Q (zI - H)^{-1} |1| e_1; the ContourViolation check
     takes the spectrum from the same H. The nested trapezoid rule
-    (``_nested_trapezoid``), from ``contour.nodes`` points and doubled until
+    (``_nested_trapezoid``), from ``_CONTOUR_NODES`` points and doubled until
     stable, calls h once at each point of the accepted rule and solves the
     m x m systems of each new set of points in batches of at most
     ``_RESOLVENT_BATCH``; ``spectral._solve_checked`` refuses a singular one.
@@ -353,7 +351,7 @@ def holomorphic_calculus(h: Callable[[complex], complex], a: Element,
                                              _RESOLVENT_BATCH))]
         return (hz * offs)[:, None] * np.concatenate(ys)
 
-    y = _nested_trapezoid(sample, contour.nodes, "contour")
+    y = _nested_trapezoid(sample, _CONTOUR_NODES, "contour")
     return Element(a.algebra, q @ y)
 
 

@@ -17,7 +17,8 @@ from . import algebra as alg
 from . import functionals as fn
 from . import spectral
 from . import trotter
-from .errors import JordanNumError, ParseError, UnsupportedAlgebra
+from .errors import (JordanNumError, NotUMultiplicative, ParseError,
+                     UnsupportedAlgebra, ZeroFunctional)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -174,16 +175,15 @@ def _cmd_functional(args, algebra):
     if not args.functional:
         raise ParseError("functional subcommand requires --functional")
     handle = _builtin_functional(args.functional, algebra)
+    try:  # the dichotomy: f(1) = -1 puts -f under the theory
+        sign_flipped = fn.unit_sign(handle, algebra) == -1
+    except (ZeroFunctional, NotUMultiplicative):  # the vetting reports these
+        sign_flipped = False
+    if sign_flipped:
+        handle = fn.FunctionalHandle(lambda x, f=handle: -f(x),
+                                     label=f"-({handle.label})")
     report = fn.verify_character_theorem(
         handle, algebra, seed=args.seed, n_samples=args.samples)
-
-    sign_flipped = False
-    if any("unit sign is -1" in msg for msg in report.failures):
-        flipped = fn.FunctionalHandle(lambda x: -handle(x),
-                                      label=f"-({handle.label})")
-        report = fn.verify_character_theorem(
-            flipped, algebra, seed=args.seed, n_samples=args.samples)
-        sign_flipped = True
 
     lines = list(report.as_lines())
     lines.append(f"sign_flipped={sign_flipped}")

@@ -26,6 +26,17 @@ _MAX_STEPS = 2 ** 16
 # refinement trigger for per-step phase increments; half the pi bound at
 # which branch tracking becomes ambiguous
 _PHASE_JUMP_LIMIT = 0.5 * np.pi
+_THEOREM_TOL = 1e-6  # bound on each residual of verify_character_theorem
+# CharacterReport's residual fields in report order, with their failure names
+_RESIDUALS = (
+    ("spectral_residual", "spectral-valued"),
+    ("U_mult_residual", "U-multiplicative"),
+    ("linearity_residual", "linearity"),
+    ("spectrum_membership_residual", "spectrum membership of psi"),
+    ("exp_agreement_residual", "exp agreement"),
+    ("multiplicativity_residual", "multiplicativity"),
+    ("principal_agreement_residual", "principal-component agreement"),
+)
 
 
 @dataclass(frozen=True)
@@ -61,10 +72,7 @@ class CharacterReport:
     def as_lines(self):
         yield f"label={self.label}"
         yield f"unit_value={self.unit_value!r}"
-        for name in ("spectral_residual", "U_mult_residual",
-                     "linearity_residual", "spectrum_membership_residual",
-                     "exp_agreement_residual", "multiplicativity_residual",
-                     "principal_agreement_residual"):
+        for name, _ in _RESIDUALS:
             yield f"{name}={getattr(self, name):.6e}"
         yield f"passed={self.passed}"
         for msg in self.failures:
@@ -82,19 +90,16 @@ def characters(algebra: AlgebraSpec) -> list[FunctionalHandle]:
     return [make(i) for i in range(algebra.dim)]
 
 
-def is_spectral_valued(f: FunctionalHandle, samples: Sequence[Element],
-                       tol: float = 1e-8):
-    """Max distance of f(x) from the spectrum of x over the samples."""
+def is_spectral_valued(f: FunctionalHandle, samples: Sequence[Element]):
+    """(residual, residual <= 1e-8): the max distance of f(x) from sigma(x)."""
     if not samples:
         raise ValueError("need at least one sample")
     residual = max(jordan_spectrum(x).distance(f(x)) for x in samples)
-    return residual, residual <= tol
+    return residual, residual <= 1e-8
 
 
-def is_U_multiplicative(f: FunctionalHandle,
-                        sample_pairs: Sequence[tuple],
-                        tol: float = 1e-8):
-    """Max residual of f(U_x(y)) = f(x)^2 f(y) over the sample pairs."""
+def is_U_multiplicative(f: FunctionalHandle, sample_pairs: Sequence[tuple]):
+    """(residual, residual <= 1e-8): the max |f(U_x(y)) - f(x)^2 f(y)|."""
     if not sample_pairs:
         raise ValueError("need at least one sample pair")
     residual = 0.0
@@ -102,7 +107,7 @@ def is_U_multiplicative(f: FunctionalHandle,
         lhs = f(U_operator(x).apply(y))
         rhs = f(x) ** 2 * f(y)
         residual = max(residual, abs(lhs - rhs))
-    return residual, residual <= tol
+    return residual, residual <= 1e-8
 
 
 def unit_sign(f: FunctionalHandle, algebra: AlgebraSpec) -> int:
@@ -238,12 +243,13 @@ def principal_component_sample(algebra: AlgebraSpec, depth: int,
 
 
 def verify_character_theorem(f: FunctionalHandle, algebra: AlgebraSpec,
-                             seed: int = 0, n_samples: int = 20,
-                             tol: float = 1e-6) -> CharacterReport:
+                             seed: int = 0,
+                             n_samples: int = 20) -> CharacterReport:
     """Vet f against the character-reconstruction theory on random samples.
 
     Precondition failures (not spectral-valued, not U-multiplicative, wrong
-    unit sign) are reported in the result, not raised.
+    unit sign) and residuals above ``_THEOREM_TOL`` are reported in the
+    result, not raised.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
@@ -258,15 +264,11 @@ def verify_character_theorem(f: FunctionalHandle, algebra: AlgebraSpec,
     spectra = [jordan_spectrum(x) for x in samples]
     report.spectral_residual = max(s.distance(f(x))
                                    for s, x in zip(spectra, samples))
-    if not report.spectral_residual <= tol:
-        report.failures.append(
-            f"not spectral-valued (residual {report.spectral_residual:.3e})"
-        )
-    report.U_mult_residual, um_ok = is_U_multiplicative(f, pairs, tol)
-    if not um_ok:
-        report.failures.append(
-            f"not U-multiplicative (residual {report.U_mult_residual:.3e})"
-        )
+    report.U_mult_residual, _ = is_U_multiplicative(f, pairs)
+    for name, what in _RESIDUALS[:2]:
+        value = getattr(report, name)
+        if not value <= _THEOREM_TOL:
+            report.failures.append(f"not {what} (residual {value:.3e})")
     try:
         sign = unit_sign(f, algebra)
     except (ZeroFunctional, NotUMultiplicative) as exc:
@@ -311,13 +313,9 @@ def verify_character_theorem(f: FunctionalHandle, algebra: AlgebraSpec,
         princ_res = max(princ_res, abs(f(s) - psi(s)))
     report.principal_agreement_residual = princ_res
 
-    for name, value in (
-        ("linearity", lin_res),
-        ("spectrum membership of psi", spec_res),
-        ("exp agreement", exp_res),
-        ("multiplicativity", mult_res),
-        ("principal-component agreement", princ_res),
-    ):
-        if value > tol:
-            report.failures.append(f"{name} residual {value:.3e} > {tol:.1e}")
+    for name, what in _RESIDUALS[2:]:
+        value = getattr(report, name)
+        if value > _THEOREM_TOL:
+            report.failures.append(
+                f"{what} residual {value:.3e} > {_THEOREM_TOL:.1e}")
     return report

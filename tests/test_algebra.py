@@ -240,6 +240,11 @@ class TestDescriptor:
         with pytest.raises(ParseError):
             from_descriptor(bad)
 
+    def test_size_too_long_for_int(self):
+        # int() refuses more than 4,300 digits; no algebra is built
+        with pytest.raises(ParseError, match="5000 digits"):
+            from_descriptor("fn:" + "9" * 5000)
+
     def test_parse_error_offset(self):
         with pytest.raises(ParseError) as err:
             from_descriptor("sum:fn:2+cube:3")

@@ -5,6 +5,7 @@ import io
 import pytest
 
 from jordannum import ParseError, from_descriptor
+from jordannum import functionals as fn
 from jordannum.cli import run
 
 
@@ -179,6 +180,30 @@ class TestFunctional:
         assert "sign_flipped=True" in text
         assert "passed=True" in text
 
+    @pytest.mark.parametrize("algebra, functional, vetted, code", [
+        ("fn:3", "char:1", "char:1", 0),
+        ("fn:3", "negchar:0", "-(negchar:0)", 0),
+        # f(1) = 0: nothing to flip, and the vetting reports the unit sign
+        ("spin:3", "char:2", "char:2", 1),
+    ])
+    def test_functional_is_vetted_once(self, algebra, functional, vetted,
+                                       code, monkeypatch):
+        labels = []
+        vet = fn.verify_character_theorem
+
+        def counted(f, *args, **kwargs):
+            labels.append(f.label)
+            return vet(f, *args, **kwargs)
+
+        monkeypatch.setattr(fn, "verify_character_theorem", counted)
+        got, text = invoke(["functional", "--algebra", algebra,
+                            "--functional", functional])
+        assert labels == [vetted]
+        assert got == code
+        assert f"passed={code == 0}" in text
+        assert f"sign_flipped={vetted != functional}" in text
+        assert ("failure=unit sign: " in text) == (algebra == "spin:3")
+
     def test_trace_fails(self):
         code, text = invoke(["functional", "--algebra", "matrix:2",
                              "--functional", "trace", "--samples", "20"])
@@ -312,3 +337,10 @@ class TestUsageErrors:
     def test_bad_descriptor(self):
         code, _ = invoke(["validate", "--algebra", "ring:3"])
         assert code == 2
+
+    def test_size_too_long_for_int(self, capsys):
+        # int() refuses more than 4,300 digits; no algebra is built
+        code, text = invoke(["validate", "--algebra", "fn:" + "9" * 5000])
+        assert code == 2
+        assert text == ""
+        assert "size too big (5000 digits)" in capsys.readouterr().err

@@ -42,6 +42,9 @@ INVOCATIONS = _TROTTER + [
     ["functional", "--algebra", "fn:5", "--functional", "sqchar:2"],
     ["functional", "--algebra", "matrix:2", "--functional", "trace"],
     ["functional", "--algebra", "fn:4", "--functional", "negchar:0"],
+    ["functional", "--algebra", "spin:3", "--functional", "negchar:0"],
+    ["functional", "--algebra", "sum:fn:2+matrix:2", "--functional",
+     "negchar:1"],
     ["validate", "--algebra", "matrix:3", "--seed", "1", "--samples", "10"],
     ["spectrum", "--algebra", "matrix:2", "--element", "1,0,2,0,0,0,1,0"],
     # usage errors: exit 2 with nothing on stdout
