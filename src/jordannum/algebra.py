@@ -59,7 +59,7 @@ class AlgebraSpec:
         d = dim
         if d < 1:
             raise StructureError("algebra dimension must be positive")
-        u = np.ascontiguousarray(np.asarray(unit, dtype=complex))
+        u = np.array(unit, dtype=complex, ndmin=1)
         for name, v in (("structure tensor", values), ("unit vector", u)):
             if not np.isfinite(v).all():
                 raise StructureError(f"{name} must be finite")
@@ -135,7 +135,7 @@ class AlgebraSpec:
         return c.reshape(d, d, d)
 
     def element(self, coeffs) -> "Element":
-        return Element(self, np.asarray(coeffs, dtype=complex))
+        return Element(self, coeffs)
 
     def one(self) -> "Element":
         return Element(self, self.unit)
@@ -175,7 +175,7 @@ class Element:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        v = np.ascontiguousarray(np.asarray(self.coeffs, dtype=complex))
+        v = np.array(self.coeffs, dtype=complex, ndmin=1)
         if v.shape != (self.algebra.dim,):
             raise StructureError(
                 f"coefficient vector must have length {self.algebra.dim}"
@@ -217,7 +217,8 @@ class OperatorMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        m = np.ascontiguousarray(np.asarray(self.entries, dtype=complex))
+        # a C-ordered copy: ``_mult_matrix`` hands L_x over transposed
+        m = np.array(self.entries, dtype=complex, order="C")
         d = self.algebra.dim
         if m.shape != (d, d):
             raise StructureError(f"operator matrix must be {d}x{d}")

@@ -23,7 +23,8 @@ from jordannum import (
     pos_neg_parts,
     random_element,
 )
-from jordannum.algebra import Element, _generated, _mult_matrix, _product
+from jordannum.algebra import (Element, OperatorMatrix, _generated,
+                               _mult_matrix, _product)
 from jordannum.errors import (AlgebraMismatch, ParseError, StructureError,
                               UnsupportedAlgebra)
 from test_basis_change import algebra
@@ -208,6 +209,24 @@ class TestConstructors:
             with pytest.raises(StructureError, match="identity"):
                 AlgebraSpec(2, tensor, np.array([1, 0], dtype=complex), "bad")
 
+    @pytest.mark.parametrize("kind", ["element", "operator", "unit"])
+    def test_caller_array_is_copied(self, kind):
+        # each object keeps its own frozen copy: the caller's array stays
+        # writable, and a later write to it does not reach the object
+        a = from_descriptor("matrix:2")
+        base = np.tile(a.unit, (4, 1))
+        arg = base if kind == "operator" else base[0]
+        want = arg.copy()
+        if kind == "element":
+            held = a.element(arg).coeffs
+        elif kind == "operator":
+            held = OperatorMatrix(a, arg).entries
+        else:
+            held = AlgebraSpec(a.dim, a.structure, arg, "matrix:2").unit
+        assert arg.flags.writeable
+        base[0, 0] = np.nan
+        assert np.array_equal(held, want)
+
     def test_identity_check_is_scale_free(self):
         # rescaling the structure by s and the unit by 1/s gives an
         # isomorphic algebra; the relative residual must not change
@@ -224,6 +243,13 @@ class TestElement:
         a = make_function_algebra(3)
         with pytest.raises(StructureError, match="finite"):
             Element(a, np.array([1.0, bad, 2.0]))
+
+    def test_scalar_on_one_dimensional_algebra(self):
+        # a scalar is the coefficient vector of length 1
+        a = make_function_algebra(1)
+        assert np.array_equal(a.element(2.0).coeffs, [2.0])
+        assert np.array_equal(
+            AlgebraSpec(1, a.structure, 1.0, "fn:1").unit, [1.0])
 
 
 class TestDescriptor:

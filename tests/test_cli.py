@@ -1,6 +1,10 @@
 """End-to-end tests for the command-line experiment runner."""
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +24,22 @@ def parse_points(text):
               for r, i in (line.split(",")
                            for line in text.strip().split("\n"))]
     return sorted(points, key=lambda z: (z.real, z.imag))
+
+
+class TestImport:
+    def test_cli_imports_no_scipy(self):
+        # a fresh interpreter, since this test process has imported scipy
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        probe = ("import sys, jordannum.cli; print(jordannum.cli.__file__); "
+                 "print(sorted(m for m in sys.modules "
+                 "if m.split('.')[0] == 'scipy'))")
+        done = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, timeout=60,
+                              check=True)
+        where, loaded = done.stdout.splitlines()
+        assert Path(where).is_relative_to(src)
+        assert loaded == "[]"
 
 
 class TestParseAlgebra:

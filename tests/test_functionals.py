@@ -39,6 +39,15 @@ def coordinate(algebra, i, sign=1.0):
                             label=f"coord:{i}")
 
 
+def nan_coordinate(where):
+    """Coordinate 0, but NaN wherever ``where(x_0)`` holds."""
+    def value(x):
+        x0 = complex(x.coeffs[0])
+        return complex("nan") if where(x0) else x0
+
+    return FunctionalHandle(value, label="nan-coord:0")
+
+
 class TestCharacters:
     def test_enumeration(self):
         a = from_descriptor("fn:3")
@@ -82,6 +91,16 @@ class TestSpectralValued:
         with pytest.raises(ValueError):
             is_spectral_valued(coordinate(a, 0), [])
 
+    def test_nan_after_first_sample_fails(self):
+        # max(0.0, nan) is 0.0, so a running max drops a NaN that is not
+        # first
+        a = from_descriptor("fn:3")
+        f = nan_coordinate(lambda x0: x0.real >= 1.5)
+        samples = [a.element([1.0, 0.0, 0.0]), a.element([2.0, 0.0, 0.0])]
+        residual, ok = is_spectral_valued(f, samples)
+        assert np.isnan(residual)
+        assert not ok
+
 
 class TestUMultiplicative:
     def test_character_passes(self):
@@ -110,6 +129,15 @@ class TestUMultiplicative:
         x = a.element([1.0, 2.0])
         y = a.element([1.0, 1.0])
         residual, ok = is_U_multiplicative(f, [(x, y)])
+        assert not ok
+
+    def test_nan_after_first_pair_fails(self):
+        # U_1(1) = 1 gives residual 0; U_{2*1}(1) = 4 is where f is NaN
+        a = from_descriptor("fn:3")
+        f = nan_coordinate(lambda x0: x0.real >= 1.5)
+        one = a.one()
+        residual, ok = is_U_multiplicative(f, [(one, one), (2.0 * one, one)])
+        assert np.isnan(residual)
         assert not ok
 
 
@@ -449,3 +477,14 @@ class TestVerifyCharacterTheorem:
         a = from_descriptor("fn:2")
         with pytest.raises(ValueError, match="at least one sample"):
             verify_character_theorem(coordinate(a, 0), a, n_samples=0)
+
+    def test_nan_residual_fails(self):
+        # f is NaN only where |x_0| > 3: at 2 of the 20 principal-component
+        # samples of seed 0, and at no sample of the earlier checks
+        a = from_descriptor("fn:3")
+        f = nan_coordinate(lambda x0: abs(x0) > 3)
+        report = verify_character_theorem(f, a, seed=0)
+        assert np.isnan(report.principal_agreement_residual)
+        assert report.failures == [
+            "principal-component agreement residual nan > 1.0e-06"]
+        assert not report.passed

@@ -24,7 +24,8 @@ from jordannum import (
     trotter_jordan,
 )
 from jordannum import trotter
-from jordannum.errors import InsufficientData, UnsupportedAlgebra
+from jordannum.errors import (AlgebraMismatch, InsufficientData,
+                              UnsupportedAlgebra)
 from jordannum.trotter import FORMULAE
 
 FAMILIES = ["matrix:2", "matrix:3", "spin:4", "fn:5", "sum:fn:2+matrix:2"]
@@ -205,6 +206,11 @@ class TestAssociativeIdentity:
         s = from_descriptor("spin:3")
         with pytest.raises(UnsupportedAlgebra):
             associative_identity_check(s.one(), s.one(), 4)
+
+    def test_mixed_algebras_rejected(self):
+        m2, m3 = from_descriptor("matrix:2"), from_descriptor("matrix:3")
+        with pytest.raises(AlgebraMismatch):
+            associative_identity_check(m2.one(), m3.one(), 4)
 
 
 class TestConvergenceReport:
