@@ -15,8 +15,8 @@ from .errors import (AlgebraMismatch, BranchCut, BranchTrackingFailed,
                      UnsupportedAlgebra, ZeroFunctional, ZeroOnPath)
 from .functionals import (CharacterReport, FunctionalHandle,
                           affine_resolvent_check, characters,
-                          homogeneity_check, is_U_multiplicative,
-                          is_spectral_valued, linear_extension, pos_neg_parts,
+                          is_U_multiplicative, is_spectral_valued,
+                          linear_extension, pos_neg_parts,
                           principal_component_sample, reconstruct_psi,
                           unit_sign, verify_character_theorem)
 from .spectral import (SpectrumSet, in_unbounded_component, inverse,

@@ -187,29 +187,23 @@ def linear_extension(f: FunctionalHandle, algebra: AlgebraSpec) -> np.ndarray:
     )
 
 
-def homogeneity_check(f: FunctionalHandle, x: Element, lam: complex) -> float:
-    """|f(lam * x) - lam * f(x)|; small for any U-multiplicative f."""
-    return abs(f(x * lam) - lam * f(x))
-
-
 def affine_resolvent_check(f: FunctionalHandle, psi_x: complex, x: Element,
                            lam_grid: Sequence[complex]):
     """Max residual of f(lam*1 - x) = lam - psi(x) on lam off the spectrum.
 
     Every such lam*1 - x is principal (see ``principal_component_sample``).
     Grid points within the spectrum's ``dedupe_tol`` are skipped and
-    returned alongside the residual.
+    returned alongside the residual, which is NaN if any checked one is.
     """
     spec = jordan_spectrum(x)
     one = x.algebra.one()
-    residual = 0.0
-    skipped = []
+    residuals, skipped = [0.0], []  # 0.0 when every lam is skipped
     for lam in lam_grid:
         if spec.distance(lam) <= spec.dedupe_tol:
             skipped.append(lam)
-            continue
-        residual = max(residual, abs(f(one * lam - x) - (lam - psi_x)))
-    return residual, skipped
+        else:
+            residuals.append(abs(f(one * lam - x) - (lam - psi_x)))
+    return _largest(residuals), skipped
 
 
 def pos_neg_parts(x: Element) -> tuple[Element, Element]:

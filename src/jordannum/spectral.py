@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Element, U_operator, _generated
+from .algebra import Element, _generated
 from .errors import NotInvertible, OnSpectrum
 
 DEFAULT_COND_TOL = 1e-10
@@ -125,10 +125,3 @@ def in_unbounded_component(s: SpectrumSet, lam: complex) -> bool:
         raise OnSpectrum(f"{lam} lies on the spectrum")
     return True
 
-
-def u_inverse_residual(x: Element, y: Element) -> float:
-    """Relative residual of (U_x(y))^{-1} = U_x^{-1}(y^{-1})."""
-    ux = U_operator(x)
-    lhs = inverse(ux.apply(y))
-    rhs = Element(x.algebra, np.linalg.solve(ux.entries, inverse(y).coeffs))
-    return (lhs - rhs).norm / max(lhs.norm, 1e-300)

@@ -27,7 +27,8 @@ from jordannum import (
 )
 from jordannum import spectral
 from jordannum.calculus import _CONTOUR_NODES, _MAX_CONTOUR_NODES, _exp_path
-from jordannum.errors import BranchCut, ContourViolation, ExpOverflow
+from jordannum.errors import (BranchCut, ContourViolation, ExpOverflow,
+                              QuadratureError)
 from test_basis_change import algebra
 from test_spectral import DEFECTIVE
 
@@ -460,10 +461,16 @@ class TestHolomorphicCalculus:
 
     def test_never_forms_a_U_operator(self, monkeypatch):
         # the resolvents are solved on the m x m compression H of L_a
+        import jordannum.algebra as algebra
+        import jordannum.calculus as calculus
+
         def refuse(a):
             raise AssertionError("U_operator called")
 
-        monkeypatch.setattr(spectral, "U_operator", refuse)
+        # neither layer binds the name, so a call could only reach its home
+        assert not hasattr(spectral, "U_operator")
+        assert not hasattr(calculus, "U_operator")
+        monkeypatch.setattr(algebra, "U_operator", refuse)
         x = random_element(from_descriptor("matrix:3"),
                            np.random.default_rng(113))
         got = holomorphic_calculus(lambda z: z, x, Contour(0.0, 5.0))
@@ -492,6 +499,15 @@ class TestHolomorphicCalculus:
         a = from_descriptor("fn:5")
         with pytest.raises(ContourViolation):
             holomorphic_calculus(lambda z: z, a.one() * 5.0, Contour(0.0, 1.0))
+
+    def test_unsettled_rule_raises(self):
+        # h has a pole 1e-6 outside the contour: the trapezoid rule converges
+        # too slowly to settle below the node cap
+        x = from_descriptor("fn:2").element([0.0, 0.5])
+        with pytest.raises(QuadratureError,
+                           match="contour quadrature did not stabilize"):
+            holomorphic_calculus(lambda z: 1.0 / (z - 1.000001), x,
+                                 Contour(0.0, 1.0))
 
     def test_contour_validation(self):
         with pytest.raises(ValueError):
@@ -641,3 +657,13 @@ class TestDerivativeAtZero:
         f = HolomorphicCurve(lambda z: a.one(), radius_r=1.0)
         with pytest.raises(ValueError):
             derivative_at_zero(f, rho=1.5)
+
+    def test_unsettled_rule_raises(self):
+        # the curve claims radius 1 but has a pole at 0.50001, just outside
+        # the sampling circle: the rule does not settle below the node cap
+        one = from_descriptor("fn:2").one()
+        f = HolomorphicCurve(lambda z: one * (1.0 / (1.0 - z / 0.50001)),
+                             radius_r=1.0)
+        with pytest.raises(QuadratureError,
+                           match="Cauchy quadrature did not stabilize"):
+            derivative_at_zero(f, rho=0.5)

@@ -18,7 +18,6 @@ from jordannum import (
     characters,
     exp,
     from_descriptor,
-    homogeneity_check,
     is_invertible,
     is_spectral_valued,
     is_U_multiplicative,
@@ -37,6 +36,11 @@ from jordannum import functionals
 def coordinate(algebra, i, sign=1.0):
     return FunctionalHandle(lambda x: sign * complex(x.coeffs[i]),
                             label=f"coord:{i}")
+
+
+def homogeneity_check(f, x, lam):
+    """|f(lam * x) - lam * f(x)|; small for any U-multiplicative f."""
+    return abs(f(x * lam) - lam * f(x))
 
 
 def nan_coordinate(where):
@@ -274,6 +278,9 @@ class TestAffineResolvent:
             coordinate(a, 0), 1.0, x, [1.0, 5.0])
         assert skipped == [1.0]
         assert residual <= 1e-9
+        # every point skipped: nothing is checked and the residual is 0.0
+        assert affine_resolvent_check(coordinate(a, 0), 1.0, x,
+                                      [1.0, 2.0]) == (0.0, [1.0, 2.0])
 
     def test_real_line_spectrum_allows_interior_points(self):
         # a Hermitian element has real spectrum; every off-spectrum lam is
@@ -306,6 +313,15 @@ class TestAffineResolvent:
             coordinate(a, 4), 1j, x, [0.2j])
         assert skipped == []
         assert residual <= 1e-9
+
+    def test_nan_residual_is_kept(self):
+        # f(2*1 - 0) is NaN; a running max from 0.0 dropped it and gave 0.0
+        a = from_descriptor("fn:2")
+        residual, skipped = affine_resolvent_check(
+            nan_coordinate(lambda x0: abs(x0) > 1.5), 0.0,
+            a.element([0.0, 0.0]), [1.0, 2.0])
+        assert np.isnan(residual)
+        assert skipped == []
 
     @settings(derandomize=True, max_examples=150, database=None,
               deadline=None)
