@@ -14,8 +14,10 @@ builds each family, and ``_family_size`` checks entries, not just labels.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -352,27 +354,42 @@ def U_pair_operator(a: Element, c: Element) -> OperatorMatrix:
     return OperatorMatrix(a.algebra, la @ lc + lc @ la - lac)
 
 
-def _power(mul, base, n: int):
-    """base^n for n >= 1 by binary powering under a power-associative ``mul``.
+def _power(mul, base: np.ndarray, n: Sequence[int]) -> np.ndarray:
+    """Row r of ``base`` to the power n[r] >= 1, by binary powering under a
+    power-associative ``mul`` of stacks of rows; n must be ascending.
 
-    The result starts as the power of n's lowest set bit, not as a unit,
-    and the base is not squared past the highest bit.
+    A row's result starts as the power of its lowest set bit, not as a
+    unit, and its base is not squared past its highest bit. So every row
+    takes the operations of its own powering, while each step runs ``mul``
+    once, on the rows that need it: a product on those with the step's bit
+    and a lower one set, a squaring on those with a higher bit, a suffix.
     """
-    result = None
+    result = np.empty_like(base)
+    base = base.copy()
+    bit, lo = 1, 0
     while True:
-        if n & 1:
-            result = base if result is None else mul(result, base)
-        n >>= 1
-        if not n:
+        rows = [r for r in range(lo, len(n)) if n[r] & bit]
+        first = [r for r in rows if not n[r] & (bit - 1)]
+        again = [r for r in rows if n[r] & (bit - 1)]
+        result[first] = base[first]
+        if again:
+            result[again] = mul(result[again], base[again])
+        bit <<= 1
+        lo = bisect_left(n, bit)
+        if lo == len(n):
             return result
-        base = mul(base, base)
+        base[lo:] = mul(base[lo:], base[lo:])
 
 
 def jordan_power(a: Element, n: int) -> Element:
     """Integer power a^n by binary powering (valid by power associativity)."""
     if n < 0:
         raise ValueError("jordan_power requires a nonnegative exponent")
-    return a.algebra.one() if n == 0 else _power(jordan_mul, a, n)
+    if n == 0:
+        return a.algebra.one()
+    algebra = a.algebra
+    return Element(algebra, _power(lambda y, z: _product(y, z, algebra),
+                                   a.coeffs[None], (n,))[0])
 
 
 # ---------------------------------------------------------------------------

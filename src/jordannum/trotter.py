@@ -14,29 +14,36 @@ associativity base^n = exp(s + O(n^-2)). The curve limit is first order by
 contrast: f(lambda) = 1 + lambda f'(0) + O(lambda^2) leaves an O(lambda_n)
 error, i.e. O(1/n) for the plan lambda_n = 1/n, mu_n = n.
 
-The bases are evaluated in unit-offset form, by one step routine
+The bases are evaluated in unit-offset form, by one grid routine
 (``_step``); the second formula is the third at c = a, since U_{x,x} = U_x.
-Each exponential is carried as e^{v/n} - 1, a step's as the rows of one
-``_expm1`` call, the base as base - 1, and the power as
-(1+y)(1+z) - 1 = y + z + y o z, by binary powering (``algebra._power``);
-the unit is added once at the end. A base 1 + O(1/n) rounded as a whole
-keeps only about eps absolute accuracy, and n-th powering multiplies that to
-about n eps; carried as an offset, it keeps eps relative accuracy, so on
-commuting inputs, where every formula is exact, the error stays at rounding
-level for every n.
+Each exponential is carried as e^{v/n} - 1, the base as base - 1, and the
+power as (1+y)(1+z) - 1 = y + z + y o z; the unit is added once at the end.
+A base 1 + O(1/n) rounded as a whole keeps only about eps absolute accuracy,
+and n-th powering multiplies that to about n eps; carried as an offset, it
+keeps eps relative accuracy, so on commuting inputs, where every formula is
+exact, the error stays at rounding level for every n.
+
+A report evaluates its whole grid in one stacked pass: the exponentials of
+every operand at every n are the rows of one ``_expm1`` call, the bases one
+evaluation over those rows, and the n-th powers one binary powering with an
+exponent per row (``algebra._power``). Each row takes exactly the
+operations of its own single-n call, so a report's errors are bitwise those
+of ``trotter_jordan``, ``trotter_U`` and ``trotter_U_pair`` at each n, which
+are the same routine on the one-point grid (n,).
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .algebra import Element, _family_size, _power, _product, _same_algebra
-from .calculus import (HolomorphicCurve, _expm1, derivative_at_zero, exp,
-                       power_mu)
-from .errors import BranchCut, InsufficientData
+from .calculus import (HolomorphicCurve, _expm1, _in_chunks,
+                       derivative_at_zero, exp, power_mu)
+from .errors import BranchCut, ExpOverflow, InsufficientData
 
 ERROR_FLOOR = 1e-12
 
@@ -100,20 +107,35 @@ def _pair_offset(x: np.ndarray, y: np.ndarray, w: np.ndarray,
     return u + (x + w + xw)
 
 
-def _step(operands: Sequence[Element], n, base) -> Element:
-    """(1 + base(x, ..., algebra))^n, with x = e^{v/n} - 1 for each operand v,
-    all as rows of one ``_expm1`` call; n must be an integer >= 1."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"step count n must be an integer >= 1, got {n!r}")
+def _step(operands: Sequence[Element], n_grid: Sequence[int],
+          base) -> list[Element]:
+    """(1 + base(x, ..., algebra))^n for each n of the ascending grid, with
+    x = e^{v/n} - 1 for each operand v; each n must be an integer >= 1.
+
+    The rows e^{v/n} - 1, for every v and n, come from one ``_expm1`` call
+    (in chunks that bound its L_x stack, ``calculus._in_chunks``), ``base``
+    runs once over the stack, and one binary powering raises row n to n.
+    A power that overflows raises ``ExpOverflow``, as exp's squaring does.
+    """
+    for n in n_grid:
+        if not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError(
+                f"step count n must be an integer >= 1, got {n!r}")
     a = operands[0]
     for v in operands[1:]:
         _same_algebra(a, v)
     algebra = a.algebra
-    rows = _expm1(np.stack([v.coeffs for v in operands]) / complex(n),
-                  algebra)
-    y = _power(lambda y, z: _offset_mul(y, z, algebra),
-               base(*rows, algebra), n)
-    return Element(algebra, algebra.unit + y)
+    args = (np.stack([v.coeffs for v in operands])[:, None]
+            / np.array(n_grid, dtype=complex)[:, None])
+    rows = _in_chunks(_expm1, args.reshape(-1, algebra.dim), algebra)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = _power(lambda y, z: _offset_mul(y, z, algebra),
+                   base(*rows.reshape(args.shape), algebra), n_grid)
+    if not np.isfinite(y).all():
+        raise ExpOverflow(
+            f"product formula power overflows double precision (n up to "
+            f"{max(n_grid)})")
+    return [Element(algebra, row) for row in algebra.unit + y]
 
 
 def trotter_jordan(a: Element, b: Element, n: int) -> Element:
@@ -121,7 +143,7 @@ def trotter_jordan(a: Element, b: Element, n: int) -> Element:
 
     With x = e^{a/n} - 1 and y = e^{b/n} - 1 the base is 1 + x + y + x o y.
     """
-    return _step((a, b), n, _offset_mul)
+    return _step((a, b), (n,), _offset_mul)[0]
 
 
 def trotter_U(a: Element, b: Element, n: int) -> Element:
@@ -139,7 +161,7 @@ def trotter_U_pair(a: Element, b: Element, c: Element, n: int) -> Element:
     With x = e^{a/n} - 1, y = e^{b/n} - 1 and w = e^{c/n} - 1 the base is
     1 + U_{1+x, 1+w}(y) + x + w + x o w (``_pair_offset``).
     """
-    return _step((a, b, c), n, _pair_offset)
+    return _step((a, b, c), (n,), _pair_offset)[0]
 
 
 def _fit_slope(n_grid, errors):
@@ -235,8 +257,15 @@ def geometric_grid(n_min: int = 16, n_max: int = 4096, ratio: int = 2):
 
 
 def check_grid(n_grid: Sequence[int]) -> tuple:
-    """The grid as ints: at least six points >= 1, each >= twice the last."""
-    n_grid = tuple(int(n) for n in n_grid)
+    """The grid as ints: at least six integers >= 1, each >= twice the last.
+
+    Integer types such as numpy's pass; a float, even 16.0, is refused.
+    """
+    try:
+        n_grid = tuple(operator.index(n) for n in n_grid)
+    except TypeError:
+        raise ValueError(
+            f"grid points must be integers, got {list(n_grid)}") from None
     if len(n_grid) < 6:
         raise ValueError("need a geometric grid with at least 6 points")
     if min(n_grid) < 1:
@@ -246,16 +275,13 @@ def check_grid(n_grid: Sequence[int]) -> tuple:
     return n_grid
 
 
-# formula id: (parameter keys, exponent s of the limit e^s, n-th product).
-# The products look trotter_* up at call time, so a tracer that rebinds
-# this module's globals sees the calls.
+# formula id: (parameter keys, exponent s of the limit e^s, operand order,
+# base of the n-th power, as for ``_step``)
 FORMULAE = {
-    "jordan_product": ("ab", lambda p: p["a"] + p["b"],
-                       lambda p, n: trotter_jordan(p["a"], p["b"], n)),
-    "U_single": ("ab", lambda p: 2.0 * p["a"] + p["b"],
-                 lambda p, n: trotter_U(p["a"], p["b"], n)),
-    "U_pair": ("abc", lambda p: p["a"] + p["b"] + p["c"],
-               lambda p, n: trotter_U_pair(p["a"], p["b"], p["c"], n)),
+    "jordan_product": ("ab", lambda p: p["a"] + p["b"], "ab", _offset_mul),
+    "U_single": ("ab", lambda p: 2.0 * p["a"] + p["b"], "aba", _pair_offset),
+    "U_pair": ("abc", lambda p: p["a"] + p["b"] + p["c"], "abc",
+               _pair_offset),
 }
 
 
@@ -264,11 +290,14 @@ def convergence_report(formula_id: str, params: dict,
     """Errors of one product formula of ``FORMULAE`` against its exp target.
 
     ``params`` maps the formula's parameter keys to elements; the grid must
-    pass ``check_grid``.
+    pass ``check_grid``. The target comes first, so one that overflows
+    raises exp's ``ExpOverflow``; then one ``_step`` pass gives every n.
     """
     n_grid = check_grid(n_grid)
     if formula_id not in FORMULAE:
         raise ValueError(f"unknown formula id {formula_id!r}")
-    _, exponent, product = FORMULAE[formula_id]
-    return _report(formula_id, n_grid, exp(exponent(params)),
-                   lambda n: product(params, n))
+    _, exponent, order, base = FORMULAE[formula_id]
+    target = exp(exponent(params))
+    products = dict(zip(n_grid, _step([params[k] for k in order], n_grid,
+                                      base)))
+    return _report(formula_id, n_grid, target, products.__getitem__)

@@ -593,16 +593,18 @@ class TestPowers:
 
     def test_power_of_two_makes_only_squarings(self, monkeypatch):
         # 4096 = 2^12: twelve squarings, no product with the unit and no
-        # squaring past the last bit
+        # squaring past the last bit; jordan_power multiplies through the
+        # product kernel, on a one-row stack
         import jordannum.algebra as algebra_module
-        calls = []
-
-        def counting(a, b):
-            calls.append(1)
-            return jordan_mul(a, b)
-
-        monkeypatch.setattr(algebra_module, "jordan_mul", counting)
         x = make_function_algebra(2).element([1.0, 1j])
+        calls = []
+        product = algebra_module._product
+
+        def counting(a, b, algebra):
+            calls.append(1)
+            return product(a, b, algebra)
+
+        monkeypatch.setattr(algebra_module, "_product", counting)
         got = jordan_power(x, 4096)
         assert len(calls) == 12
         np.testing.assert_allclose(got.coeffs, [1.0, 1.0], atol=1e-12)

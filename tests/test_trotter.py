@@ -24,7 +24,7 @@ from jordannum import (
     trotter_jordan,
 )
 from jordannum import trotter
-from jordannum.errors import (AlgebraMismatch, InsufficientData,
+from jordannum.errors import (AlgebraMismatch, ExpOverflow, InsufficientData,
                               UnsupportedAlgebra)
 from jordannum.trotter import FORMULAE
 
@@ -168,6 +168,18 @@ class TestStep:
             getattr(trotter, name)(*args, n)
             assert len(calls) == 1
 
+    @pytest.mark.parametrize("name, arity", PRODUCTS)
+    def test_overflowing_power_raises_exp_overflow(self, name, arity):
+        # e^{800/16} - 1 is finite, its 16th power is not: the powering
+        # once overflowed with RuntimeWarnings and then refused the
+        # infinite coefficients with a StructureError
+        a = from_descriptor("fn:2")
+        big = 800.0 * a.one()
+        with pytest.raises(ExpOverflow):
+            getattr(trotter, name)(big, *[a.zero()] * (arity - 1), 16)
+        with pytest.raises(ExpOverflow):  # as exp of the target itself
+            exp(big)
+
     def test_numpy_integer_step_count(self):
         a = from_descriptor("fn:3")
         rng = np.random.default_rng(173)
@@ -287,28 +299,62 @@ class TestConvergenceReport:
         with pytest.raises(ValueError, match="at least 1"):
             convergence_report("jordan_product", {"a": one, "b": one},
                                [0] * 6)
+        # float points were truncated: the first grid ran n = 16, 33, ...
+        for grid in ([16.9, 33.5, 67.2, 134.9, 270, 541],
+                     [16.0, 32, 64, 128, 256, 512]):
+            with pytest.raises(ValueError, match="integers"):
+                convergence_report("jordan_product", {"a": one, "b": one},
+                                   grid)
 
-    @pytest.mark.parametrize("formula_id, name", [
-        ("jordan_product", "trotter_jordan"),
-        ("U_single", "trotter_U"),
-        ("U_pair", "trotter_U_pair"),
-    ])
-    def test_table_calls_the_module_globals(self, formula_id, name,
-                                            monkeypatch):
-        # a tracer rebinds trotter_* in the module; the table must see it
-        f = from_descriptor("fn:2")
-        params = {k: f.zero() for k in FORMULAE[formula_id][0]}
+    @pytest.mark.parametrize("desc", ["matrix:2", "spin:3",
+                                      "sum:fn:2+matrix:2"])
+    @pytest.mark.parametrize("grid", [geometric_grid(),
+                                      (1, 3, 7, 15, 31, 100)])
+    def test_errors_are_the_single_products_bitwise(self, desc, grid):
+        # a report's one stacked pass over its grid takes each row through
+        # the operations of the single-n product at that n
+        a = from_descriptor(desc)
+        rng = np.random.default_rng(307)
+        x, y, z = (random_element(a, rng) for _ in range(3))
+        singles = {
+            "jordan_product": (x + y, lambda n: trotter_jordan(x, y, n)),
+            "U_single": (2.0 * x + y, lambda n: trotter_U(x, y, n)),
+            "U_pair": (x + y + z, lambda n: trotter_U_pair(x, y, z, n)),
+        }
+        for formula_id, (exponent, single) in singles.items():
+            rep = convergence_report(formula_id, {"a": x, "b": y, "c": z},
+                                     grid)
+            target = exp(exponent)
+            assert rep.n_grid == grid
+            assert rep.errors == tuple((single(n) - target).norm
+                                       for n in grid), formula_id
+
+    @pytest.mark.parametrize("formula_id", sorted(FORMULAE))
+    def test_one_expm1_call_per_report(self, formula_id, monkeypatch):
+        a = from_descriptor("matrix:2")
+        rng = np.random.default_rng(311)
+        params = {k: random_element(a, rng) for k in FORMULAE[formula_id][0]}
         calls = []
-        original = getattr(trotter, name)
+        original = trotter._expm1
 
-        def counted(*args):
-            calls.append(args[-1])
-            return original(*args)
+        def counted(arg, algebra):
+            calls.append(arg.shape)
+            return original(arg, algebra)
 
-        monkeypatch.setattr(trotter, name, counted)
-        grid = geometric_grid(16, 512, 2)
+        monkeypatch.setattr(trotter, "_expm1", counted)
+        grid = geometric_grid()
         convergence_report(formula_id, params, grid)
-        assert calls == list(grid)
+        operands = len(FORMULAE[formula_id][2])
+        assert calls == [(operands * len(grid), a.dim)]
+
+    def test_numpy_integer_grid(self):
+        a = from_descriptor("fn:3")
+        rng = np.random.default_rng(313)
+        params = {"a": random_element(a, rng), "b": random_element(a, rng)}
+        grid = geometric_grid()
+        rep = convergence_report("jordan_product", params,
+                                 np.array(grid, dtype=np.int64))
+        assert rep == convergence_report("jordan_product", params, grid)
 
 
 class TestGeneralTrotter:
@@ -397,6 +443,7 @@ class TestGeneralTrotter:
         [16, 16, 32, 64, 128, 256],           # repeated: was accepted
         [512, 256, 128, 64, 32, 16],          # descending: was accepted
         [16, 32, 64, 128, 256],               # five points: was accepted
+        [16.9, 33.5, 67.2, 134.9, 270, 541],  # was truncated to 16, 33, ...
     ])
     def test_grid_is_checked(self, grid):
         # the same rules as convergence_report's grid (check_grid)

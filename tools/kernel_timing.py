@@ -14,6 +14,8 @@ structure entries, and the best-of-N time per call, in microseconds, of
 - ``log``: ``log(exp(x))``, with exp(x) taken once before the timing;
 - ``cauchy``: ``derivative_at_zero`` of the curve z -> exp(x z), given
   with radius_r = 2, at rho = 1;
+- ``report``: ``convergence_report("U_pair", ...)`` of x, y and a third
+  element on ``geometric_grid()``, 16 to 4096;
 - ``build``: ``from_descriptor`` with its cache cleared first.
 
 Each time is the least over 9 repeats of the mean over a batch of calls
@@ -52,7 +54,7 @@ FAMILIES = ["fn:5", "spin:4", "matrix:2", "matrix:3", "matrix:4",
             "matrix:8", "matrix:10", "matrix:12", "matrix:16"]
 COLUMNS = ["product", "stack65", "L_x", "jordan_mul", "exp", "U_operator",
            "spectrum", "inverse", "is_invertible", "resolvent", "contour",
-           "log", "cauchy", "build"]
+           "log", "cauchy", "report", "build"]
 REPEAT = 9
 MIN_BATCH_S = 0.02
 
@@ -81,6 +83,8 @@ def kernels(jn, desc):
     contour = jn.Contour(0, 2 * jn.jordan_spectrum(x).spectral_radius + 1)
     curve = jn.HolomorphicCurve(lambda z: jn.exp(x * z), radius_r=2.0)
     ex = jn.exp(x)
+    params = {"a": x, "b": y, "c": jn.random_element(a, rng)}
+    grid = jn.geometric_grid()
 
     def build():
         jn.from_descriptor.cache_clear()
@@ -100,6 +104,7 @@ def kernels(jn, desc):
         ("contour", lambda: jn.holomorphic_calculus(cmath.exp, x, contour)),
         ("log", lambda: jn.log(ex)),
         ("cauchy", lambda: jn.derivative_at_zero(curve, 1.0)),
+        ("report", lambda: jn.convergence_report("U_pair", params, grid)),
         ("build", build),
     ], a
 
