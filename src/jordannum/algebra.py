@@ -21,8 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (AlgebraMismatch, ParseError, StructureError,
-                     UnsupportedAlgebra)
+from .errors import (AlgebraMismatch, ExpOverflow, ParseError,
+                     StructureError, UnsupportedAlgebra)
 
 _JORDAN_ID_TOL = 1e-12
 _UNIT_TOL = 1e-12
@@ -363,26 +363,33 @@ def _power(mul, base: np.ndarray, n: Sequence[int]) -> np.ndarray:
     takes the operations of its own powering, while each step runs ``mul``
     once, on the rows that need it: a product on those with the step's bit
     and a lower one set, a squaring on those with a higher bit, a suffix.
+    A power that overflows raises ``ExpOverflow``, as exp's squaring does.
     """
     result = np.empty_like(base)
     base = base.copy()
     bit, lo = 1, 0
-    while True:
-        rows = [r for r in range(lo, len(n)) if n[r] & bit]
-        first = [r for r in rows if not n[r] & (bit - 1)]
-        again = [r for r in rows if n[r] & (bit - 1)]
-        result[first] = base[first]
-        if again:
-            result[again] = mul(result[again], base[again])
-        bit <<= 1
-        lo = bisect_left(n, bit)
-        if lo == len(n):
-            return result
-        base[lo:] = mul(base[lo:], base[lo:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            rows = [r for r in range(lo, len(n)) if n[r] & bit]
+            first = [r for r in rows if not n[r] & (bit - 1)]
+            again = [r for r in rows if n[r] & (bit - 1)]
+            result[first] = base[first]
+            if again:
+                result[again] = mul(result[again], base[again])
+            bit <<= 1
+            lo = bisect_left(n, bit)
+            if lo == len(n):
+                break
+            base[lo:] = mul(base[lo:], base[lo:])
+    if not np.isfinite(result).all():
+        raise ExpOverflow(
+            f"power overflows double precision (exponent up to {n[-1]})")
+    return result
 
 
 def jordan_power(a: Element, n: int) -> Element:
-    """Integer power a^n by binary powering (valid by power associativity)."""
+    """Integer power a^n by binary powering (valid by power associativity);
+    one that overflows raises ``ExpOverflow``."""
     if n < 0:
         raise ValueError("jordan_power requires a nonnegative exponent")
     if n == 0:

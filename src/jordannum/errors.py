@@ -43,7 +43,8 @@ class ContourViolation(JordanNumError):
 
 
 class ExpOverflow(JordanNumError):
-    """An exponential is too large to represent in double precision."""
+    """An exponential or a power is too large to represent in double
+    precision."""
 
 
 class QuadratureError(JordanNumError):

@@ -4,6 +4,14 @@ A conforming black-box functional f (spectral-valued and U-multiplicative)
 determines a linear character psi with f(e^x) = e^{psi(x)}; psi(x) is
 recovered as the continuous-branch logarithm of t -> f(exp(t x)) tracked
 from t = 0 to t = 1 with adaptive phase unwrapping.
+
+A vetting (``verify_character_theorem``) runs each kernel once over a
+stack, one row per element and each row bitwise its single call: a stacked
+exp per pass over the psi paths of the basis and the linearity combinations
+(``_track``), one over the exp-agreement samples, one over the principal
+samples' exponentials with a stacked U-apply per level
+(``_principal_samples``), and a stacked U-apply over the U-multiplicative
+pairs (``_U_rows``), each cut by ``calculus._in_chunks``.
 """
 
 from __future__ import annotations
@@ -14,11 +22,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import (AlgebraSpec, Element, U_operator, _family_size,
-                      jordan_mul, random_element)
-from .calculus import _exp_path, exp
-from .errors import (BranchTrackingFailed, JordanNumError, NotSelfAdjoint,
-                     NotUMultiplicative, ZeroFunctional, ZeroOnPath)
+from .algebra import (AlgebraSpec, Element, _family_size, _mult_matrix,
+                      _product, jordan_mul, random_element)
+from .calculus import _exp_path, _exp_rows, _in_chunks
+from .errors import (AlgebraMismatch, BranchTrackingFailed, ExpOverflow,
+                     JordanNumError, NotSelfAdjoint, NotUMultiplicative,
+                     ZeroFunctional, ZeroOnPath)
 from .spectral import is_invertible, jordan_spectrum
 
 _MIN_STEPS = 64
@@ -104,12 +113,29 @@ def is_spectral_valued(f: FunctionalHandle, samples: Sequence[Element]):
     return residual, residual <= 1e-8
 
 
+def _U_rows(pairs: np.ndarray, algebra: AlgebraSpec) -> np.ndarray:
+    """U_a(y) for each row (a, y) of a (rows, 2, d) stack, as the stacked
+    2 L_a L_a - L_{a o a} applied by ``np.matvec``: each row is bitwise
+    ``U_operator(a).apply(y)``."""
+    a, y = pairs[:, 0], pairs[:, 1]
+    la = _mult_matrix(a, algebra)
+    u = 2.0 * (la @ la) - _mult_matrix(_product(a, a, algebra), algebra)
+    return np.matvec(u, y)
+
+
 def is_U_multiplicative(f: FunctionalHandle, sample_pairs: Sequence[tuple]):
-    """(residual, residual <= 1e-8): the max |f(U_x(y)) - f(x)^2 f(y)|."""
+    """(residual, residual <= 1e-8): the max |f(U_x(y)) - f(x)^2 f(y)|, with
+    every U_x(y) from one stacked U-apply, so all x and y share one algebra.
+    """
     if not sample_pairs:
         raise ValueError("need at least one sample pair")
-    residual = _largest([abs(f(U_operator(x).apply(y)) - f(x) ** 2 * f(y))
-                         for x, y in sample_pairs])
+    if len({v.algebra for pair in sample_pairs for v in pair}) > 1:
+        raise AlgebraMismatch("sample pairs belong to different algebras")
+    algebra = sample_pairs[0][0].algebra
+    u = _in_chunks(_U_rows, np.array([[x.coeffs, y.coeffs]
+                                      for x, y in sample_pairs]), algebra)
+    residual = _largest([abs(f(Element(algebra, row)) - f(x) ** 2 * f(y))
+                         for row, (x, y) in zip(u, sample_pairs)])
     return residual, residual <= 1e-8
 
 
@@ -128,10 +154,9 @@ def unit_sign(f: FunctionalHandle, algebra: AlgebraSpec) -> int:
     return sign
 
 
-def _path_values(f: FunctionalHandle, x: Element, ts: np.ndarray):
-    """f(exp(t x)) for each t in ts: one stacked pass of exp, one f call each."""
-    values = np.array([f(Element(x.algebra, row))
-                       for row in _exp_path(x, ts)])
+def _path_values(f: FunctionalHandle, algebra: AlgebraSpec, rows):
+    """f at each path point of ``rows``, checked finite and nonzero."""
+    values = np.array([f(Element(algebra, row)) for row in rows])
     if not np.isfinite(values).all():
         raise BranchTrackingFailed(
             "functional is not finite along the tracking path")
@@ -140,51 +165,93 @@ def _path_values(f: FunctionalHandle, x: Element, ts: np.ndarray):
     return values
 
 
-def reconstruct_psi(f: FunctionalHandle, x: Element) -> complex:
-    """psi(x) from the tracked logarithm of t -> f(exp(t x)) on [0, 1].
-
-    The path points exp(t x) of each pass come from one stacked exp
-    (``calculus._exp_path``), and f is called once at each. Doubling the
-    steps keeps the old samples and adds the midpoints, so no point of the
-    path is evaluated twice.
-    """
-    steps = _MIN_STEPS
-    values = _path_values(f, x, np.linspace(0.0, 1.0, steps + 1))
-    while True:
-        phases = np.angle(values[1:] / values[:-1])
-        if np.abs(phases).max() < _PHASE_JUMP_LIMIT:
-            # the tracked branch: the log of f(exp(x)) / f(1), plus the
-            # whole turns that the phase steps add up to
-            end = complex(values[-1] / values[0])
-            turns = round((phases.sum() - cmath.phase(end)) / (2 * np.pi))
-            psi = cmath.log(end) + 2j * np.pi * turns
-            # values[-1] is f(exp(x)), values[0] is f(1): e^psi reproduces
-            # f(exp(x)) only if f(1) = 1
-            if abs(values[-1] - cmath.exp(psi)) > 1e-7 * abs(cmath.exp(psi)):
-                raise BranchTrackingFailed(
-                    "tracked branch does not reproduce f(exp(x))"
-                )
-            return psi
+def _branch(values: np.ndarray, steps: int):
+    """psi from the path values at ``steps`` equal steps, or None while a
+    phase step is at or above ``_PHASE_JUMP_LIMIT`` and steps can double."""
+    phases = np.angle(values[1:] / values[:-1])
+    if not np.abs(phases).max() < _PHASE_JUMP_LIMIT:
         if steps >= _MAX_STEPS:
             raise BranchTrackingFailed(
                 f"phase jump stayed >= {_PHASE_JUMP_LIMIT:.3f} at "
                 f"{_MAX_STEPS} steps"
             )
-        ts = np.linspace(0.0, 1.0, 2 * steps + 1)[1::2]  # old grid: [::2]
-        merged = np.empty(2 * steps + 1, dtype=complex)
-        merged[::2] = values
-        merged[1::2] = _path_values(f, x, ts)
-        values = merged
+        return None
+    # the tracked branch: the log of f(exp(x)) / f(1), plus the whole turns
+    # that the phase steps add up to
+    end = complex(values[-1] / values[0])
+    turns = round((phases.sum() - cmath.phase(end)) / (2 * np.pi))
+    psi = cmath.log(end) + 2j * np.pi * turns
+    # values[-1] is f(exp(x)), values[0] is f(1): e^psi reproduces f(exp(x))
+    # only if f(1) = 1
+    if abs(values[-1] - cmath.exp(psi)) > 1e-7 * abs(cmath.exp(psi)):
+        raise BranchTrackingFailed(
+            "tracked branch does not reproduce f(exp(x))"
+        )
+    return psi
+
+
+def _track(f: FunctionalHandle, xs: Sequence[Element]) -> list[complex]:
+    """psi(x) for each x of xs (of one algebra), the tracked logarithm of
+    t -> f(exp(t x)) on [0, 1].
+
+    A pass takes the path points of every x still open as the rows of one
+    stacked exp and calls f once at each. Only the paths whose phase steps
+    are still too large double their steps, keeping their old samples and
+    adding the midpoints. So each x gets the psi or the error it would get
+    alone, and the first failing x in list order raises its error.
+    """
+    algebra = xs[0].algebra
+    found = [None] * len(xs)  # psi or exception, once x's path is done
+    values = [None] * len(xs)
+    todo, steps = list(range(len(xs))), _MIN_STEPS
+    ts = np.linspace(0.0, 1.0, steps + 1)
+    while True:
+        args = np.concatenate([ts[:, None] * xs[i].coeffs for i in todo])
+        try:
+            blocks = _in_chunks(_exp_rows, args, algebra).reshape(
+                len(todo), len(ts), -1)
+        except ExpOverflow:  # some path overflows: each one on its own
+            blocks = [None] * len(todo)
+        for i, rows in zip(todo, blocks):
+            # what x's tracking raises, f's own errors too, waits for x's
+            # turn in list order
+            try:
+                new = _path_values(f, algebra, _exp_path(xs[i], ts)
+                                   if rows is None else rows)
+                if values[i] is not None:  # old samples at even positions
+                    merged = np.empty(steps + 1, dtype=complex)
+                    merged[::2], merged[1::2] = values[i], new
+                    new = merged
+                values[i] = new
+                found[i] = _branch(new, steps)
+            except Exception as exc:
+                found[i] = exc
+        todo = [i for i in todo if found[i] is None]
+        if not todo:
+            break
         steps *= 2
+        ts = np.linspace(0.0, 1.0, steps + 1)[1::2]
+    for result in found:
+        if isinstance(result, Exception):
+            raise result
+    return found
+
+
+def reconstruct_psi(f: FunctionalHandle, x: Element) -> complex:
+    """psi(x) from the tracked logarithm of t -> f(exp(t x)) on [0, 1].
+
+    It is ``_track`` on one x: each pass takes its path points from one
+    stacked exp and calls f once at each; doubling the steps keeps the old
+    samples and adds the midpoints.
+    """
+    return _track(f, [x])[0]
 
 
 def linear_extension(f: FunctionalHandle, algebra: AlgebraSpec) -> np.ndarray:
-    """psi on each basis vector, defining the linear functional coefficients."""
-    return np.array(
-        [reconstruct_psi(f, algebra.basis_element(i))
-         for i in range(algebra.dim)],
-        dtype=complex,
-    )
+    """psi on each basis vector, defining the linear functional coefficients
+    (``_track`` on the basis)."""
+    return np.array(_track(f, [algebra.basis_element(i)
+                               for i in range(algebra.dim)]), dtype=complex)
 
 
 def affine_resolvent_check(f: FunctionalHandle, psi_x: complex, x: Element,
@@ -219,24 +286,37 @@ def pos_neg_parts(x: Element) -> tuple[Element, Element]:
             Element(x.algebra, neg.reshape(n * n)))
 
 
+def _principal_samples(algebra: AlgebraSpec, depth: int,
+                       seeds: Sequence[int]) -> list[Element]:
+    """``principal_component_sample(algebra, depth, s)`` for each s of seeds:
+    the depth x len(seeds) exponentials are one stacked exp, and each level
+    one stacked U-apply over the samples."""
+    if depth < 1:
+        raise ValueError("depth must be at least 1")
+    draws = np.array([[random_element(algebra, rng, norm_cap=1.0).coeffs
+                       for _ in range(depth)]
+                      for rng in map(np.random.default_rng, seeds)])
+    e = _in_chunks(_exp_rows, draws.reshape(-1, algebra.dim),
+                   algebra).reshape(draws.shape)
+    out = np.broadcast_to(algebra.unit, (len(seeds), algebra.dim))
+    for level in range(depth):
+        out = _in_chunks(_U_rows, np.stack([e[:, level], out], axis=1),
+                         algebra)
+    samples = [Element(algebra, row) for row in out]
+    if not all(is_invertible(s) for s in samples):
+        raise JordanNumError(
+            "principal-component sample unexpectedly non-invertible"
+        )
+    return samples
+
+
 def principal_component_sample(algebra: AlgebraSpec, depth: int,
                                seed: int) -> Element:
     """A random element U_{exp(a_1)} ... U_{exp(a_depth)}(1) of the principal
     component of the invertibles. In finite dimension every invertible is
     principal: the invertibles are the complement of the generic norm's
     zero set, a complex hypersurface, so they are connected."""
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
-    rng = np.random.default_rng(seed)
-    out = algebra.one()
-    for _ in range(depth):
-        a = random_element(algebra, rng, norm_cap=1.0)
-        out = U_operator(exp(a)).apply(out)
-    if not is_invertible(out):
-        raise JordanNumError(
-            "principal-component sample unexpectedly non-invertible"
-        )
-    return out
+    return _principal_samples(algebra, depth, [seed])[0]
 
 
 def verify_character_theorem(f: FunctionalHandle, algebra: AlgebraSpec,
@@ -277,36 +357,39 @@ def verify_character_theorem(f: FunctionalHandle, algebra: AlgebraSpec,
     if not report.passed:
         return report
 
-    psi_coeffs = linear_extension(f, algebra)
-
-    def psi(el):
-        return complex(psi_coeffs @ el.coeffs)
-
-    lin_res = []
+    combos = []
     for _ in range(max(4, n_samples // 4)):
         x = random_element(algebra, rng)
         y = random_element(algebra, rng)
         alpha = complex(rng.standard_normal(), rng.standard_normal())
         beta = complex(rng.standard_normal(), rng.standard_normal())
-        combo = x * alpha + y * beta
-        lin_res.append(abs(reconstruct_psi(f, combo) - psi(combo)))
-    report.linearity_residual = _largest(lin_res)
+        combos.append(x * alpha + y * beta)
+    # linear_extension's basis paths and the combinations' in one tracking
+    psis = _track(f, [algebra.basis_element(i) for i in range(algebra.dim)]
+                  + combos)
+    psi_coeffs = np.array(psis[:algebra.dim], dtype=complex)
+
+    def psi(el):
+        return complex(psi_coeffs @ el.coeffs)
+
+    report.linearity_residual = _largest(
+        [abs(p - psi(c)) for p, c in zip(psis[algebra.dim:], combos)])
 
     report.spectrum_membership_residual = _largest(
         [s.distance(psi(x)) for s, x in zip(spectra, samples)])
 
+    exps = _in_chunks(_exp_rows, np.array([x.coeffs for x in samples]),
+                      algebra)
     report.exp_agreement_residual = _largest(
-        [abs(f(exp(x)) - cmath.exp(psi(x))) for x in samples])
+        [abs(f(Element(algebra, e)) - cmath.exp(psi(x)))
+         for e, x in zip(exps, samples)])
 
     report.multiplicativity_residual = _largest(
         [abs(psi(jordan_mul(x, y)) - psi(x) * psi(y)) for x, y in pairs])
 
-    princ_res = []
-    for j in range(n_samples):
-        s = principal_component_sample(algebra, depth=2,
-                                       seed=int(rng.integers(2 ** 31)))
-        princ_res.append(abs(f(s) - psi(s)))
-    report.principal_agreement_residual = _largest(princ_res)
+    seeds = [int(rng.integers(2 ** 31)) for _ in range(n_samples)]
+    report.principal_agreement_residual = _largest(
+        [abs(f(s) - psi(s)) for s in _principal_samples(algebra, 2, seeds)])
 
     for name, what in _RESIDUALS[2:]:
         value = getattr(report, name)

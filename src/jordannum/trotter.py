@@ -43,7 +43,7 @@ import numpy as np
 from .algebra import Element, _family_size, _power, _product, _same_algebra
 from .calculus import (HolomorphicCurve, _expm1, _in_chunks,
                        derivative_at_zero, exp, power_mu)
-from .errors import BranchCut, ExpOverflow, InsufficientData
+from .errors import BranchCut, InsufficientData
 
 ERROR_FLOOR = 1e-12
 
@@ -115,7 +115,7 @@ def _step(operands: Sequence[Element], n_grid: Sequence[int],
     The rows e^{v/n} - 1, for every v and n, come from one ``_expm1`` call
     (in chunks that bound its L_x stack, ``calculus._in_chunks``), ``base``
     runs once over the stack, and one binary powering raises row n to n.
-    A power that overflows raises ``ExpOverflow``, as exp's squaring does.
+    A power that overflows raises ``ExpOverflow`` (``algebra._power``).
     """
     for n in n_grid:
         if not isinstance(n, (int, np.integer)) or n < 1:
@@ -128,13 +128,8 @@ def _step(operands: Sequence[Element], n_grid: Sequence[int],
     args = (np.stack([v.coeffs for v in operands])[:, None]
             / np.array(n_grid, dtype=complex)[:, None])
     rows = _in_chunks(_expm1, args.reshape(-1, algebra.dim), algebra)
-    with np.errstate(over="ignore", invalid="ignore"):
-        y = _power(lambda y, z: _offset_mul(y, z, algebra),
-                   base(*rows.reshape(args.shape), algebra), n_grid)
-    if not np.isfinite(y).all():
-        raise ExpOverflow(
-            f"product formula power overflows double precision (n up to "
-            f"{max(n_grid)})")
+    y = _power(lambda y, z: _offset_mul(y, z, algebra),
+               base(*rows.reshape(args.shape), algebra), n_grid)
     return [Element(algebra, row) for row in algebra.unit + y]
 
 

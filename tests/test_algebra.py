@@ -25,8 +25,8 @@ from jordannum import (
 )
 from jordannum.algebra import (Element, OperatorMatrix, _generated,
                                _mult_matrix, _product)
-from jordannum.errors import (AlgebraMismatch, ParseError, StructureError,
-                              UnsupportedAlgebra)
+from jordannum.errors import (AlgebraMismatch, ExpOverflow, ParseError,
+                              StructureError, UnsupportedAlgebra)
 from test_basis_change import algebra
 
 FAMILIES = ["matrix:2", "matrix:3", "spin:4", "fn:5", "sum:fn:2+matrix:2"]
@@ -612,6 +612,15 @@ class TestPowers:
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
             jordan_power(make_function_algebra(2).one(), -1)
+
+    def test_overflowing_power_raises_exp_overflow(self):
+        # 3^1024 overflows: the squarings once went on through inf with
+        # numpy RuntimeWarnings and then refused the infinite coefficients
+        # with a StructureError
+        x = make_function_algebra(2).element([3.0, 0.5])
+        with pytest.raises(ExpOverflow, match="exponent up to 1024"):
+            jordan_power(x, 1024)
+        assert np.isfinite(jordan_power(x, 512).coeffs).all()
 
 
 class TestLargeDimension:

@@ -1,11 +1,14 @@
 """Tests for spectral-valued U-multiplicative functionals and reconstruction."""
 
+import cmath
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jordannum import (
+    AlgebraMismatch,
     BranchTrackingFailed,
     FunctionalHandle,
     NotSelfAdjoint,
@@ -21,6 +24,7 @@ from jordannum import (
     is_invertible,
     is_spectral_valued,
     is_U_multiplicative,
+    jordan_mul,
     jordan_spectrum,
     linear_extension,
     pos_neg_parts,
@@ -30,7 +34,8 @@ from jordannum import (
     unit_sign,
     verify_character_theorem,
 )
-from jordannum import functionals
+from jordannum import calculus, functionals
+from jordannum.errors import ExpOverflow, JordanNumError
 
 
 def coordinate(algebra, i, sign=1.0):
@@ -41,6 +46,96 @@ def coordinate(algebra, i, sign=1.0):
 def homogeneity_check(f, x, lam):
     """|f(lam * x) - lam * f(x)|; small for any U-multiplicative f."""
     return abs(f(x * lam) - lam * f(x))
+
+
+def oracle_principal_sample(algebra, depth, seed):
+    """The per-sample principal_component_sample: one exp and one
+    U_operator(..).apply per level."""
+    rng = np.random.default_rng(seed)
+    out = algebra.one()
+    for _ in range(depth):
+        a = random_element(algebra, rng, norm_cap=1.0)
+        out = U_operator(exp(a)).apply(out)
+    assert is_invertible(out)
+    return out
+
+
+def oracle_vetting(f, algebra, seed=0, n_samples=20):
+    """verify_character_theorem with one kernel call per element: one path
+    per reconstruct_psi, one exp per sample, one principal sample per seed
+    and one U_operator(x).apply(y) per pair."""
+    rng = np.random.default_rng(seed)
+    report = functionals.CharacterReport(label=f.label)
+    report.unit_value = f(algebra.one())
+    samples = [random_element(algebra, rng) for _ in range(n_samples)]
+    pairs = [(random_element(algebra, rng), random_element(algebra, rng))
+             for _ in range(n_samples)]
+    spectra = [jordan_spectrum(x) for x in samples]
+    largest = functionals._largest
+    report.spectral_residual = largest([s.distance(f(x))
+                                        for s, x in zip(spectra, samples)])
+    report.U_mult_residual = largest(
+        [abs(f(U_operator(x).apply(y)) - f(x) ** 2 * f(y)) for x, y in pairs])
+    for name, what in functionals._RESIDUALS[:2]:
+        if not getattr(report, name) <= 1e-6:
+            report.failures.append(
+                f"not {what} (residual {getattr(report, name):.3e})")
+    try:
+        sign = unit_sign(f, algebra)
+    except (ZeroFunctional, NotUMultiplicative) as exc:
+        report.failures.append(f"unit sign: {exc}")
+        return report
+    if sign != 1:
+        report.failures.append("unit sign is -1; apply the dichotomy to -f")
+        return report
+    if not report.passed:
+        return report
+    psi_coeffs = np.array([reconstruct_psi(f, algebra.basis_element(i))
+                           for i in range(algebra.dim)], dtype=complex)
+
+    def psi(el):
+        return complex(psi_coeffs @ el.coeffs)
+
+    lin_res = []
+    for _ in range(max(4, n_samples // 4)):
+        x = random_element(algebra, rng)
+        y = random_element(algebra, rng)
+        alpha = complex(rng.standard_normal(), rng.standard_normal())
+        beta = complex(rng.standard_normal(), rng.standard_normal())
+        combo = x * alpha + y * beta
+        lin_res.append(abs(reconstruct_psi(f, combo) - psi(combo)))
+    report.linearity_residual = largest(lin_res)
+    report.spectrum_membership_residual = largest(
+        [s.distance(psi(x)) for s, x in zip(spectra, samples)])
+    report.exp_agreement_residual = largest(
+        [abs(f(exp(x)) - cmath.exp(psi(x))) for x in samples])
+    report.multiplicativity_residual = largest(
+        [abs(psi(jordan_mul(x, y)) - psi(x) * psi(y)) for x, y in pairs])
+    princ_res = []
+    for _ in range(n_samples):
+        s = oracle_principal_sample(algebra, 2, int(rng.integers(2 ** 31)))
+        princ_res.append(abs(f(s) - psi(s)))
+    report.principal_agreement_residual = largest(princ_res)
+    for name, what in functionals._RESIDUALS[2:]:
+        value = getattr(report, name)
+        if not value <= 1e-6:
+            report.failures.append(f"{what} residual {value:.3e} > 1.0e-06")
+    return report
+
+
+def exact_lines(report):
+    """The report's lines, with every residual as its exact bits."""
+    return list(report.as_lines()) + [
+        float(getattr(report, name)).hex()
+        for name, _ in functionals._RESIDUALS]
+
+
+def outcome(vet, *args):
+    """``exact_lines`` of the report, or the error's type and message."""
+    try:
+        return exact_lines(vet(*args))
+    except JordanNumError as exc:
+        return [type(exc).__name__, str(exc)]
 
 
 def nan_coordinate(where):
@@ -134,6 +229,15 @@ class TestUMultiplicative:
         y = a.element([1.0, 1.0])
         residual, ok = is_U_multiplicative(f, [(x, y)])
         assert not ok
+
+    def test_pairs_share_one_algebra(self):
+        # the U_x(y) are one stack, so every x and y is in one algebra
+        a, b = from_descriptor("fn:2"), from_descriptor("spin:1")
+        with pytest.raises(AlgebraMismatch):
+            is_U_multiplicative(coordinate(a, 0),
+                                [(a.one(), a.one()), (b.one(), b.one())])
+        with pytest.raises(AlgebraMismatch):
+            is_U_multiplicative(coordinate(a, 0), [(a.one(), b.one())])
 
     def test_nan_after_first_pair_fails(self):
         # U_1(1) = 1 gives residual 0; U_{2*1}(1) = 4 is where f is NaN
@@ -245,6 +349,65 @@ class TestLinearExtension:
         a = from_descriptor("fn:3")
         coeffs = linear_extension(coordinate(a, 1), a)
         assert np.allclose(coeffs, [0.0, 1.0, 0.0], atol=1e-9)
+
+    @pytest.mark.parametrize("on_path_1, on_path_2, error", [
+        ("zero", "nan", ZeroOnPath),
+        ("nan", "zero", BranchTrackingFailed),
+        ("zero", "raise", ZeroOnPath),
+        ("raise", "zero", LookupError),
+    ])
+    def test_first_failing_path_raises(self, on_path_1, on_path_2, error):
+        # exp(t e_k) on fn:3 moves coordinate k alone: f fails one way on
+        # basis path 1 and another on basis path 2, and the paths are
+        # tracked together, yet the error raised is path 1's, as in a
+        # loop of reconstruct_psi calls
+        a = from_descriptor("fn:3")
+
+        def value(x):
+            for k, kind in ((1, on_path_1), (2, on_path_2)):
+                if x.coeffs[k] != 1.0:
+                    if kind == "raise":
+                        raise LookupError(f"f fails on path {k}")
+                    return 0.0 if kind == "zero" else complex("nan")
+            return complex(x.coeffs[0])
+
+        f = FunctionalHandle(value)
+        with pytest.raises(error):
+            [reconstruct_psi(f, a.basis_element(i)) for i in range(3)]
+        with pytest.raises(error):
+            linear_extension(f, a)
+
+    def test_overflowing_path_raises_in_list_order(self):
+        # exp(800 e_0) overflows: the stacked exp raises for both paths, so
+        # each is tracked on its own, and the first failing path's error
+        # is raised, whichever it is
+        a = from_descriptor("fn:2")
+        small, big = a.element([0.5, 0.0]), a.element([800.0, 0.0])
+        zero_off_unit = FunctionalHandle(
+            lambda x: 0.0 if x.coeffs[0] != 1.0 else 1.0)
+        with pytest.raises(ZeroOnPath):
+            functionals._track(zero_off_unit, [small, big])
+        with pytest.raises(ExpOverflow):
+            functionals._track(zero_off_unit, [big, small])
+        with pytest.raises(ExpOverflow):
+            functionals._track(coordinate(a, 0), [small, big])
+
+    def test_paths_tracked_together_are_each_tracked_alone(self):
+        # 40, 150 and 300 rad need 64, 128 and 256 steps: each path doubles
+        # only as often as it would alone, and gets the same bits
+        a = from_descriptor("fn:2")
+        xs = [a.element([v, 0.5]) for v in (40j, 0.3 + 150j, 0.0, -300j)]
+        calls = []
+
+        def counted(y):
+            calls.append(y)
+            return complex(y.coeffs[0])
+
+        f = FunctionalHandle(counted)
+        alone = [reconstruct_psi(f, x) for x in xs]
+        n_alone = len(calls)
+        assert functionals._track(f, xs) == alone
+        assert len(calls) - n_alone == n_alone == 65 + 129 + 65 + 257
 
 
 class TestHomogeneity:
@@ -504,3 +667,91 @@ class TestVerifyCharacterTheorem:
         assert report.failures == [
             "principal-component agreement residual nan > 1.0e-06"]
         assert not report.passed
+
+
+class TestStackedVetting:
+    """The vetting's stacks: the path tracker over the basis and the
+    linearity combinations, one exp over the samples, the principal samples
+    and the U-applies, each row bitwise its single call."""
+
+    @pytest.mark.parametrize("label", ["fn:3", "fn:4", "sum:fn:2+matrix:2"])
+    def test_characters_match_the_oracle_bitwise(self, label):
+        a = from_descriptor(label)
+        for seed in range(4):
+            for n_samples in (1, 6, 20):
+                f = coordinate(a, seed % 2)
+                report = verify_character_theorem(f, a, seed, n_samples)
+                assert report.passed, report.failures
+                assert exact_lines(report) == exact_lines(
+                    oracle_vetting(f, a, seed, n_samples))
+
+    @pytest.mark.parametrize("label, f", [
+        ("matrix:2", FunctionalHandle(
+            lambda x: 0.5 * complex(x.coeffs[0] + x.coeffs[3]), label="tr")),
+        ("fn:3", coordinate(None, 0, sign=-1.0)),
+        ("fn:3", nan_coordinate(lambda x0: abs(x0) > 3)),
+    ], ids=["trace", "negated", "nan"])
+    def test_failing_functionals_match_the_oracle_bitwise(self, label, f):
+        # the NaN coordinate fails a reported residual at some seeds and
+        # raises from a ψ path at others, the same way in both
+        a = from_descriptor(label)
+        for seed in range(4):
+            got = outcome(verify_character_theorem, f, a, seed)
+            assert "passed=True" not in got
+            assert got == outcome(oracle_vetting, f, a, seed)
+
+    @pytest.mark.parametrize("label", ["fn:3", "fn:4", "sum:fn:2+matrix:2",
+                                       "spin:3", "matrix:3"])
+    def test_principal_rows_are_the_single_samples(self, label):
+        a = from_descriptor(label)
+        seeds = [0, 7, 99, 12345, 2 ** 31 - 1]
+        for depth in (1, 2, 3):
+            rows = functionals._principal_samples(a, depth, seeds)
+            for seed, row in zip(seeds, rows):
+                single = principal_component_sample(a, depth, seed)
+                assert np.array_equal(row.coeffs, single.coeffs)
+                assert np.array_equal(
+                    single.coeffs,
+                    oracle_principal_sample(a, depth, seed).coeffs)
+
+    def test_exp_stacks_do_not_grow_with_samples(self, monkeypatch):
+        # one path pass (no character path doubles), one stack for the exp
+        # agreement and one for the principal samples, at any n_samples
+        a = from_descriptor("fn:3")
+        exp_rows = functionals._exp_rows
+        counts = []
+        for n_samples in (8, 20):
+            calls = []
+
+            def counted(rows, algebra):
+                calls.append(len(rows))
+                return exp_rows(rows, algebra)
+
+            monkeypatch.setattr(functionals, "_exp_rows", counted)
+            report = verify_character_theorem(coordinate(a, 1), a, seed=3,
+                                              n_samples=n_samples)
+            assert report.passed, report.failures
+            counts.append(len(calls))
+        assert counts == [3, 3]
+
+    @pytest.mark.parametrize("label", ["fn:3", "sum:fn:2+matrix:2"])
+    def test_every_stack_is_chunked(self, label, monkeypatch):
+        # at 3 rows a chunk every stack spans several chunks; the report
+        # keeps its bits, and no kernel call sees more than 3 rows
+        a = from_descriptor(label)
+        f = coordinate(a, 0)
+        expected = exact_lines(verify_character_theorem(f, a, seed=8,
+                                                        n_samples=8))
+        sizes = {}
+        for name in ("_exp_rows", "_U_rows"):
+            def recorded(rows, algebra, name=name,
+                         kernel=getattr(functionals, name)):
+                sizes.setdefault(name, []).append(len(rows))
+                return kernel(rows, algebra)
+
+            monkeypatch.setattr(functionals, name, recorded)
+        monkeypatch.setattr(calculus, "_PATH_BATCH", 3 * a.dim ** 2)
+        report = verify_character_theorem(f, a, seed=8, n_samples=8)
+        assert exact_lines(report) == expected
+        assert {name: max(n) for name, n in sizes.items()} == {
+            "_exp_rows": 3, "_U_rows": 3}

@@ -16,6 +16,8 @@ structure entries, and the best-of-N time per call, in microseconds, of
   with radius_r = 2, at rho = 1;
 - ``report``: ``convergence_report("U_pair", ...)`` of x, y and a third
   element on ``geometric_grid()``, 16 to 4096;
+- ``principal``: ``principal_component_sample(a, 2, seed)``, two stacked
+  U_{exp(a_j)} levels and one ``is_invertible``;
 - ``build``: ``from_descriptor`` with its cache cleared first.
 
 Each time is the least over 9 repeats of the mean over a batch of calls
@@ -54,7 +56,7 @@ FAMILIES = ["fn:5", "spin:4", "matrix:2", "matrix:3", "matrix:4",
             "matrix:8", "matrix:10", "matrix:12", "matrix:16"]
 COLUMNS = ["product", "stack65", "L_x", "jordan_mul", "exp", "U_operator",
            "spectrum", "inverse", "is_invertible", "resolvent", "contour",
-           "log", "cauchy", "report", "build"]
+           "log", "cauchy", "report", "principal", "build"]
 REPEAT = 9
 MIN_BATCH_S = 0.02
 
@@ -105,6 +107,7 @@ def kernels(jn, desc):
         ("log", lambda: jn.log(ex)),
         ("cauchy", lambda: jn.derivative_at_zero(curve, 1.0)),
         ("report", lambda: jn.convergence_report("U_pair", params, grid)),
+        ("principal", lambda: jn.principal_component_sample(a, 2, 11)),
         ("build", build),
     ], a
 
