@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Sequence
 
 import numpy as np
@@ -30,6 +30,8 @@ _UNIT_TOL = 1e-12
 _KRYLOV_TOL = 1e-12
 # ||L_x||_F outside this range could over- or underflow the squared norms
 _ARNOLDI_RANGE = (1e-100, 1e100)
+# rows * d^2 of one chunk of a ``_chunked`` kernel's stacks
+_STACK_ENTRIES = 1 << 16
 
 
 class AlgebraSpec:
@@ -338,20 +340,47 @@ def mult_operator(a: Element) -> OperatorMatrix:
     return OperatorMatrix(a.algebra, m)
 
 
+def _U_matrix(a: np.ndarray, algebra: AlgebraSpec) -> np.ndarray:
+    """U_a = 2 L_a^2 - L_{a^2}, one matrix per row of a."""
+    la = _mult_matrix(a, algebra)
+    return 2.0 * (la @ la) - _mult_matrix(_product(a, a, algebra), algebra)
+
+
 def U_operator(a: Element) -> OperatorMatrix:
     """Quadratic representation U_a = 2 L_a^2 - L_{a^2}."""
-    la = mult_operator(a).entries
-    lsq = mult_operator(jordan_mul(a, a)).entries
-    return OperatorMatrix(a.algebra, 2.0 * (la @ la) - lsq)
+    return OperatorMatrix(a.algebra, _U_matrix(a.coeffs, a.algebra))
 
 
 def U_pair_operator(a: Element, c: Element) -> OperatorMatrix:
     """Polarized quadratic map U_{a,c} = L_a L_c + L_c L_a - L_{a o c}."""
     _same_algebra(a, c)
-    la = mult_operator(a).entries
-    lc = mult_operator(c).entries
-    lac = mult_operator(jordan_mul(a, c)).entries
-    return OperatorMatrix(a.algebra, la @ lc + lc @ la - lac)
+    algebra = a.algebra
+    la, lc, lac = _mult_matrix(np.array(
+        [a.coeffs, c.coeffs, _product(a.coeffs, c.coeffs, algebra)]), algebra)
+    return OperatorMatrix(algebra, la @ lc + lc @ la - lac)
+
+
+def _chunked(kernel):
+    """``kernel(*stacks, algebra)`` in chunks of at most ``_STACK_ENTRIES``
+    / d^2 rows, which bounds the (rows, d, d) stacks of L_x that it forms;
+    a 1-D row runs as it is. Each row is bitwise its single call."""
+    @wraps(kernel)
+    def chunked(*args):
+        rows, algebra = args[0], args[-1]
+        if rows.ndim < 2 or len(rows) * algebra.dim ** 2 <= _STACK_ENTRIES:
+            return kernel(*args)
+        step = max(1, _STACK_ENTRIES // algebra.dim ** 2)
+        return np.concatenate([
+            kernel(*(s[lo:lo + step] for s in args[:-1]), algebra)
+            for lo in range(0, len(rows), step)])
+    return chunked
+
+
+@_chunked
+def _U_apply(a: np.ndarray, y: np.ndarray, algebra) -> np.ndarray:
+    """U_a(y) for each row of the stacks a and y, applied by ``np.matvec``:
+    each row is bitwise ``U_operator(a).apply(y)``."""
+    return np.matvec(_U_matrix(a, algebra), y)
 
 
 def _power(mul, base: np.ndarray, n: Sequence[int]) -> np.ndarray:
@@ -501,7 +530,12 @@ def from_descriptor(descriptor: str) -> AlgebraSpec:
 def _parse_descriptor(descriptor: str, base: int) -> AlgebraSpec:
     kind, colon, rest = descriptor.partition(":")
     if colon and kind in _FAMILIES:
-        return _FAMILIES[kind](_parse_size(rest, base + len(kind) + 1))
+        offset = base + len(kind) + 1
+        n = _parse_size(rest, offset)
+        try:
+            return _FAMILIES[kind](n)
+        except ValueError as exc:  # numpy refuses arrays this large
+            raise ParseError(f"size too big ({exc})", offset) from None
     if colon and kind == "sum":
         parts = rest.split("+")
         if len(parts) < 2:

@@ -10,11 +10,11 @@ product; exp's is Horner's rule, its degree set before it runs from a
 bound on |L_x| (``_series``; as in Al-Mohy & Higham, SIAM J. Matrix Anal.
 Appl. 2009), so no term is tested.
 
-exp and e^x - 1 also run on a stack of arguments, one per row: the path
-exp(t x) (``_exp_path``), e^{+-ix} in ``cos``, e^{v/n} - 1 for every operand
-v of a Trotter report at every n of its grid. Each row keeps its scaling,
-series degree and squaring count, so it is bitwise its single call; the
-series and each squaring run once over rows.
+exp and e^x - 1 also run on a stack of arguments, one per row: the paths
+exp(t x) of the character vetting, e^{+-ix} in ``cos``, e^{v/n} - 1 for
+every operand v of a Trotter report at every n of its grid. Each row keeps
+its scaling, series degree and squaring count, so it is bitwise its single
+call; the series and each squaring run once per chunk (``algebra._chunked``).
 
 The two contour integrals, ``holomorphic_calculus`` and ``derivative_at_zero``,
 share one nested trapezoid rule on the circle (``_nested_trapezoid``): when
@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import (Element, _generated, _mult_matrix, _product,
+from .algebra import (Element, _chunked, _generated, _mult_matrix, _product,
                       _same_algebra, jordan_mul)
 from .errors import (BranchCut, ContourViolation, ExpOverflow, JordanNumError,
                      QuadratureError)
@@ -55,8 +55,6 @@ _MAX_CONTOUR_NODES = 8192
 _QUADRATURE_TOL = 1e-9
 _CAUCHY_NODES = 64
 _MAX_SQRT_STEPS = 64
-# rows * d^2 of one chunk of _in_chunks
-_PATH_BATCH = 1 << 16
 # contour nodes per batched solve, which bounds the (nodes, m, m) stack
 _RESOLVENT_BATCH = 64
 
@@ -161,6 +159,7 @@ def _square_repeatedly(square, acc, s, arg: np.ndarray) -> np.ndarray:
     return acc
 
 
+@_chunked
 def _exp_rows(arg: np.ndarray, algebra) -> np.ndarray:
     """Coefficients of exp(arg), or of exp of each row of a stack.
 
@@ -177,25 +176,7 @@ def exp(a: Element) -> Element:
     return Element(a.algebra, _exp_rows(a.coeffs, a.algebra))
 
 
-def _in_chunks(rows_fn, rows: np.ndarray, algebra) -> np.ndarray:
-    """``rows_fn(chunk, algebra)`` over the rows of a stack, in chunks of at
-    most ``_PATH_BATCH`` / d^2 rows, which bounds the (rows, d, d) stack of
-    L_x that ``_exp_rows`` and ``_expm1`` form."""
-    step = max(1, _PATH_BATCH // algebra.dim ** 2)
-    return np.concatenate([rows_fn(rows[lo:lo + step], algebra)
-                           for lo in range(0, len(rows), step)])
-
-
-def _exp_path(a: Element, ts: np.ndarray) -> np.ndarray:
-    """The coefficient rows exp(t a), one for each t in ts.
-
-    Row r is computed as ``exp(a * ts[r])`` computes it (``_exp_rows``),
-    but the series and each squaring run once over a stack of rows
-    (``_in_chunks``).
-    """
-    return _in_chunks(_exp_rows, ts[:, None] * a.coeffs, a.algebra)
-
-
+@_chunked
 def _expm1(arg: np.ndarray, algebra) -> np.ndarray:
     """e^arg - 1 for arg or each of its rows, accurate relative to |e^arg - 1|.
 

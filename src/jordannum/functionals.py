@@ -11,7 +11,7 @@ exp per pass over the psi paths of the basis and the linearity combinations
 (``_track``), one over the exp-agreement samples, one over the principal
 samples' exponentials with a stacked U-apply per level
 (``_principal_samples``), and a stacked U-apply over the U-multiplicative
-pairs (``_U_rows``), each cut by ``calculus._in_chunks``.
+pairs (``algebra._U_apply``), each cut by ``algebra._chunked``.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import (AlgebraSpec, Element, _family_size, _mult_matrix,
-                      _product, jordan_mul, random_element)
-from .calculus import _exp_path, _exp_rows, _in_chunks
+from .algebra import (AlgebraSpec, Element, _family_size, _U_apply,
+                      jordan_mul, random_element)
+from .calculus import _exp_rows
 from .errors import (AlgebraMismatch, BranchTrackingFailed, ExpOverflow,
                      JordanNumError, NotSelfAdjoint, NotUMultiplicative,
                      ZeroFunctional, ZeroOnPath)
@@ -113,16 +113,6 @@ def is_spectral_valued(f: FunctionalHandle, samples: Sequence[Element]):
     return residual, residual <= 1e-8
 
 
-def _U_rows(pairs: np.ndarray, algebra: AlgebraSpec) -> np.ndarray:
-    """U_a(y) for each row (a, y) of a (rows, 2, d) stack, as the stacked
-    2 L_a L_a - L_{a o a} applied by ``np.matvec``: each row is bitwise
-    ``U_operator(a).apply(y)``."""
-    a, y = pairs[:, 0], pairs[:, 1]
-    la = _mult_matrix(a, algebra)
-    u = 2.0 * (la @ la) - _mult_matrix(_product(a, a, algebra), algebra)
-    return np.matvec(u, y)
-
-
 def is_U_multiplicative(f: FunctionalHandle, sample_pairs: Sequence[tuple]):
     """(residual, residual <= 1e-8): the max |f(U_x(y)) - f(x)^2 f(y)|, with
     every U_x(y) from one stacked U-apply, so all x and y share one algebra.
@@ -132,8 +122,9 @@ def is_U_multiplicative(f: FunctionalHandle, sample_pairs: Sequence[tuple]):
     if len({v.algebra for pair in sample_pairs for v in pair}) > 1:
         raise AlgebraMismatch("sample pairs belong to different algebras")
     algebra = sample_pairs[0][0].algebra
-    u = _in_chunks(_U_rows, np.array([[x.coeffs, y.coeffs]
-                                      for x, y in sample_pairs]), algebra)
+    xs, ys = (np.array([pair[k].coeffs for pair in sample_pairs])
+              for k in (0, 1))
+    u = _U_apply(xs, ys, algebra)
     residual = _largest([abs(f(Element(algebra, row)) - f(x) ** 2 * f(y))
                          for row, (x, y) in zip(u, sample_pairs)])
     return residual, residual <= 1e-8
@@ -206,17 +197,17 @@ def _track(f: FunctionalHandle, xs: Sequence[Element]) -> list[complex]:
     todo, steps = list(range(len(xs))), _MIN_STEPS
     ts = np.linspace(0.0, 1.0, steps + 1)
     while True:
-        args = np.concatenate([ts[:, None] * xs[i].coeffs for i in todo])
+        args = np.array([ts[:, None] * xs[i].coeffs for i in todo])
         try:
-            blocks = _in_chunks(_exp_rows, args, algebra).reshape(
-                len(todo), len(ts), -1)
+            blocks = _exp_rows(args.reshape(-1, algebra.dim),
+                               algebra).reshape(args.shape)
         except ExpOverflow:  # some path overflows: each one on its own
             blocks = [None] * len(todo)
-        for i, rows in zip(todo, blocks):
+        for i, path, rows in zip(todo, args, blocks):
             # what x's tracking raises, f's own errors too, waits for x's
             # turn in list order
             try:
-                new = _path_values(f, algebra, _exp_path(xs[i], ts)
+                new = _path_values(f, algebra, _exp_rows(path, algebra)
                                    if rows is None else rows)
                 if values[i] is not None:  # old samples at even positions
                     merged = np.empty(steps + 1, dtype=complex)
@@ -296,12 +287,11 @@ def _principal_samples(algebra: AlgebraSpec, depth: int,
     draws = np.array([[random_element(algebra, rng, norm_cap=1.0).coeffs
                        for _ in range(depth)]
                       for rng in map(np.random.default_rng, seeds)])
-    e = _in_chunks(_exp_rows, draws.reshape(-1, algebra.dim),
-                   algebra).reshape(draws.shape)
+    e = _exp_rows(draws.reshape(-1, algebra.dim), algebra).reshape(
+        draws.shape)
     out = np.broadcast_to(algebra.unit, (len(seeds), algebra.dim))
     for level in range(depth):
-        out = _in_chunks(_U_rows, np.stack([e[:, level], out], axis=1),
-                         algebra)
+        out = _U_apply(e[:, level], out, algebra)
     samples = [Element(algebra, row) for row in out]
     if not all(is_invertible(s) for s in samples):
         raise JordanNumError(
@@ -325,8 +315,8 @@ def verify_character_theorem(f: FunctionalHandle, algebra: AlgebraSpec,
     """Vet f against the character-reconstruction theory on random samples.
 
     Precondition failures (not spectral-valued, not U-multiplicative, wrong
-    unit sign) and residuals above ``_THEOREM_TOL`` are reported in the
-    result, not raised.
+    unit sign), a psi path that cannot be tracked and residuals above
+    ``_THEOREM_TOL`` are reported in the result, not raised.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
@@ -365,8 +355,12 @@ def verify_character_theorem(f: FunctionalHandle, algebra: AlgebraSpec,
         beta = complex(rng.standard_normal(), rng.standard_normal())
         combos.append(x * alpha + y * beta)
     # linear_extension's basis paths and the combinations' in one tracking
-    psis = _track(f, [algebra.basis_element(i) for i in range(algebra.dim)]
-                  + combos)
+    try:
+        psis = _track(f, [algebra.basis_element(i)
+                          for i in range(algebra.dim)] + combos)
+    except JordanNumError as exc:
+        report.failures.append(f"psi tracking: {exc}")
+        return report
     psi_coeffs = np.array(psis[:algebra.dim], dtype=complex)
 
     def psi(el):
@@ -378,8 +372,7 @@ def verify_character_theorem(f: FunctionalHandle, algebra: AlgebraSpec,
     report.spectrum_membership_residual = _largest(
         [s.distance(psi(x)) for s, x in zip(spectra, samples)])
 
-    exps = _in_chunks(_exp_rows, np.array([x.coeffs for x in samples]),
-                      algebra)
+    exps = _exp_rows(np.array([x.coeffs for x in samples]), algebra)
     report.exp_agreement_residual = _largest(
         [abs(f(Element(algebra, e)) - cmath.exp(psi(x)))
          for e, x in zip(exps, samples)])

@@ -41,8 +41,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .algebra import Element, _family_size, _power, _product, _same_algebra
-from .calculus import (HolomorphicCurve, _expm1, _in_chunks,
-                       derivative_at_zero, exp, power_mu)
+from .calculus import (HolomorphicCurve, _expm1, derivative_at_zero, exp,
+                       power_mu)
 from .errors import BranchCut, InsufficientData
 
 ERROR_FLOOR = 1e-12
@@ -113,7 +113,7 @@ def _step(operands: Sequence[Element], n_grid: Sequence[int],
     x = e^{v/n} - 1 for each operand v; each n must be an integer >= 1.
 
     The rows e^{v/n} - 1, for every v and n, come from one ``_expm1`` call
-    (in chunks that bound its L_x stack, ``calculus._in_chunks``), ``base``
+    (in chunks that bound its L_x stack, ``algebra._chunked``), ``base``
     runs once over the stack, and one binary powering raises row n to n.
     A power that overflows raises ``ExpOverflow`` (``algebra._power``).
     """
@@ -127,7 +127,7 @@ def _step(operands: Sequence[Element], n_grid: Sequence[int],
     algebra = a.algebra
     args = (np.stack([v.coeffs for v in operands])[:, None]
             / np.array(n_grid, dtype=complex)[:, None])
-    rows = _in_chunks(_expm1, args.reshape(-1, algebra.dim), algebra)
+    rows = _expm1(args.reshape(-1, algebra.dim), algebra)
     y = _power(lambda y, z: _offset_mul(y, z, algebra),
                base(*rows.reshape(args.shape), algebra), n_grid)
     return [Element(algebra, row) for row in algebra.unit + y]

@@ -276,6 +276,13 @@ class TestDescriptor:
             from_descriptor("sum:fn:2+cube:3")
         assert err.value.offset == 9
 
+    @pytest.mark.parametrize("family", ["fn", "spin", "matrix"])
+    def test_size_too_big_for_numpy(self, family):
+        # numpy refuses the arrays of a 20-digit size before allocating them
+        with pytest.raises(ParseError, match="size too big") as err:
+            from_descriptor(f"sum:fn:2+{family}:" + "9" * 20)
+        assert err.value.offset == len(f"sum:fn:2+{family}:")
+
 
 class TestFamilyChecks:
     """The family operations read the entries, not only the label."""

@@ -26,7 +26,7 @@ from jordannum import (
     resolvent,
 )
 from jordannum import spectral
-from jordannum.calculus import _CONTOUR_NODES, _MAX_CONTOUR_NODES, _exp_path
+from jordannum.calculus import _CONTOUR_NODES, _MAX_CONTOUR_NODES, _exp_rows
 from jordannum.errors import (BranchCut, ContourViolation, ExpOverflow,
                               QuadratureError)
 from test_basis_change import algebra
@@ -50,6 +50,11 @@ def exp_reference(desc, x):
             x[2:].reshape(2, 2)).reshape(-1)])
     n = int(desc[7:])
     return scipy.linalg.expm(x.reshape(n, n)).reshape(-1)
+
+
+def exp_path(x, ts):
+    """The rows exp(t x), one for each t in ts, from one stacked exp."""
+    return _exp_rows(ts[:, None] * x.coeffs, x.algebra)
 
 
 def hausdorff(a, b):
@@ -174,7 +179,7 @@ class TestExpPath:
         for cap in (0.01, 0.1, 0.5, 1.0, 2.0, 5.0):
             for _ in range(2):
                 x = random_element(a, rng, norm_cap=cap)
-                rows = _exp_path(x, ts)
+                rows = exp_path(x, ts)
                 for t, row in zip(ts, rows):
                     want = exp_reference(desc, t * x.coeffs)
                     err = np.linalg.norm(row - want)
@@ -184,7 +189,7 @@ class TestExpPath:
         for desc in FAMILIES:
             a = from_descriptor(desc)
             x = random_element(a, np.random.default_rng(127), norm_cap=5.0)
-            rows = _exp_path(x, np.linspace(0.0, 1.0, 9))
+            rows = exp_path(x, np.linspace(0.0, 1.0, 9))
             assert np.array_equal(rows[0], a.unit)
 
     def test_rows_agree_with_exp(self):
@@ -196,18 +201,18 @@ class TestExpPath:
             rng = np.random.default_rng(131)
             for cap in (0.01, 0.1, 0.5, 1.0, 2.0, 3.0, 5.0, 20.0):
                 x = random_element(a, rng, norm_cap=cap)
-                for t, row in zip(ts, _exp_path(x, ts)):
+                for t, row in zip(ts, exp_path(x, ts)):
                     assert np.array_equal(row, exp(x * t).coeffs)
 
     def test_chunked_equals_unchunked(self, monkeypatch):
-        import jordannum.calculus as calculus
+        import jordannum.algebra as algebra_module
         a = from_descriptor("matrix:3")
         x = random_element(a, np.random.default_rng(137), norm_cap=4.0)
         ts = np.linspace(0.0, 1.0, 65)
-        whole = _exp_path(x, ts)
+        whole = exp_path(x, ts)
         # 2 rows of d^2 = 81 a chunk: 33 chunks, the last one short
-        monkeypatch.setattr(calculus, "_PATH_BATCH", 2 * 81)
-        assert np.array_equal(_exp_path(x, ts), whole)
+        monkeypatch.setattr(algebra_module, "_STACK_ENTRIES", 2 * 81)
+        assert np.array_equal(exp_path(x, ts), whole)
 
     def test_overflow_raises_exp_overflow(self):
         a = make_matrix_jordan(3)
@@ -215,7 +220,7 @@ class TestExpPath:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ExpOverflow):
-                _exp_path(x, np.linspace(0.0, 1.0, 5))
+                exp_path(x, np.linspace(0.0, 1.0, 5))
 
 
 @pytest.mark.parametrize("desc", FAMILIES + ["matrix:4"])

@@ -364,3 +364,11 @@ class TestUsageErrors:
         assert code == 2
         assert text == ""
         assert "size too big (5000 digits)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family", ["fn", "spin", "matrix"])
+    def test_size_too_big_for_numpy(self, family, capsys):
+        # numpy refuses the arrays of a 20-digit size before allocating them
+        code, text = invoke(["validate", "--algebra", f"{family}:" + "9" * 20])
+        assert code == 2
+        assert text == ""
+        assert "size too big" in capsys.readouterr().err

@@ -34,6 +34,7 @@ from jordannum import (
     unit_sign,
     verify_character_theorem,
 )
+from jordannum import algebra as algebra_module
 from jordannum import calculus, functionals
 from jordannum.errors import ExpOverflow, JordanNumError
 
@@ -90,20 +91,24 @@ def oracle_vetting(f, algebra, seed=0, n_samples=20):
         return report
     if not report.passed:
         return report
-    psi_coeffs = np.array([reconstruct_psi(f, algebra.basis_element(i))
-                           for i in range(algebra.dim)], dtype=complex)
 
     def psi(el):
         return complex(psi_coeffs @ el.coeffs)
 
     lin_res = []
-    for _ in range(max(4, n_samples // 4)):
-        x = random_element(algebra, rng)
-        y = random_element(algebra, rng)
-        alpha = complex(rng.standard_normal(), rng.standard_normal())
-        beta = complex(rng.standard_normal(), rng.standard_normal())
-        combo = x * alpha + y * beta
-        lin_res.append(abs(reconstruct_psi(f, combo) - psi(combo)))
+    try:
+        psi_coeffs = np.array([reconstruct_psi(f, algebra.basis_element(i))
+                               for i in range(algebra.dim)], dtype=complex)
+        for _ in range(max(4, n_samples // 4)):
+            x = random_element(algebra, rng)
+            y = random_element(algebra, rng)
+            alpha = complex(rng.standard_normal(), rng.standard_normal())
+            beta = complex(rng.standard_normal(), rng.standard_normal())
+            combo = x * alpha + y * beta
+            lin_res.append(abs(reconstruct_psi(f, combo) - psi(combo)))
+    except JordanNumError as exc:
+        report.failures.append(f"psi tracking: {exc}")
+        return report
     report.linearity_residual = largest(lin_res)
     report.spectrum_membership_residual = largest(
         [s.distance(psi(x)) for s, x in zip(spectra, samples)])
@@ -693,7 +698,7 @@ class TestStackedVetting:
     ], ids=["trace", "negated", "nan"])
     def test_failing_functionals_match_the_oracle_bitwise(self, label, f):
         # the NaN coordinate fails a reported residual at some seeds and
-        # raises from a ψ path at others, the same way in both
+        # its ψ tracking at others, the same way in both
         a = from_descriptor(label)
         for seed in range(4):
             got = outcome(verify_character_theorem, f, a, seed)
@@ -737,21 +742,54 @@ class TestStackedVetting:
     @pytest.mark.parametrize("label", ["fn:3", "sum:fn:2+matrix:2"])
     def test_every_stack_is_chunked(self, label, monkeypatch):
         # at 3 rows a chunk every stack spans several chunks; the report
-        # keeps its bits, and no kernel call sees more than 3 rows
+        # keeps its bits, and no stack of L_x, where the exps and the
+        # U-applies form it, has more than 3 rows
         a = from_descriptor(label)
         f = coordinate(a, 0)
         expected = exact_lines(verify_character_theorem(f, a, seed=8,
                                                         n_samples=8))
         sizes = {}
-        for name in ("_exp_rows", "_U_rows"):
-            def recorded(rows, algebra, name=name,
-                         kernel=getattr(functionals, name)):
-                sizes.setdefault(name, []).append(len(rows))
-                return kernel(rows, algebra)
+        for module in (calculus, algebra_module):
+            def recorded(x, algebra, name=module.__name__,
+                         kernel=module._mult_matrix):
+                sizes.setdefault(name, []).append(
+                    int(np.prod(x.shape[:-1])))
+                return kernel(x, algebra)
 
-            monkeypatch.setattr(functionals, name, recorded)
-        monkeypatch.setattr(calculus, "_PATH_BATCH", 3 * a.dim ** 2)
+            monkeypatch.setattr(module, "_mult_matrix", recorded)
+        monkeypatch.setattr(algebra_module, "_STACK_ENTRIES", 3 * a.dim ** 2)
         report = verify_character_theorem(f, a, seed=8, n_samples=8)
         assert exact_lines(report) == expected
         assert {name: max(n) for name, n in sizes.items()} == {
-            "_exp_rows": 3, "_U_rows": 3}
+            "jordannum.calculus": 3, "jordannum.algebra": 3}
+
+
+class TestTrackingFailures:
+    """A psi path that cannot be tracked fails the vetting's report."""
+
+    def test_untrackable_path_is_reported(self):
+        # the NaN coordinate raised BranchTrackingFailed from the vetting
+        # at seeds 2 and 4, and got a report at seeds 0, 1 and 3
+        a = from_descriptor("fn:3")
+        f = nan_coordinate(lambda x0: abs(x0) > 3)
+        failures = [verify_character_theorem(f, a, seed).failures
+                    for seed in range(5)]
+        for seed in (2, 4):
+            assert failures[seed] == [
+                "psi tracking: functional is not finite along the "
+                "tracking path"]
+        for seed in (0, 1, 3):
+            assert failures[seed] and not any(
+                msg.startswith("psi tracking") for msg in failures[seed])
+
+    def test_errors_of_f_itself_propagate(self):
+        # f raises where the NaN coordinate is NaN: first on a psi path
+        a = from_descriptor("fn:3")
+
+        def value(x):
+            if abs(x.coeffs[0]) > 3:
+                raise ArithmeticError("f refuses")
+            return complex(x.coeffs[0])
+
+        with pytest.raises(ArithmeticError, match="f refuses"):
+            verify_character_theorem(FunctionalHandle(value), a, seed=2)

@@ -23,7 +23,8 @@ from jordannum import (
     trotter_U_pair,
     trotter_jordan,
 )
-from jordannum import trotter
+from jordannum import algebra as algebra_module
+from jordannum import calculus, trotter
 from jordannum.errors import (AlgebraMismatch, ExpOverflow, InsufficientData,
                               UnsupportedAlgebra)
 from jordannum.trotter import FORMULAE
@@ -346,6 +347,35 @@ class TestConvergenceReport:
         convergence_report(formula_id, params, grid)
         operands = len(FORMULAE[formula_id][2])
         assert calls == [(operands * len(grid), a.dim)]
+
+    @pytest.mark.parametrize("label", ["matrix:3", "sum:fn:2+matrix:2"])
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_expm1_stack_is_chunked(self, label, rows, monkeypatch):
+        # at 1 or 2 rows a chunk each report keeps its bits, and no stack
+        # of L_x, which _expm1 forms to scale its rows, exceeds the bound
+        a = from_descriptor(label)
+        rng = np.random.default_rng(317)
+        params = {k: random_element(a, rng) for k in "abc"}
+        grid = geometric_grid()
+
+        def reports():
+            return {formula_id: convergence_report(
+                formula_id, {k: params[k] for k in FORMULAE[formula_id][0]},
+                grid).errors for formula_id in FORMULAE}
+
+        expected = reports()
+        sizes = []
+        kernel = calculus._mult_matrix
+
+        def recorded(x, algebra):
+            sizes.append(int(np.prod(x.shape[:-1])))
+            return kernel(x, algebra)
+
+        monkeypatch.setattr(calculus, "_mult_matrix", recorded)
+        monkeypatch.setattr(algebra_module, "_STACK_ENTRIES",
+                            rows * a.dim ** 2)
+        assert reports() == expected
+        assert max(sizes) == rows
 
     def test_numpy_integer_grid(self):
         a = from_descriptor("fn:3")

@@ -25,8 +25,9 @@ exactly when their errors are the same, so an accuracy comparison is one
 ``spectrum`` 360 (60 per cap), ``log`` 200 inputs y = exp(x), 50 at each
 cap 0.5-3, ``inverse`` 160 inputs x, 40 at each cap 0.5-3, and ``path``
 the rows exp(t x), t = 0, 1/16, ..., 1, for two x per cap 0.01-5 (204
-rows) from ``calculus._exp_path``. A run takes 50-110 s on
-one core of a 2-vCPU Intel Xeon, whose speed varies from minute to minute.
+rows) from one stacked ``calculus._exp_rows`` call per x. A run takes
+50-110 s on one core of a 2-vCPU Intel Xeon, whose speed varies from
+minute to minute.
 ``contour`` takes the inputs of ``exp`` through the contour calculus,
 ``holomorphic_calculus(cmath.exp, x, Contour(0, 2 R + 1))`` with R the
 spectral radius of x.
@@ -214,7 +215,8 @@ def family_errors(jn, calculus, desc):
                                            reference(desc, x.coeffs, "expm1")))
         for _ in range(2):
             x = jn.random_element(a, rng, norm_cap=cap)
-            rows = calculus._exp_path(x, PATH_TS)
+            rows = calculus._exp_rows(PATH_TS[:, None] * x.coeffs,
+                                      x.algebra)
             errs["path"] += [rel_error(row, reference(desc, t * x.coeffs,
                                                       "exp"))
                              for t, row in zip(PATH_TS, rows)]
