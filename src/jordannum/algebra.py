@@ -30,7 +30,7 @@ _UNIT_TOL = 1e-12
 _KRYLOV_TOL = 1e-12
 # ||L_x||_F outside this range could over- or underflow the squared norms
 _ARNOLDI_RANGE = (1e-100, 1e100)
-# rows * d^2 of one chunk of a ``_chunked`` kernel's stacks
+# rows * w^2 of one chunk of a ``_chunked`` kernel's stacks (w = d or m)
 _STACK_ENTRIES = 1 << 16
 
 
@@ -361,17 +361,19 @@ def U_pair_operator(a: Element, c: Element) -> OperatorMatrix:
 
 
 def _chunked(kernel):
-    """``kernel(*stacks, algebra)`` in chunks of at most ``_STACK_ENTRIES``
-    / d^2 rows, which bounds the (rows, d, d) stacks of L_x that it forms;
+    """``kernel(*args)`` in chunks of at most ``_STACK_ENTRIES`` / w^2 rows,
+    w the first array's last axis: d for a kernel's L_x stacks, m for a
+    (rows, m, m) operator stack. Arrays are cut, the algebra passed whole;
     a 1-D row runs as it is. Each row is bitwise its single call."""
     @wraps(kernel)
     def chunked(*args):
-        rows, algebra = args[0], args[-1]
-        if rows.ndim < 2 or len(rows) * algebra.dim ** 2 <= _STACK_ENTRIES:
+        rows = args[0]
+        if rows.ndim < 2 or len(rows) * rows.shape[-1] ** 2 <= _STACK_ENTRIES:
             return kernel(*args)
-        step = max(1, _STACK_ENTRIES // algebra.dim ** 2)
+        step = max(1, _STACK_ENTRIES // rows.shape[-1] ** 2)
         return np.concatenate([
-            kernel(*(s[lo:lo + step] for s in args[:-1]), algebra)
+            kernel(*(s[lo:lo + step] if isinstance(s, np.ndarray) else s
+                     for s in args))
             for lo in range(0, len(rows), step)])
     return chunked
 

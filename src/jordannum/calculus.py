@@ -55,8 +55,6 @@ _MAX_CONTOUR_NODES = 8192
 _QUADRATURE_TOL = 1e-9
 _CAUCHY_NODES = 64
 _MAX_SQRT_STEPS = 64
-# contour nodes per batched solve, which bounds the (nodes, m, m) stack
-_RESOLVENT_BATCH = 64
 
 
 @dataclass(frozen=True)
@@ -176,18 +174,23 @@ def exp(a: Element) -> Element:
     return Element(a.algebra, _exp_rows(a.coeffs, a.algebra))
 
 
+def _offset_mul(y: np.ndarray, z: np.ndarray, algebra) -> np.ndarray:
+    """(1 + y) o (1 + z) - 1 = y + z + y o z."""
+    return y + z + _product(y, z, algebra)
+
+
 @_chunked
 def _expm1(arg: np.ndarray, algebra) -> np.ndarray:
     """e^arg - 1 for arg or each of its rows, accurate relative to |e^arg - 1|.
 
     The same scaling and series as ``exp`` without the unit term, so no
     digits of a small result are lost against 1; each squaring
-    (1 + x)^2 - 1 becomes 2x + x^2.
+    (1 + x)^2 - 1 becomes 2x + x^2 (``_offset_mul``).
     """
     s, x, lx, ell = _scaled(arg, algebra)
     acc = _series(x, lx, ell)
     return _square_repeatedly(
-        lambda v: v + v + _product(v, v, algebra), acc, s, arg)
+        lambda v: _offset_mul(v, v, algebra), acc, s, arg)
 
 
 def _sqrt(a: Element) -> Element:
@@ -314,8 +317,8 @@ def holomorphic_calculus(h: Callable[[complex], complex], a: Element,
     takes the spectrum from the same H. The nested trapezoid rule
     (``_nested_trapezoid``), from ``_CONTOUR_NODES`` points and doubled until
     stable, calls h once at each point of the accepted rule and solves the
-    m x m systems of each new set of points in batches of at most
-    ``_RESOLVENT_BATCH``; ``spectral._solve_checked`` refuses a singular one.
+    m x m systems of each new set of points in one ``spectral._solve_checked``
+    call, which refuses a singular one and bounds its stacks by chunks.
     """
     q, hmat = _generated(a)
     margin = 0.05 * contour.radius
@@ -332,11 +335,9 @@ def holomorphic_calculus(h: Callable[[complex], complex], a: Element,
         offs = contour.radius * w
         zetas = contour.center + offs
         hz = np.array([h(z) for z in zetas], dtype=complex)
-        ys = [_solve_checked(z[:, None, None] * np.eye(m) - hmat,
-                             np.broadcast_to(rhs, (z.size, m)))
-              for z in np.split(zetas, range(_RESOLVENT_BATCH, zetas.size,
-                                             _RESOLVENT_BATCH))]
-        return (hz * offs)[:, None] * np.concatenate(ys)
+        ys = _solve_checked(zetas[:, None, None] * np.eye(m) - hmat,
+                            np.broadcast_to(rhs, (zetas.size, m)))
+        return (hz * offs)[:, None] * ys
 
     y = _nested_trapezoid(sample, _CONTOUR_NODES, "contour")
     return Element(a.algebra, q @ y)

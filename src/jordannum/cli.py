@@ -141,9 +141,14 @@ def _cmd_trotter(args, algebra):
                    else EXIT_OK)
 
 
+# kind: the value of the functional ``kind:i`` at coordinate c = x_i
+_COORDINATE_FUNCTIONALS = {"char": lambda c: c, "negchar": lambda c: -c,
+                           "sqchar": lambda c: c ** 2}
+
+
 def _builtin_functional(name: str, algebra: alg.AlgebraSpec):
-    if name.startswith(("char:", "negchar:", "sqchar:")):
-        kind, _, idx_text = name.partition(":")
+    kind, sep, idx_text = name.partition(":")
+    if sep and kind in _COORDINATE_FUNCTIONALS:
         try:
             idx = int(idx_text)
         except ValueError as exc:
@@ -151,14 +156,9 @@ def _builtin_functional(name: str, algebra: alg.AlgebraSpec):
         if not 0 <= idx < algebra.dim:
             raise ParseError(f"functional index {idx} out of range "
                              f"for {algebra.label}")
-        if kind == "char":
-            return fn.FunctionalHandle(
-                lambda x: complex(x.coeffs[idx]), label=name)
-        if kind == "negchar":
-            return fn.FunctionalHandle(
-                lambda x: -complex(x.coeffs[idx]), label=name)
+        value = _COORDINATE_FUNCTIONALS[kind]
         return fn.FunctionalHandle(
-            lambda x: complex(x.coeffs[idx]) ** 2, label=name)
+            lambda x: value(complex(x.coeffs[idx])), label=name)
     if name == "trace":
         try:
             n = alg._family_size(algebra, "matrix", "trace functional")
@@ -205,12 +205,22 @@ def _parse_grid(text: str):
     return n_min, n_max, ratio
 
 
+def _int_at_least(text: str, low: int) -> int:
+    value = int(text)
+    if value < low:
+        raise argparse.ArgumentTypeError(
+            f"must be at least {low}, got {value}")
+    return value
+
+
 def positive_int(text: str) -> int:
     """An argparse type: an int >= 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+    return _int_at_least(text, 1)
+
+
+def non_negative_int(text: str) -> int:
+    """An argparse type: an int >= 0 (a seed)."""
+    return _int_at_least(text, 0)
 
 
 def _load_config(path: str) -> dict:
@@ -233,7 +243,7 @@ _FLAGS = {
     "algebra": (str, None),
     "config": (str, None),
     "out": (str, None),
-    "seed": (int, 0),
+    "seed": (non_negative_int, 0),
     "samples": (positive_int, 20),
     "element": (str, None),
     "formula": (str, next(iter(trotter.FORMULAE))),
@@ -297,7 +307,7 @@ def run(argv=None, out=None) -> int:
         return code
     except SystemExit as exc:  # argparse's usage errors, --help
         return EXIT_USAGE if exc.code else EXIT_OK
-    except (ParseError, OSError) as exc:
+    except (ParseError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except JordanNumError as exc:

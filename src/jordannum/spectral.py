@@ -5,11 +5,11 @@ C[a] = span{1, a, a^2, ...} (Faraut-Koranyi, Analysis on Symmetric Cones,
 ch. II): L_a Q = Q H, H m x m (``algebra._generated``). sigma(a) is H's;
 a is invertible iff H is, as a^{-1} lies in C[a] (McCrimmon, A Taste of
 Jordan Algebras, 2004), and then a^{-1} = Q H^{-1} |1| e_1. The resolvent
-and the contour calculus solve (zeta I - H) y = |1| e_1. Each solve refuses
-a system whose smallest singular value is at most ``DEFAULT_COND_TOL`` of
-its largest; the SVD runs only on systems that |A|_F |A^-1|_F, an upper
-bound on the condition number, does not clear (``_solve_checked``). A finite
-spectrum has a connected complement, so ``in_unbounded_component`` is exact.
+and the contour calculus solve (zeta I - H) y = |1| e_1, the calculus a
+level's nodes in one call. A solve refuses a system whose smallest singular
+value is at most ``DEFAULT_COND_TOL`` of its largest; the SVD runs only where
+|A|_F |A^-1|_F >= kappa_2 does not clear it (``_solve_checked``, chunked).
+Finite spectra have connected complements: ``in_unbounded_component`` is exact.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Element, _generated
+from .algebra import Element, _chunked, _generated
 from .errors import NotInvertible, OnSpectrum
 
 DEFAULT_COND_TOL = 1e-10
@@ -48,6 +48,7 @@ def is_invertible(a: Element) -> bool:
     return bool(s[-1] > DEFAULT_COND_TOL * s[0])
 
 
+@_chunked
 def _solve_checked(ops: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve ops[k] x_k = rhs[k] for a stack of square operators.
 
@@ -55,8 +56,9 @@ def _solve_checked(ops: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     ``DEFAULT_COND_TOL`` times its largest, naming the first such operator's.
     kappa_2 <= |A|_F |A^-1|_F, so an operator whose bound is below
     0.1 / ``DEFAULT_COND_TOL`` cannot be refused. Only the others (non-finite
-    ones, or all when ``inv`` meets an exactly singular one) have their
-    singular values taken, by the same rule.
+    ones, or all of a chunk when ``inv`` meets an exactly singular one) have
+    their singular values taken, by the same rule. Each operator is its own
+    LU, inverse and SVD, so the chunks (``algebra._chunked``) change nothing.
     """
     try:
         inv = np.linalg.inv(ops)

@@ -41,8 +41,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .algebra import Element, _family_size, _power, _product, _same_algebra
-from .calculus import (HolomorphicCurve, _expm1, derivative_at_zero, exp,
-                       power_mu)
+from .calculus import (HolomorphicCurve, _expm1, _offset_mul,
+                       derivative_at_zero, exp, power_mu)
 from .errors import BranchCut, InsufficientData
 
 ERROR_FLOOR = 1e-12
@@ -84,11 +84,6 @@ class SequencePlan:
             raise ValueError(
                 "lambda_n * mu_n does not approach limit_lambda on this grid"
             )
-
-
-def _offset_mul(y: np.ndarray, z: np.ndarray, algebra) -> np.ndarray:
-    """(1 + y) o (1 + z) - 1 = y + z + y o z."""
-    return y + z + _product(y, z, algebra)
 
 
 def _pair_offset(x: np.ndarray, y: np.ndarray, w: np.ndarray,

@@ -500,6 +500,32 @@ class TestHolomorphicCalculus:
             holomorphic_calculus(np.exp, x, Contour(0.0, 5.0))
             assert len(calls) == 1
 
+    @pytest.mark.parametrize("desc", ["matrix:3", "fn:5",
+                                      "sum:fn:2+matrix:2"])
+    def test_chunked_solves_equal_unchunked(self, desc, monkeypatch):
+        # the resolvent stacks go through algebra._chunked, which cuts them
+        # to _STACK_ENTRIES / m^2 rows; each row is bitwise its single solve
+        import jordannum.algebra as algebra_module
+        x = random_element(from_descriptor(desc),
+                           np.random.default_rng(149), norm_cap=2.0)
+        m = algebra_module._generated(x)[1].shape[0]
+        contour = Contour(0.0, 2.0 * jordan_spectrum(x).spectral_radius + 1.0)
+        whole = holomorphic_calculus(cmath.exp, x, contour).coeffs
+        bound = 5 * m * m
+        monkeypatch.setattr(algebra_module, "_STACK_ENTRIES", bound)
+        inv, stacks = np.linalg.inv, []
+
+        def recorded(ops):
+            stacks.append(ops.shape)
+            return inv(ops)
+
+        monkeypatch.setattr(np.linalg, "inv", recorded)
+        assert np.array_equal(
+            holomorphic_calculus(cmath.exp, x, contour).coeffs, whole)
+        assert sum(rows for rows, _, _ in stacks) >= _CONTOUR_NODES * 2
+        assert all(rows * w * w <= bound and w == m
+                   for rows, w, _ in stacks)
+
     def test_spectrum_outside_contour_rejected(self):
         a = from_descriptor("fn:5")
         with pytest.raises(ContourViolation):

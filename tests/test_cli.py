@@ -131,6 +131,15 @@ class TestSpectrum:
                           "--element", "1,0"])
         assert code == 2
 
+    def test_element_file_that_is_not_utf8_is_a_usage_error(self, tmp_path,
+                                                             capsys):
+        path = tmp_path / "el.txt"
+        path.write_bytes(b"\xff1,0,0,0\n")
+        code, text = invoke(["spectrum", "--algebra", "fn:2",
+                             "--element", str(path)])
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err.startswith("error: ")
+
     @pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
     def test_non_finite_is_a_parse_error(self, value, capsys):
         code, text = invoke(["spectrum", "--algebra", "fn:2",
@@ -304,6 +313,25 @@ class TestConfig:
                           "--algebra", "fn:2"])
         assert code == 2
 
+    def test_negative_seed_in_config_is_a_usage_error(self, tmp_path,
+                                                        capsys):
+        # the config value goes through the flag's argparse type
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = -3\n")
+        code, text = invoke(["validate", "--config", str(cfg),
+                             "--algebra", "fn:2"])
+        assert (code, text) == (2, "")
+        assert "--seed: must be at least 0" in capsys.readouterr().err
+
+    def test_config_that_is_not_utf8_is_a_usage_error(self, tmp_path,
+                                                       capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xffseed = 1\n")
+        code, text = invoke(["validate", "--config", str(cfg),
+                             "--algebra", "fn:2"])
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestOut:
     @pytest.mark.parametrize("argv", [
@@ -357,6 +385,17 @@ class TestUsageErrors:
     def test_bad_descriptor(self):
         code, _ = invoke(["validate", "--algebra", "ring:3"])
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--algebra", "fn:2"],
+        ["trotter", "--algebra", "fn:2"],
+        ["functional", "--algebra", "fn:2", "--functional", "char:0"],
+    ])
+    def test_negative_seed(self, argv, capsys):
+        # default_rng refuses a negative seed; argparse refuses it first
+        code, text = invoke(argv + ["--seed", "-1"])
+        assert (code, text) == (2, "")
+        assert "--seed: must be at least 0" in capsys.readouterr().err
 
     def test_size_too_long_for_int(self, capsys):
         # int() refuses more than 4,300 digits; no algebra is built

@@ -423,6 +423,25 @@ class TestSolveChecked:
             self.solve(ops)
         assert info.value.smallest_singular_value == pytest.approx(5e-11)
 
+    def test_refusal_in_a_later_chunk_is_the_unchunked_one(self,
+                                                           monkeypatch):
+        # 3 rows a chunk: operator 7 is the first refused, in the third
+        # chunk; unchunked, the exactly singular operator 10 sends the whole
+        # stack to the SVD, chunked only the fourth chunk
+        import jordannum.algebra as algebra_module
+        rng = np.random.default_rng(79)
+        ops = rng.standard_normal((11, 3, 3)) + 3 * np.eye(3) + 0j
+        ops[7] = ops[7] @ np.diag([1.0, 1.0, 3e-11])
+        ops[10] = np.diag([1.0, 1.0, 0.0])
+        with pytest.raises(NotInvertible) as whole:
+            self.solve(ops)
+        monkeypatch.setattr(algebra_module, "_STACK_ENTRIES", 3 * 9)
+        with pytest.raises(NotInvertible) as chunked:
+            self.solve(ops)
+        assert (chunked.value.smallest_singular_value
+                == whole.value.smallest_singular_value
+                == np.linalg.svd(ops[7], compute_uv=False)[-1])
+
 
 class TestExtremeScales:
     """Arnoldi runs on L_x scaled by a power of two into a safe range, so

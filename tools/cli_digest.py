@@ -2,6 +2,8 @@
 
 Runs each invocation in-process through ``jordannum.cli.run`` and prints one
 line per invocation: the exit code, the sha256 of its stdout and its argv.
+An exception that escapes ``run`` takes the code's place as ``raised
+<Type>``, its traceback goes to stderr, and the next invocation runs.
 Two trees give the same lines exactly when every invocation printed the same
 bytes and exited with the same code, so a CLI comparison is one ``diff``:
 
@@ -20,6 +22,7 @@ import contextlib
 import hashlib
 import io
 import sys
+import traceback
 from pathlib import Path
 
 _TROTTER = [
@@ -52,6 +55,7 @@ INVOCATIONS = _TROTTER + [
     ["validate", "--algebra", "matrix:0"],
     ["validate", "--algebra", "ring:2"],
     ["validate", "--algebra", "sum:fn:2"],
+    ["validate", "--algebra", "fn:2", "--seed", "-1"],
 ]
 
 
@@ -66,8 +70,12 @@ def main(argv=None) -> int:
 
     for invocation in INVOCATIONS:
         out = io.StringIO()
-        with contextlib.redirect_stderr(io.StringIO()):
-            code = run(invocation, out=out)
+        try:
+            with contextlib.redirect_stderr(io.StringIO()):
+                code = run(invocation, out=out)
+        except Exception as exc:  # reported; the next invocation still runs
+            traceback.print_exc()
+            code = f"raised {type(exc).__name__}"
         digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
         print(code, digest, " ".join(invocation))
     return 0
