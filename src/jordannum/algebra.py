@@ -14,6 +14,7 @@ builds each family, and ``_family_size`` checks entries, not just labels.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache, wraps
@@ -420,7 +421,13 @@ def _power(mul, base: np.ndarray, n: Sequence[int]) -> np.ndarray:
 
 def jordan_power(a: Element, n: int) -> Element:
     """Integer power a^n by binary powering (valid by power associativity);
-    one that overflows raises ``ExpOverflow``."""
+    one that overflows raises ``ExpOverflow``. Integer types such as numpy's
+    pass; a float, even 2.0, is refused."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(
+            f"jordan_power requires an integer exponent, got {n!r}") from None
     if n < 0:
         raise ValueError("jordan_power requires a nonnegative exponent")
     if n == 0:

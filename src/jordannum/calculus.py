@@ -335,8 +335,9 @@ def holomorphic_calculus(h: Callable[[complex], complex], a: Element,
         offs = contour.radius * w
         zetas = contour.center + offs
         hz = np.array([h(z) for z in zetas], dtype=complex)
-        ys = _solve_checked(zetas[:, None, None] * np.eye(m) - hmat,
-                            np.broadcast_to(rhs, (zetas.size, m)))
+        ops = zetas[:, None, None] * np.eye(m)
+        ops -= hmat  # in place: one (nodes, m, m) stack, not two
+        ys = _solve_checked(ops, np.broadcast_to(rhs, (zetas.size, m)))
         return (hz * offs)[:, None] * ys
 
     y = _nested_trapezoid(sample, _CONTOUR_NODES, "contour")

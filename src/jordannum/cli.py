@@ -25,11 +25,20 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 
+def _read_text(path: str) -> str:
+    """The text of a UTF-8 file; one that is not UTF-8 is a ParseError that
+    names it."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
 def _parse_element(algebra: alg.AlgebraSpec, text: str) -> alg.Element:
     """Flat real,imag interleaved coefficients, inline or from a file."""
     if os.path.isfile(text):
-        with open(text, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        text = _read_text(text)
     tokens = [t for t in text.replace("\n", ",").split(",") if t.strip()]
     try:
         values = [float(t) for t in tokens]
@@ -226,15 +235,14 @@ def non_negative_int(text: str) -> int:
 def _load_config(path: str) -> dict:
     """Key-value config file, one ``key = value`` per line, '#' comments."""
     values = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParseError(f"{path}:{lineno}: expected key = value")
-            key, _, value = line.partition("=")
-            values[key.strip().replace("-", "_")] = value.strip()
+    for lineno, raw in enumerate(_read_text(path).split("\n"), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParseError(f"{path}:{lineno}: expected key = value")
+        key, _, value = line.partition("=")
+        values[key.strip().replace("-", "_")] = value.strip()
     return values
 
 
@@ -307,7 +315,7 @@ def run(argv=None, out=None) -> int:
         return code
     except SystemExit as exc:  # argparse's usage errors, --help
         return EXIT_USAGE if exc.code else EXIT_OK
-    except (ParseError, OSError, UnicodeDecodeError) as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except JordanNumError as exc:

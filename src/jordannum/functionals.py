@@ -36,6 +36,7 @@ _MAX_STEPS = 2 ** 16
 # which branch tracking becomes ambiguous
 _PHASE_JUMP_LIMIT = 0.5 * np.pi
 _THEOREM_TOL = 1e-6  # bound on each residual of verify_character_theorem
+_CHECK_TOL = 1e-8  # bound of is_spectral_valued and is_U_multiplicative
 # CharacterReport's residual fields in report order, with their failure names
 _RESIDUALS = (
     ("spectral_residual", "spectral-valued"),
@@ -106,15 +107,15 @@ def _largest(residuals: Sequence[float]) -> float:
 
 
 def is_spectral_valued(f: FunctionalHandle, samples: Sequence[Element]):
-    """(residual, residual <= 1e-8): the max distance of f(x) from sigma(x)."""
+    """(residual, residual <= _CHECK_TOL): max distance of f(x) to sigma(x)."""
     if not samples:
         raise ValueError("need at least one sample")
     residual = _largest([jordan_spectrum(x).distance(f(x)) for x in samples])
-    return residual, residual <= 1e-8
+    return residual, residual <= _CHECK_TOL
 
 
 def is_U_multiplicative(f: FunctionalHandle, sample_pairs: Sequence[tuple]):
-    """(residual, residual <= 1e-8): the max |f(U_x(y)) - f(x)^2 f(y)|, with
+    """(residual, residual <= _CHECK_TOL): max |f(U_x(y)) - f(x)^2 f(y)|,
     every U_x(y) from one stacked U-apply, so all x and y share one algebra.
     """
     if not sample_pairs:
@@ -127,7 +128,7 @@ def is_U_multiplicative(f: FunctionalHandle, sample_pairs: Sequence[tuple]):
     u = _U_apply(xs, ys, algebra)
     residual = _largest([abs(f(Element(algebra, row)) - f(x) ** 2 * f(y))
                          for row, (x, y) in zip(u, sample_pairs)])
-    return residual, residual <= 1e-8
+    return residual, residual <= _CHECK_TOL
 
 
 def unit_sign(f: FunctionalHandle, algebra: AlgebraSpec) -> int:

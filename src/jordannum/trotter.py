@@ -43,7 +43,7 @@ import numpy as np
 from .algebra import Element, _family_size, _power, _product, _same_algebra
 from .calculus import (HolomorphicCurve, _expm1, _offset_mul,
                        derivative_at_zero, exp, power_mu)
-from .errors import BranchCut, InsufficientData
+from .errors import BranchCut, InsufficientData, StructureError
 
 ERROR_FLOOR = 1e-12
 
@@ -103,9 +103,9 @@ def _pair_offset(x: np.ndarray, y: np.ndarray, w: np.ndarray,
 
 
 def _step(operands: Sequence[Element], n_grid: Sequence[int],
-          base) -> list[Element]:
-    """(1 + base(x, ..., algebra))^n for each n of the ascending grid, with
-    x = e^{v/n} - 1 for each operand v; each n must be an integer >= 1.
+          base) -> np.ndarray:
+    """Row r is (1 + base(x, ..., algebra))^n for n = n_grid[r], ascending,
+    with x = e^{v/n} - 1 for each operand v; each n must be an integer >= 1.
 
     The rows e^{v/n} - 1, for every v and n, come from one ``_expm1`` call
     (in chunks that bound its L_x stack, ``algebra._chunked``), ``base``
@@ -125,7 +125,7 @@ def _step(operands: Sequence[Element], n_grid: Sequence[int],
     rows = _expm1(args.reshape(-1, algebra.dim), algebra)
     y = _power(lambda y, z: _offset_mul(y, z, algebra),
                base(*rows.reshape(args.shape), algebra), n_grid)
-    return [Element(algebra, row) for row in algebra.unit + y]
+    return algebra.unit + y
 
 
 def trotter_jordan(a: Element, b: Element, n: int) -> Element:
@@ -133,7 +133,7 @@ def trotter_jordan(a: Element, b: Element, n: int) -> Element:
 
     With x = e^{a/n} - 1 and y = e^{b/n} - 1 the base is 1 + x + y + x o y.
     """
-    return _step((a, b), (n,), _offset_mul)[0]
+    return Element(a.algebra, _step((a, b), (n,), _offset_mul)[0])
 
 
 def trotter_U(a: Element, b: Element, n: int) -> Element:
@@ -151,7 +151,7 @@ def trotter_U_pair(a: Element, b: Element, c: Element, n: int) -> Element:
     With x = e^{a/n} - 1, y = e^{b/n} - 1 and w = e^{c/n} - 1 the base is
     1 + U_{1+x, 1+w}(y) + x + w + x o w (``_pair_offset``).
     """
-    return _step((a, b, c), (n,), _pair_offset)[0]
+    return Element(a.algebra, _step((a, b, c), (n,), _pair_offset)[0])
 
 
 def _fit_slope(n_grid, errors):
@@ -167,38 +167,15 @@ def _fit_slope(n_grid, errors):
     return float(slope)
 
 
-def _report(formula_id: str, n_grid: tuple, target: Element,
-            approx: Callable[[int], Element]) -> ConvergenceReport:
-    """Errors of approx(n) against target along the grid, with their slope.
-
-    Grid points where approx raises ``BranchCut`` are skipped and recorded;
-    fewer than four usable points raise ``InsufficientData``.
-    """
-    used, errors, skipped = [], [], []
-    for n in n_grid:
-        try:
-            errors.append((approx(n) - target).norm)
-        except BranchCut:
-            skipped.append(n)
-        else:
-            used.append(n)
-    if len(used) < 4:
-        raise InsufficientData(
-            f"only {len(used)} usable grid points after skipping {skipped}"
-        )
-    return ConvergenceReport(formula_id, tuple(used), tuple(errors),
-                             _fit_slope(used, errors), target.norm,
-                             tuple(skipped))
-
-
 def general_trotter(f: HolomorphicCurve, plan: SequencePlan,
                     n_grid: Sequence[int]) -> ConvergenceReport:
     """Evaluate f(lambda_n)^(mu_n) along the grid against exp(lambda f'(0)).
 
     The grid must pass ``check_grid``. Grid points where the principal-log
-    precondition fails are skipped and recorded; the limit statement only
-    holds for sufficiently large n. f'(0) is sampled at rho = R / 2, or at
-    rho = 1 for an entire curve (``radius_r`` R = inf).
+    precondition fails (``BranchCut``) are skipped and recorded; the limit
+    statement only holds for sufficiently large n, and fewer than four
+    usable points raise ``InsufficientData``. f'(0) is sampled at
+    rho = R / 2, or at rho = 1 for an entire curve (``radius_r`` R = inf).
     """
     n_grid = check_grid(n_grid)
     plan.check_on_grid(n_grid)
@@ -209,8 +186,22 @@ def general_trotter(f: HolomorphicCurve, plan: SequencePlan,
     rho = 0.5 * f.radius_r if np.isfinite(f.radius_r) else 1.0
     deriv = derivative_at_zero(f, rho=rho)
     target = exp(deriv * plan.limit_lambda)
-    return _report("general", n_grid, target, lambda n: power_mu(
-        f.eval(plan.lambda_seq(n)), plan.mu_seq(n)))
+    used, errors, skipped = [], [], []
+    for n in n_grid:
+        try:
+            approx = power_mu(f.eval(plan.lambda_seq(n)), plan.mu_seq(n))
+        except BranchCut:
+            skipped.append(n)
+        else:
+            used.append(n)
+            errors.append((approx - target).norm)
+    if len(used) < 4:
+        raise InsufficientData(
+            f"only {len(used)} usable grid points after skipping {skipped}"
+        )
+    return ConvergenceReport("general", tuple(used), tuple(errors),
+                             _fit_slope(used, errors), target.norm,
+                             tuple(skipped))
 
 
 def associative_identity_check(a: Element, b: Element, n: int) -> float:
@@ -281,13 +272,17 @@ def convergence_report(formula_id: str, params: dict,
 
     ``params`` maps the formula's parameter keys to elements; the grid must
     pass ``check_grid``. The target comes first, so one that overflows
-    raises exp's ``ExpOverflow``; then one ``_step`` pass gives every n.
+    raises exp's ``ExpOverflow``; then one ``_step`` pass gives every n's
+    row, and one finiteness check covers the rows minus the target.
     """
     n_grid = check_grid(n_grid)
     if formula_id not in FORMULAE:
         raise ValueError(f"unknown formula id {formula_id!r}")
     _, exponent, order, base = FORMULAE[formula_id]
     target = exp(exponent(params))
-    products = dict(zip(n_grid, _step([params[k] for k in order], n_grid,
-                                      base)))
-    return _report(formula_id, n_grid, target, products.__getitem__)
+    diffs = _step([params[k] for k in order], n_grid, base) - target.coeffs
+    if not np.isfinite(diffs).all():
+        raise StructureError("coefficients must be finite")
+    errors = tuple(float(np.linalg.norm(d)) for d in diffs)
+    return ConvergenceReport(formula_id, n_grid, errors,
+                             _fit_slope(n_grid, errors), target.norm)

@@ -620,6 +620,20 @@ class TestPowers:
         with pytest.raises(ValueError):
             jordan_power(make_function_algebra(2).one(), -1)
 
+    @pytest.mark.parametrize("n", [2.0, 2.5, 0.0, "2"])
+    def test_non_integer_power_rejected(self, n):
+        # a float once reached _power's bit tests and raised TypeError there,
+        # or, as 0.0, returned the unit
+        x = make_function_algebra(2).element([3.0, 0.5])
+        with pytest.raises(ValueError, match="integer exponent"):
+            jordan_power(x, n)
+
+    def test_numpy_integer_power_accepted(self):
+        x = make_function_algebra(2).element([3.0, 0.5])
+        for n in (np.int64(0), np.int32(3), np.uint8(5)):
+            assert np.array_equal(jordan_power(x, n).coeffs,
+                                  jordan_power(x, int(n)).coeffs)
+
     def test_overflowing_power_raises_exp_overflow(self):
         # 3^1024 overflows: the squarings once went on through inf with
         # numpy RuntimeWarnings and then refused the infinite coefficients

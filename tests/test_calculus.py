@@ -1,4 +1,5 @@
 import cmath
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -25,7 +26,7 @@ from jordannum import (
     random_element,
     resolvent,
 )
-from jordannum import spectral
+from jordannum import calculus, spectral
 from jordannum.calculus import _CONTOUR_NODES, _MAX_CONTOUR_NODES, _exp_rows
 from jordannum.errors import (BranchCut, ContourViolation, ExpOverflow,
                               QuadratureError)
@@ -539,6 +540,24 @@ class TestHolomorphicCalculus:
                            match="contour quadrature did not stabilize"):
             holomorphic_calculus(lambda z: 1.0 / (z - 1.000001), x,
                                  Contour(0.0, 1.0))
+
+    def test_each_level_forms_one_operator_stack(self, monkeypatch):
+        # a rule forced to the node cap solves 4,096 new 12 x 12 systems at
+        # its last level, a 9.4 MB operator stack; forming zeta I - H out of
+        # place held two such stacks at once (19.9 MB)
+        x = random_element(from_descriptor("matrix:12"),
+                           np.random.default_rng(5), norm_cap=2.0)
+        assert calculus._generated(x)[1].shape == (12, 12)
+        contour = Contour(0.0, 2.0 * jordan_spectrum(x).spectral_radius + 1.0)
+        monkeypatch.setattr(calculus, "_QUADRATURE_TOL", -1.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(QuadratureError):
+                holomorphic_calculus(cmath.exp, x, contour)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
     def test_contour_validation(self):
         with pytest.raises(ValueError):

@@ -138,7 +138,8 @@ class TestSpectrum:
         code, text = invoke(["spectrum", "--algebra", "fn:2",
                              "--element", str(path)])
         assert (code, text) == (2, "")
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: not UTF-8 text")
 
     @pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
     def test_non_finite_is_a_parse_error(self, value, capsys):
@@ -330,7 +331,8 @@ class TestConfig:
         code, text = invoke(["validate", "--config", str(cfg),
                              "--algebra", "fn:2"])
         assert (code, text) == (2, "")
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: not UTF-8 text")
 
 
 class TestOut:

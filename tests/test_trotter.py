@@ -26,7 +26,7 @@ from jordannum import (
 from jordannum import algebra as algebra_module
 from jordannum import calculus, trotter
 from jordannum.errors import (AlgebraMismatch, ExpOverflow, InsufficientData,
-                              UnsupportedAlgebra)
+                              StructureError, UnsupportedAlgebra)
 from jordannum.trotter import FORMULAE
 
 FAMILIES = ["matrix:2", "matrix:3", "spin:4", "fn:5", "sum:fn:2+matrix:2"]
@@ -376,6 +376,22 @@ class TestConvergenceReport:
                             rows * a.dim ** 2)
         assert reports() == expected
         assert max(sizes) == rows
+
+    def test_non_finite_rows_are_refused_once_per_stack(self, monkeypatch):
+        # the report wraps no row in an Element; one check over the rows
+        # minus the target refuses a non-finite row as an Element would
+        a = from_descriptor("fn:3")
+        rng = np.random.default_rng(331)
+        params = {"a": random_element(a, rng), "b": random_element(a, rng)}
+
+        def rows(operands, n_grid, base):
+            out = np.ones((len(n_grid), a.dim), dtype=complex)
+            out[-1, 1] = np.nan
+            return out
+
+        monkeypatch.setattr(trotter, "_step", rows)
+        with pytest.raises(StructureError, match="must be finite"):
+            convergence_report("jordan_product", params, geometric_grid())
 
     def test_numpy_integer_grid(self):
         a = from_descriptor("fn:3")

@@ -37,6 +37,10 @@ INVOCATIONS = _TROTTER + [
     ["spectrum", "--algebra", "fn:3", "--element", "1,0,0,2,-5,0"],
     ["trotter", "--algebra", "matrix:2", "--seed", "42", "--formula",
      "U_single", "--n-grid", "16:4096:2"],
+    # ratio 3: every n past the first has more than one set bit, so the
+    # powering multiplies rows in as well as squaring them
+    ["trotter", "--algebra", "spin:3", "--seed", "7", "--formula", "U_pair",
+     "--n-grid", "16:3888:3"],
     ["functional", "--algebra", "fn:3", "--functional", "char:1"],
     ["functional", "--algebra", "fn:3", "--functional", "char:1",
      "--seed", "3"],
