@@ -14,10 +14,14 @@ class StructureError(JordanNumError):
 
 
 class ParseError(JordanNumError):
-    """Malformed algebra descriptor; carries the byte offset of the failure."""
+    """Malformed input; a descriptor error carries the byte offset of the
+    failure, which the message then names. Other usage errors (config lines,
+    grids, element files, formulae) have none: ``offset`` is None."""
 
-    def __init__(self, message, offset=0):
-        super().__init__(f"{message} (at offset {offset})")
+    def __init__(self, message, offset=None):
+        if offset is not None:
+            message = f"{message} (at offset {offset})"
+        super().__init__(message)
         self.offset = offset
 
 

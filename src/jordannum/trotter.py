@@ -30,10 +30,19 @@ exponent per row (``algebra._power``). Each row takes exactly the
 operations of its own single-n call, so a report's errors are bitwise those
 of ``trotter_jordan``, ``trotter_U`` and ``trotter_U_pair`` at each n, which
 are the same routine on the one-point grid (n,).
+
+The curve limit evaluates f(lambda_n) once per grid point. Where mu_n is an
+integer, the principal power is the plain power, which needs no log and no
+branch check: the offsets f(lambda_n) - 1 of those points are the rows of
+one binary powering, each to its own mu_n, the pass the product formulae
+use, with its sums in numpy's extended precision, so a row is rounded to
+double once, after its powering. Every other mu_n goes through
+``power_mu``, one point at a time.
 """
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -46,6 +55,8 @@ from .calculus import (HolomorphicCurve, _expm1, _offset_mul,
 from .errors import BranchCut, InsufficientData, StructureError
 
 ERROR_FLOOR = 1e-12
+# the largest integer mu_n that takes the plain power (``_integer_mu``)
+_MAX_INTEGER_MU = 2 ** 53
 
 
 @dataclass(frozen=True)
@@ -100,6 +111,14 @@ def _pair_offset(x: np.ndarray, y: np.ndarray, w: np.ndarray,
     u = (y + xy + wy + _product(x, wy, algebra) + _product(w, xy, algebra)
          - _product(xw, y, algebra))
     return u + (x + w + xw)
+
+
+def _wide_offset_mul(y: np.ndarray, z: np.ndarray, algebra) -> np.ndarray:
+    """``_offset_mul`` on rows in numpy's extended precision, the product
+    taken in double: while the offsets are small, the sum is the term that
+    rounds (by eps |y + z| in double, at each of up to 53 squarings), and an
+    extended-precision product is about 5x slower at d = 256."""
+    return y + z + _product(y.astype(complex), z.astype(complex), algebra)
 
 
 def _step(operands: Sequence[Element], n_grid: Sequence[int],
@@ -167,40 +186,91 @@ def _fit_slope(n_grid, errors):
     return float(slope)
 
 
+def _integer_mu(mu) -> int | None:
+    """mu as an int if it is an integer in [1, 2^53], else None.
+
+    An int or numpy integer counts, and so does a float or complex with zero
+    imaginary part and an integral real part, such as float(n) or
+    3.0 * n ** 2. 0, negative values and values above 2^53 do not.
+    """
+    if isinstance(mu, (int, np.integer)):
+        k = int(mu)
+    elif isinstance(mu, numbers.Complex):
+        z = complex(mu)
+        if z.imag or not z.real.is_integer():
+            return None
+        k = int(z.real)
+    else:
+        return None
+    return k if 1 <= k <= _MAX_INTEGER_MU else None
+
+
+def _errors(rows: np.ndarray, target: Element) -> tuple:
+    """The norm of each row minus the target's coefficients; one check
+    raises ``StructureError`` if any difference is not finite."""
+    diffs = rows - target.coeffs
+    if not np.isfinite(diffs).all():
+        raise StructureError("coefficients must be finite")
+    return tuple(float(np.linalg.norm(d)) for d in diffs)
+
+
 def general_trotter(f: HolomorphicCurve, plan: SequencePlan,
                     n_grid: Sequence[int]) -> ConvergenceReport:
     """Evaluate f(lambda_n)^(mu_n) along the grid against exp(lambda f'(0)).
 
-    The grid must pass ``check_grid``. Grid points where the principal-log
-    precondition fails (``BranchCut``) are skipped and recorded; the limit
-    statement only holds for sufficiently large n, and fewer than four
-    usable points raise ``InsufficientData``. f'(0) is sampled at
+    The grid must pass ``check_grid``. f(lambda_n) is evaluated once per
+    point. Points whose mu_n is an integer (``_integer_mu``) take the plain
+    power: their offsets f(lambda_n) - 1 are raised, each to its own mu_n,
+    in one binary powering (``algebra._power``) whose sums run in
+    ``np.clongdouble`` (``_wide_offset_mul``). Where that is wider than
+    double (a 64-bit significand on x86-64), the powering's up to 53
+    squarings round well below double, and each row is rounded to double
+    once; a power that overflows raises ``ExpOverflow``. The others take
+    the principal power ``power_mu``; where its log precondition fails
+    (``BranchCut``) the point is skipped and recorded.
+    The limit statement only holds for sufficiently large n, and fewer than
+    four usable points raise ``InsufficientData``. f'(0) is sampled at
     rho = R / 2, or at rho = 1 for an entire curve (``radius_r`` R = inf).
     """
     n_grid = check_grid(n_grid)
     plan.check_on_grid(n_grid)
     f0 = f.eval(0.0)
-    one = f0.algebra.one()
-    if (f0 - one).norm > 1e-12:
+    algebra = f0.algebra
+    if (f0 - algebra.one()).norm > 1e-12:
         raise ValueError("curve must satisfy f(0) = 1")
     rho = 0.5 * f.radius_r if np.isfinite(f.radius_r) else 1.0
     deriv = derivative_at_zero(f, rho=rho)
     target = exp(deriv * plan.limit_lambda)
-    used, errors, skipped = [], [], []
-    for n in n_grid:
+    rows = np.empty((len(n_grid), algebra.dim), dtype=complex)
+    powers, skipped = {}, []  # powers: row -> its integer mu_n
+    for r, n in enumerate(n_grid):
+        base = f.eval(plan.lambda_seq(n))
+        _same_algebra(target, base)
+        mu = plan.mu_seq(n)
+        k = _integer_mu(mu)
+        if k is not None:
+            powers[r] = k
+            rows[r] = base.coeffs - algebra.unit
+            continue
         try:
-            approx = power_mu(f.eval(plan.lambda_seq(n)), plan.mu_seq(n))
+            rows[r] = power_mu(base, mu).coeffs
         except BranchCut:
             skipped.append(n)
-        else:
-            used.append(n)
-            errors.append((approx - target).norm)
+    if powers:  # _power takes its exponents ascending
+        order = sorted(powers, key=powers.get)
+        wide = _power(lambda y, z: _wide_offset_mul(y, z, algebra),
+                      rows[order].astype(np.clongdouble),
+                      [powers[r] for r in order])
+        rows[order] = algebra.unit + wide
+    used = [r for r, n in enumerate(n_grid) if n not in skipped]
     if len(used) < 4:
         raise InsufficientData(
             f"only {len(used)} usable grid points after skipping {skipped}"
         )
-    return ConvergenceReport("general", tuple(used), tuple(errors),
-                             _fit_slope(used, errors), target.norm,
+    n_used = tuple(n_grid[r] for r in used)
+    errors = _errors(rows[used], target)
+    return ConvergenceReport("general", n_used, errors,
+                             _fit_slope(n_used, errors), target.norm,
                              tuple(skipped))
 
 
@@ -273,16 +343,14 @@ def convergence_report(formula_id: str, params: dict,
     ``params`` maps the formula's parameter keys to elements; the grid must
     pass ``check_grid``. The target comes first, so one that overflows
     raises exp's ``ExpOverflow``; then one ``_step`` pass gives every n's
-    row, and one finiteness check covers the rows minus the target.
+    row, and one finiteness check covers the rows minus the target
+    (``_errors``).
     """
     n_grid = check_grid(n_grid)
     if formula_id not in FORMULAE:
         raise ValueError(f"unknown formula id {formula_id!r}")
     _, exponent, order, base = FORMULAE[formula_id]
     target = exp(exponent(params))
-    diffs = _step([params[k] for k in order], n_grid, base) - target.coeffs
-    if not np.isfinite(diffs).all():
-        raise StructureError("coefficients must be finite")
-    errors = tuple(float(np.linalg.norm(d)) for d in diffs)
+    errors = _errors(_step([params[k] for k in order], n_grid, base), target)
     return ConvergenceReport(formula_id, n_grid, errors,
                              _fit_slope(n_grid, errors), target.norm)

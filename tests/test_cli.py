@@ -406,6 +406,34 @@ class TestUsageErrors:
         assert text == ""
         assert "size too big (5000 digits)" in capsys.readouterr().err
 
+    def test_malformed_config_line_names_no_offset(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 1\njust a line without equals\n")
+        code, text = invoke(["validate", "--config", str(cfg),
+                             "--algebra", "fn:2"])
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err == (
+            f"error: {cfg}:2: expected key = value\n")
+
+    def test_unknown_formula_names_no_offset(self, capsys):
+        code, text = invoke(["trotter", "--algebra", "fn:2",
+                             "--formula", "lie_bracket"])
+        assert (code, text) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown formula 'lie_bracket'")
+        assert "(at offset" not in err
+
+    def test_descriptor_error_keeps_its_offset(self, capsys):
+        # a real offset of 0 is still named
+        code, _ = invoke(["validate", "--algebra", "ring:3"])
+        assert code == 2
+        assert capsys.readouterr().err.endswith("(at offset 0)\n")
+
+    def test_parse_error_offset_is_optional(self):
+        assert str(ParseError("bad")) == "bad"
+        assert ParseError("bad").offset is None
+        assert str(ParseError("bad", 0)) == "bad (at offset 0)"
+
     @pytest.mark.parametrize("family", ["fn", "spin", "matrix"])
     def test_size_too_big_for_numpy(self, family, capsys):
         # numpy refuses the arrays of a 20-digit size before allocating them

@@ -12,12 +12,14 @@ from jordannum import (
     associative_identity_check,
     convergence_report,
     cos,
+    derivative_at_zero,
     exp,
     from_descriptor,
     general_trotter,
     geometric_grid,
     jordan_mul,
     jordan_power,
+    power_mu,
     random_element,
     trotter_U,
     trotter_U_pair,
@@ -507,19 +509,186 @@ class TestGeneralTrotter:
         with pytest.raises(ValueError):
             general_trotter(f, plan, geometric_grid())
 
-    def test_insufficient_data(self):
-        # curve hits the branch cut at every grid point: f(lambda) has a
-        # negative real spectrum point
+    @staticmethod
+    def _cut_curve():
+        # f(lambda) = [-1, 1] on fn:2 for lambda != 0: spectrum on the cut
         f_alg = from_descriptor("fn:2")
         one = f_alg.one()
+        base = f_alg.element([-1.0, 1.0])
 
         def curve(z):
-            z = complex(z)
-            if z == 0:
-                return one
-            return f_alg.element([-1.0, 1.0])
+            return one if complex(z) == 0 else base
 
-        f = HolomorphicCurve(curve, radius_r=1.0)
-        plan = SequencePlan(lambda n: 1.0 / n, lambda n: float(n), 1.0)
+        return HolomorphicCurve(curve, radius_r=1.0), base
+
+    def test_insufficient_data(self):
+        # the curve hits the branch cut at every grid point, and mu_n is not
+        # an integer, so every point takes the principal power and is skipped
+        f, _ = self._cut_curve()
+        plan = SequencePlan(lambda n: 1.0 / (n + 0.5), lambda n: n + 0.5, 1.0)
         with pytest.raises(InsufficientData):
             general_trotter(f, plan, geometric_grid())
+
+    def test_integer_mu_crosses_the_cut(self):
+        # at mu_n = n the plain power is defined on the cut: no point is
+        # skipped, and the rows are the plain powers, [1, 1] at even n and
+        # [-1, 1] at odd n
+        f, base = self._cut_curve()
+        plan = SequencePlan(lambda n: 1.0 / n, lambda n: float(n), 1.0)
+        grid = (16, 33, 67, 135, 271, 543)
+        rep = general_trotter(f, plan, grid)
+        assert rep.skipped == () and rep.n_grid == grid
+        target = exp(derivative_at_zero(f, rho=0.5))
+        want = [(jordan_power(base, n) - target).norm for n in grid]
+        assert rep.errors == pytest.approx(want, rel=1e-15, abs=1e-15)
+        assert [round(e) for e in rep.errors] == [0, 2, 2, 2, 2, 2]
+
+
+def _workload_curve(algebra, seed):
+    """exp(a z) o (1 + b z + d^3 z^3) o cos(c z), with radius_r = 2."""
+    rng = np.random.default_rng(seed)
+    xa, xb, xc, xd = (random_element(algebra, rng, norm_cap=0.5)
+                      for _ in range(4))
+    d3 = jordan_power(xd, 3)
+    one = algebra.one()
+
+    def curve(z):
+        poly = one + xb * z + d3 * z ** 3
+        return jordan_mul(jordan_mul(exp(xa * z), poly), cos(xc * z))
+
+    return HolomorphicCurve(curve, radius_r=2.0)
+
+
+def _plain_power_row(base, k):
+    """The integer path's row: 1 + ((1 + y)^k - 1), y = base - 1, powered
+    alone with extended-precision sums and rounded to double."""
+    algebra = base.algebra
+    y = (base.coeffs - algebra.unit)[None].astype(np.clongdouble)
+    wide = algebra_module._power(
+        lambda u, v: trotter._wide_offset_mul(u, v, algebra), y, (k,))[0]
+    return (algebra.unit + wide).astype(complex)
+
+
+class TestCurvePowerPaths:
+    """Integer mu_n take one offset powering, the others ``power_mu``."""
+
+    GRID = geometric_grid()
+
+    def test_non_integer_plan_is_a_power_mu_loop(self):
+        f = _workload_curve(from_descriptor("spin:3"), 3)
+        plan = SequencePlan(lambda n: 1.0 / (n + 0.5), lambda n: n + 0.5, 1.0)
+        rep = general_trotter(f, plan, self.GRID)
+        target = exp(derivative_at_zero(f, rho=1.0) * 1.0)
+        want = tuple((power_mu(f.eval(1.0 / (n + 0.5)), n + 0.5)
+                      - target).norm for n in self.GRID)
+        assert rep.errors == want  # bitwise
+        assert rep.n_grid == self.GRID and rep.skipped == ()
+
+    def test_mixed_plan_takes_each_path(self):
+        f = _workload_curve(from_descriptor("spin:3"), 4)
+
+        def mu(n):
+            return float(n) if n % 64 == 0 else n + 0.5
+
+        plan = SequencePlan(lambda n: 1.0 / mu(n), mu, 1.0)
+        rep = general_trotter(f, plan, self.GRID)
+        target = exp(derivative_at_zero(f, rho=1.0) * 1.0)
+        for n, err in zip(rep.n_grid, rep.errors):
+            base = f.eval(1.0 / mu(n))
+            if n % 64 == 0:
+                row = _plain_power_row(base, n)
+            else:
+                row = power_mu(base, mu(n)).coeffs
+            assert err == float(np.linalg.norm(row - target.coeffs)), n
+
+    def test_descending_integer_mu_are_put_back(self):
+        # _power takes ascending exponents: the rows are sorted and restored
+        f = _workload_curve(from_descriptor("matrix:2"), 5)
+        mus = dict(zip(self.GRID, (4096, 1, 2048, 16, 512, 64, 8, 256, 32)))
+        plan = SequencePlan(lambda n: 1.0 / n, lambda n: float(mus[n]),
+                            1.0)
+        rep = general_trotter(f, plan, self.GRID)
+        target = exp(derivative_at_zero(f, rho=1.0) * 1.0)
+        want = tuple(float(np.linalg.norm(
+            _plain_power_row(f.eval(1.0 / n), mus[n]) - target.coeffs))
+            for n in self.GRID)
+        assert rep.errors == want
+
+    @pytest.mark.parametrize("desc", ["matrix:2", "spin:3"])
+    @pytest.mark.parametrize("lam, mu, limit", [
+        (lambda n: 1.0 / n, lambda n: float(n), 1.0),
+        (lambda n: 1.0 / n ** 2, lambda n: 3.0 * n ** 2, 3.0),
+    ])
+    def test_integer_rows_agree_with_power_mu(self, desc, lam, mu, limit):
+        # on exp(x z) both paths power the same rounded base, each to within
+        # a fraction of mu_n eps; the errors then differ by at most as much
+        a = from_descriptor(desc)
+        x = random_element(a, np.random.default_rng(239))
+        f = HolomorphicCurve(lambda z: exp(x * z), radius_r=2.0)
+        rep = general_trotter(f, SequencePlan(lam, mu, limit), self.GRID)
+        target = exp(derivative_at_zero(f, rho=1.0) * limit)
+        eps = np.finfo(float).eps
+        for n, err in zip(self.GRID, rep.errors):
+            principal = power_mu(f.eval(lam(n)), mu(n))
+            assert (abs(err - (principal - target).norm)
+                    <= 4.0 * mu(n) * eps * principal.norm), n
+
+    @pytest.mark.parametrize("mu", [
+        2.0 ** 53 + 2.0, 2 ** 53 + 1, 0, 0.0, -16, -16.0, 16.5, 16 + 1j,
+        complex(16, 1e-300), float("nan"), float("inf"), "16",
+    ])
+    def test_not_an_integer_mu(self, mu):
+        assert trotter._integer_mu(mu) is None
+
+    @pytest.mark.parametrize("mu, k", [
+        (16, 16), (np.int64(16), 16), (16.0, 16), (np.float64(16.0), 16),
+        (complex(16, 0), 16), (complex(16, -0.0), 16), (1, 1),
+        (3.0 * 4096 ** 2, 3 * 4096 ** 2), (2.0 ** 53, 2 ** 53),
+        (2 ** 53, 2 ** 53),
+    ])
+    def test_integer_mu(self, mu, k):
+        assert trotter._integer_mu(mu) == k
+
+    @pytest.mark.parametrize("lam, mu, limit", [
+        (lambda n: 1.0 / n, lambda n: 0.0, 0.0),
+        (lambda n: 2.0 ** -60 / n, lambda n: 2.0 ** 60 * n, 1.0),
+        (lambda n: 1.0 / n, lambda n: complex(n, 1.0), 1.0),
+    ])
+    def test_power_mu_takes_the_rest(self, monkeypatch, lam, mu, limit):
+        calls = []
+
+        def counted(a, m):
+            calls.append(m)
+            return power_mu(a, m)
+
+        monkeypatch.setattr(trotter, "power_mu", counted)
+        a = from_descriptor("fn:2")
+        x = a.element([0.3 - 0.1j, -0.7])
+        f = HolomorphicCurve(lambda z: exp(x * z), radius_r=2.0)
+        general_trotter(f, SequencePlan(lam, mu, limit), self.GRID)
+        assert calls == [mu(n) for n in self.GRID]
+
+    @pytest.mark.parametrize("mu", [
+        lambda n: float(n), lambda n: 3.0 * n ** 2,
+    ])
+    def test_power_that_overflows(self, mu):
+        # 3^1024 overflows double: the powering's products do
+        f_alg = from_descriptor("fn:2")
+        one, base = f_alg.one(), f_alg.element([3.0, 0.5])
+        f = HolomorphicCurve(lambda z: one if complex(z) == 0 else base,
+                             radius_r=1.0)
+        plan = SequencePlan(lambda n: 1.0 / mu(n), mu, 1.0)
+        with pytest.raises(ExpOverflow):
+            general_trotter(f, plan, self.GRID)
+
+    def test_integer_plan_takes_no_log(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("power_mu called on an integer plan")
+
+        monkeypatch.setattr(trotter, "power_mu", refuse)
+        monkeypatch.setattr(calculus, "log", refuse)
+        f = _workload_curve(from_descriptor("spin:3"), 0)
+        plan = SequencePlan(lambda n: 1.0 / n ** 2, lambda n: 3.0 * n ** 2,
+                            3.0)
+        rep = general_trotter(f, plan, self.GRID)
+        assert rep.n_grid == self.GRID and rep.skipped == ()

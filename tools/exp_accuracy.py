@@ -46,6 +46,14 @@ prints ``exp`` and ``expm1`` lines, for 198 x at caps 0.01-5, and a
 references taken through the isomorphism phi(v) = v / c from matrix:2:
 exp'(x) = exp(c x) / c, expm1'(x) = expm1(c x) / c and log'(y) =
 log(c y) / c (c x and c y in mpmath).
+``spin:3 curve_limit`` takes each error that ``general_trotter`` reports
+for the curve exp(a z) o (1 + b z + d^3 z^3) o cos(c z) on ``spin:3``
+(a, b, c, d drawn at norm cap 0.5 from seeds 0-3, radius_r = 2), with the
+plans lambda_n = 1/n, mu_n = n and lambda_n = 1/n^2, mu_n = 3n^2 (limit 3)
+on ``geometric_grid()`` (72 errors), against the same quantity at 60
+digits: the rounded base f(lambda_n) to the power mu_n, taken in the 2 x 2
+model [[alpha, u.u], [1, alpha]]^mu_n of alpha + u, minus the closed form
+of exp(lambda f'(0)), f'(0) being the computed ``derivative_at_zero``.
 ``--src`` names the source directory to import ``jordannum`` from; the
 default is the ``src`` directory next to this script's parent.
 """
@@ -74,6 +82,10 @@ INV_PER_CAP = 40
 PATH_TS = np.linspace(0.0, 1.0, 17)
 RESCALE = 100
 CAUCHY_R = 2.0
+CURVE_SEEDS = range(4)
+# (lambda_n, mu_n, lim lambda_n mu_n) of the curve_limit line
+CURVE_PLANS = ((lambda n: 1.0 / n, lambda n: float(n), 1.0),
+               (lambda n: 1.0 / n ** 2, lambda n: 3.0 * n ** 2, 3.0))
 
 
 def _blocks(desc):
@@ -254,6 +266,51 @@ def cauchy_errors(jn, desc):
     return errs
 
 
+def _spin_power(coeffs, k):
+    """(alpha + u)^k in mpmath: u^2 = u.u, so multiplying p + q u by
+    alpha + u is the matrix [[alpha, u.u], [1, alpha]] on (p, q)."""
+    alpha, u = coeffs[0], coeffs[1:]
+    m = mpmath.matrix([[alpha, mpmath.fsum(v * v for v in u)],
+                       [1, alpha]]) ** k
+    return [m[0, 0]] + [m[1, 0] * v for v in u]
+
+
+def curve_limit_errors(jn):
+    """Relative errors of general_trotter's reported errors on spin:3."""
+    spin = jn.from_descriptor("spin:3")
+    one = spin.one()
+    grid = jn.geometric_grid()
+    errs = []
+    for seed in CURVE_SEEDS:
+        rng = np.random.default_rng(seed)
+        xa, xb, xc, xd = (jn.random_element(spin, rng, norm_cap=0.5)
+                          for _ in range(4))
+        d3 = jn.jordan_power(xd, 3)
+
+        def curve(z, xa=xa, xb=xb, xc=xc, d3=d3):
+            poly = one + xb * z + d3 * z ** 3
+            return jn.jordan_mul(jn.jordan_mul(jn.exp(xa * z), poly),
+                                 jn.cos(xc * z))
+
+        f = jn.HolomorphicCurve(curve, radius_r=2.0)
+        deriv = jn.derivative_at_zero(f, rho=1.0)
+        for lam, mu, limit in CURVE_PLANS:
+            rep = jn.general_trotter(f, jn.SequencePlan(lam, mu, limit),
+                                     grid)
+            with mpmath.workdps(60):
+                target = _block_reference(
+                    "spin", 3, [limit * mpmath.mpc(complex(v))
+                                for v in deriv.coeffs], "exp")
+                for n, got in zip(rep.n_grid, rep.errors):
+                    base = [mpmath.mpc(complex(v))
+                            for v in f.eval(lam(n)).coeffs]
+                    row = _spin_power(base, int(mu(n)))
+                    want = mpmath.sqrt(mpmath.fsum(
+                        abs(r - t) ** 2 for r, t in zip(row, target)))
+                    errs.append(float(abs(got - want) / want))
+    return errs
+
+
 def exp_errors(jn, desc, per_cap):
     """Relative errors of exp alone on one family."""
     a = jn.from_descriptor(desc)
@@ -326,6 +383,7 @@ def main(argv=None) -> int:
         _print_lines(desc, {"exp": exp_errors(jn, desc, per_cap),
                             "spectrum": spectrum_errors(jn, desc, per_cap)})
     _print_lines(f"matrix:2x{RESCALE}", rescaled_errors(jn, calculus))
+    _print_lines("spin:3", {"curve_limit": curve_limit_errors(jn)})
     return 0
 
 

@@ -14,6 +14,9 @@ structure entries, and the best-of-N time per call, in microseconds, of
 - ``log``: ``log(exp(x))``, with exp(x) taken once before the timing;
 - ``cauchy``: ``derivative_at_zero`` of the curve z -> exp(x z), given
   with radius_r = 2, at rho = 1;
+- ``limit``: ``general_trotter`` of the same curve with the plan
+  lambda_n = 1/n, mu_n = n on ``geometric_grid()``: that derivative, nine
+  curve points and their powers;
 - ``report``: ``convergence_report("U_pair", ...)`` of x, y and a third
   element on ``geometric_grid()``, 16 to 4096;
 - ``principal``: ``principal_component_sample(a, 2, seed)``, two stacked
@@ -56,7 +59,7 @@ FAMILIES = ["fn:5", "spin:4", "matrix:2", "matrix:3", "matrix:4",
             "matrix:8", "matrix:10", "matrix:12", "matrix:16"]
 COLUMNS = ["product", "stack65", "L_x", "jordan_mul", "exp", "U_operator",
            "spectrum", "inverse", "is_invertible", "resolvent", "contour",
-           "log", "cauchy", "report", "principal", "build"]
+           "log", "cauchy", "limit", "report", "principal", "build"]
 REPEAT = 9
 MIN_BATCH_S = 0.02
 
@@ -87,6 +90,7 @@ def kernels(jn, desc):
     ex = jn.exp(x)
     params = {"a": x, "b": y, "c": jn.random_element(a, rng)}
     grid = jn.geometric_grid()
+    plan = jn.SequencePlan(lambda n: 1.0 / n, lambda n: float(n), 1.0)
 
     def build():
         jn.from_descriptor.cache_clear()
@@ -106,6 +110,7 @@ def kernels(jn, desc):
         ("contour", lambda: jn.holomorphic_calculus(cmath.exp, x, contour)),
         ("log", lambda: jn.log(ex)),
         ("cauchy", lambda: jn.derivative_at_zero(curve, 1.0)),
+        ("limit", lambda: jn.general_trotter(curve, plan, grid)),
         ("report", lambda: jn.convergence_report("U_pair", params, grid)),
         ("principal", lambda: jn.principal_component_sample(a, 2, 11)),
         ("build", build),
