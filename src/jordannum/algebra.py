@@ -14,6 +14,7 @@ builds each family, and ``_family_size`` checks entries, not just labels.
 
 from __future__ import annotations
 
+import math
 import operator
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -31,6 +32,8 @@ _UNIT_TOL = 1e-12
 _KRYLOV_TOL = 1e-12
 # ||L_x||_F outside this range could over- or underflow the squared norms
 _ARNOLDI_RANGE = (1e-100, 1e100)
+# a plain norm below this sums subnormal squares (``_norm``)
+_NORM_FLOOR = 1.5e-154
 # rows * w^2 of one chunk of a ``_chunked`` kernel's stacks (w = d or m)
 _STACK_ENTRIES = 1 << 16
 
@@ -192,7 +195,7 @@ class Element:
 
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
+        return _norm(self.coeffs)
 
     def __add__(self, other: "Element") -> "Element":
         _same_algebra(self, other)
@@ -234,6 +237,23 @@ class OperatorMatrix:
         if x.algebra is not self.algebra and x.algebra != self.algebra:
             raise AlgebraMismatch("operator and element algebras differ")
         return Element(self.algebra, self.entries @ x.coeffs)
+
+
+def _norm(v: np.ndarray) -> float:
+    """The Euclidean norm of a finite complex row, summed as
+    ``np.linalg.norm`` sums it, so bitwise its result, except where that
+    plain sum of squares overflows (norms above about 1.3e154) or is
+    subnormal (below about 1.5e-154): there it is the norm of v divided by
+    its largest modulus, times that modulus."""
+    re, im = v.real, v.imag
+    with np.errstate(over="ignore"):
+        norm = math.sqrt(re.dot(re) + im.dot(im))
+    if not _NORM_FLOOR <= norm < math.inf:
+        top = float(np.abs(v).max())
+        if top:
+            w = v / top
+            norm = top * math.sqrt(w.real.dot(w.real) + w.imag.dot(w.imag))
+    return norm
 
 
 def _same_algebra(a: Element, b: Element):
@@ -297,6 +317,31 @@ def _mult_matrix(x: np.ndarray, algebra: AlgebraSpec) -> np.ndarray:
     return lx.reshape(*x.shape[:-1], d, d).swapaxes(-1, -2)
 
 
+def _krylov_scale(lx: np.ndarray):
+    """(lx, e, tol) for each matrix of lx: Arnoldi's operator, its exponent e
+    and its stop tolerance ``_KRYLOV_TOL`` ||lx||_F. A matrix whose norm is
+    outside ``_ARNOLDI_RANGE`` is scaled to 2^-e L_x, e the exponent of its
+    largest entry, so its entries lie below 1 in modulus; the others keep
+    e = 0, and e is None when no matrix is scaled. Each norm is one dot
+    product over the real and imaginary parts of its matrix's entries, so a
+    stack's rows are bitwise the single matrices'.
+    """
+    def norm(lx):  # the parts in memory order of a ``_mult_matrix`` output
+        flat = lx.swapaxes(-1, -2).reshape(lx.shape[:-2] + (-1,)).view(float)
+        return np.sqrt(np.vecdot(flat, flat))
+
+    with np.errstate(over="ignore"):
+        fro = norm(lx)
+    inside = (_ARNOLDI_RANGE[0] <= fro) & (fro <= _ARNOLDI_RANGE[1])
+    if inside.all():
+        return lx, None, _KRYLOV_TOL * fro
+    # frexp(0) gives e = 0; e >= -1022 keeps 2^-e finite
+    top = np.frexp(np.abs(lx).max(axis=(-2, -1)))[1]
+    e = np.where(inside, 0, np.maximum(top, -1022))
+    lx = lx * np.ldexp(1.0, -e)[..., None, None]
+    return lx, e, _KRYLOV_TOL * norm(lx)
+
+
 def _generated(x: Element) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal Q (d x m) spanning C[x] = span{1, x, x^2, ...}, and H.
 
@@ -304,18 +349,14 @@ def _generated(x: Element) -> tuple[np.ndarray, np.ndarray]:
     twice per step, stopping once h_{j+1,j} <= ``_KRYLOV_TOL`` ||L_x||_F:
     then L_x Q = Q H, H is upper Hessenberg and m <= d is the degree of x's
     minimal polynomial. Outside ``_ARNOLDI_RANGE`` it runs on 2^-e L_x, with
-    entries below 1 in modulus, and scales H back: exactly, as e is an int.
+    entries below 1 in modulus, and scales H back: exactly, as e is an int
+    (``_krylov_scale``). ``_generated_rows`` runs this loop over a stack,
+    row for row bitwise. A single element keeps the 2-D loop: the stacked
+    one's 3-D matvecs and live-row bookkeeping made a one-row stack about
+    twice as slow a call (d = 3 to 144), and the calculus and the dense
+    families make single calls.
     """
-    lx = _mult_matrix(x.coeffs, x.algebra)
-    with np.errstate(over="ignore"):
-        norm = np.linalg.norm(lx)
-    e = 0
-    if not _ARNOLDI_RANGE[0] <= norm <= _ARNOLDI_RANGE[1]:
-        # frexp(0) gives e = 0; e >= -1022 keeps 2^-e finite
-        e = max(int(np.frexp(np.abs(lx).max())[1]), -1022)
-        lx = lx * 2.0 ** -e
-        norm = np.linalg.norm(lx)
-    tol = _KRYLOV_TOL * norm
+    lx, e, tol = _krylov_scale(_mult_matrix(x.coeffs, x.algebra))
     d = x.algebra.dim
     q = np.zeros((d, d), dtype=complex)  # basis vectors as rows
     h = np.zeros((d, d), dtype=complex)
@@ -332,7 +373,74 @@ def _generated(x: Element) -> tuple[np.ndarray, np.ndarray]:
         h[j + 1, j] = beta
         q[j + 1] = w / beta
     h = h[:j + 1, :j + 1]
-    return q[:j + 1].T, (h * 2.0 ** e if e else h)
+    return q[:j + 1].T, (h if e is None else h * 2.0 ** int(e))
+
+
+def _chunked(kernel):
+    """``kernel(*args)`` in chunks of at most ``_STACK_ENTRIES`` / w^2 rows,
+    w the first array's last axis: d for a kernel's L_x stacks, m for a
+    stack of m x m systems. Arrays are cut, the algebra passed whole, and
+    the chunks' arrays, or lists, are joined; a 1-D row runs as it is. Each
+    row is bitwise its single call."""
+    @wraps(kernel)
+    def chunked(*args):
+        rows = args[0]
+        if rows.ndim < 2 or len(rows) * rows.shape[-1] ** 2 <= _STACK_ENTRIES:
+            return kernel(*args)
+        step = max(1, _STACK_ENTRIES // rows.shape[-1] ** 2)
+        parts = [kernel(*(s[lo:lo + step] if isinstance(s, np.ndarray) else s
+                          for s in args))
+                 for lo in range(0, len(rows), step)]
+        if isinstance(parts[0], list):
+            return [row for part in parts for row in part]
+        return np.concatenate(parts)
+    return chunked
+
+
+@_chunked
+def _generated_rows(x: np.ndarray, algebra: AlgebraSpec) -> list:
+    """``_generated`` of each row of the stack x: a list of (Q, H), each
+    bitwise ``_generated``'s, copied out of the stack's d x d arrays.
+
+    Each row has its own tolerance and exponent (``_krylov_scale``), and
+    each step runs the same products, as ``np.matvec`` over the rows still
+    running. A row stops (m = j + 1) at the step where h_{j+1,j} falls to
+    its tolerance. Until a row stops before the others, the steps work on
+    views: a copy of the L_x stack per step would cost more than its matvec
+    at d >= 64. One row (a whole chunk from d = 182 up) runs ``_generated``,
+    whose 2-D loop is about twice as fast.
+    """
+    if len(x) == 1:
+        return [tuple(v.copy() for v in _generated(Element(algebra, x[0])))]
+    lx, e, tol = _krylov_scale(_mult_matrix(x, algebra))
+    rows, d = x.shape
+    q = np.zeros((rows, d, d), dtype=complex)  # basis vectors as rows
+    h = np.zeros((rows, d, d), dtype=complex)
+    m = np.zeros(rows, dtype=int)
+    q[:, 0] = algebra.unit / np.linalg.norm(algebra.unit)
+    live = slice(None)  # the rows still running: all, or their indices
+    for j in range(d):
+        w = np.matvec(lx[live], q[live, j])
+        basis = q[live, :j + 1]
+        for _ in range(2):
+            c = np.matvec(basis.conj(), w)
+            w = w - np.matvec(basis.swapaxes(-1, -2), c)
+            h[live, :j + 1, j] += c
+        beta = np.sqrt(np.vecdot(w, w).real)
+        stop = beta <= tol[live]
+        if j + 1 == d or stop.all():
+            m[live] = j + 1
+            break
+        if stop.any():
+            live = np.arange(rows)[live]
+            m[live[stop]] = j + 1
+            live, w, beta = live[~stop], w[~stop], beta[~stop]
+        h[live, j + 1, j] = beta
+        q[live, j + 1] = w / beta[:, None]
+    if e is not None:
+        h = h * np.ldexp(1.0, e)[:, None, None]
+    return [(q[r, :k].T.copy(), h[r, :k, :k].copy())
+            for r, k in enumerate(m.tolist())]
 
 
 def mult_operator(a: Element) -> OperatorMatrix:
@@ -359,24 +467,6 @@ def U_pair_operator(a: Element, c: Element) -> OperatorMatrix:
     la, lc, lac = _mult_matrix(np.array(
         [a.coeffs, c.coeffs, _product(a.coeffs, c.coeffs, algebra)]), algebra)
     return OperatorMatrix(algebra, la @ lc + lc @ la - lac)
-
-
-def _chunked(kernel):
-    """``kernel(*args)`` in chunks of at most ``_STACK_ENTRIES`` / w^2 rows,
-    w the first array's last axis: d for a kernel's L_x stacks, m for a
-    (rows, m, m) operator stack. Arrays are cut, the algebra passed whole;
-    a 1-D row runs as it is. Each row is bitwise its single call."""
-    @wraps(kernel)
-    def chunked(*args):
-        rows = args[0]
-        if rows.ndim < 2 or len(rows) * rows.shape[-1] ** 2 <= _STACK_ENTRIES:
-            return kernel(*args)
-        step = max(1, _STACK_ENTRIES // rows.shape[-1] ** 2)
-        return np.concatenate([
-            kernel(*(s[lo:lo + step] if isinstance(s, np.ndarray) else s
-                     for s in args))
-            for lo in range(0, len(rows), step)])
-    return chunked
 
 
 @_chunked

@@ -39,8 +39,7 @@ from .algebra import (Element, _chunked, _generated, _mult_matrix, _product,
                       _same_algebra, jordan_mul)
 from .errors import (BranchCut, ContourViolation, ExpOverflow, JordanNumError,
                      QuadratureError)
-from .spectral import (_clustered_eigenvalues, _solve_checked, inverse,
-                       jordan_spectrum)
+from .spectral import _clustered, _solve_checked, inverse, jordan_spectrum
 
 _SERIES_TOL = 1e-18
 _ELL_LIMIT = 2.0  # bound on ell = |L_x| after the scaling (``_scaled``)
@@ -317,12 +316,14 @@ def holomorphic_calculus(h: Callable[[complex], complex], a: Element,
     takes the spectrum from the same H. The nested trapezoid rule
     (``_nested_trapezoid``), from ``_CONTOUR_NODES`` points and doubled until
     stable, calls h once at each point of the accepted rule and solves the
-    m x m systems of each new set of points in one ``spectral._solve_checked``
-    call, which refuses a singular one and bounds its stacks by chunks.
+    m x m systems of each new set of points in one chunked call: each chunk
+    (``algebra._chunked``) forms its own operators zeta I - H, so a level
+    holds at most ``_STACK_ENTRIES`` of them at once, and solves them with
+    ``spectral._solve_checked``, which refuses a singular one.
     """
     q, hmat = _generated(a)
     margin = 0.05 * contour.radius
-    for p in _clustered_eigenvalues(hmat).points:  # as jordan_spectrum(a)
+    for p in _clustered(np.linalg.eigvals(hmat)).points:  # jordan_spectrum
         if abs(p - contour.center) >= contour.radius - margin:
             raise ContourViolation(
                 f"spectrum point {p} is not strictly inside the contour"
@@ -330,14 +331,18 @@ def holomorphic_calculus(h: Callable[[complex], complex], a: Element,
     m = hmat.shape[0]
     rhs = np.linalg.norm(a.algebra.unit) * np.eye(m)[0]  # Q^H 1 = |1| e_1
 
+    @_chunked
+    def solve(rhs_rows, zetas):
+        ops = zetas[:, None, None] * np.eye(m)
+        ops -= hmat  # in place: one chunk's operator stack, not two
+        return _solve_checked(ops, rhs_rows)
+
     def sample(w):
         # dz / (2 pi i) = offset * dtheta / (2 pi)
         offs = contour.radius * w
         zetas = contour.center + offs
         hz = np.array([h(z) for z in zetas], dtype=complex)
-        ops = zetas[:, None, None] * np.eye(m)
-        ops -= hmat  # in place: one (nodes, m, m) stack, not two
-        ys = _solve_checked(ops, np.broadcast_to(rhs, (zetas.size, m)))
+        ys = solve(np.broadcast_to(rhs, (zetas.size, m)), zetas)
         return (hz * offs)[:, None] * ys
 
     y = _nested_trapezoid(sample, _CONTOUR_NODES, "contour")

@@ -10,8 +10,11 @@ stack, one row per element and each row bitwise its single call: a stacked
 exp per pass over the psi paths of the basis and the linearity combinations
 (``_track``), one over the exp-agreement samples, one over the principal
 samples' exponentials with a stacked U-apply per level
-(``_principal_samples``), and a stacked U-apply over the U-multiplicative
-pairs (``algebra._U_apply``), each cut by ``algebra._chunked``.
+(``_principal_samples``), a stacked U-apply over the U-multiplicative
+pairs (``algebra._U_apply``), and one stacked Arnoldi pass each for the
+samples' spectra and the principal samples' invertibility
+(``spectral._spectra``, ``spectral._invertible_rows``), each cut by
+``algebra._chunked``.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .calculus import _exp_rows
 from .errors import (AlgebraMismatch, BranchTrackingFailed, ExpOverflow,
                      JordanNumError, NotSelfAdjoint, NotUMultiplicative,
                      ZeroFunctional, ZeroOnPath)
-from .spectral import is_invertible, jordan_spectrum
+from .spectral import _invertible_rows, _spectra, jordan_spectrum
 
 _MIN_STEPS = 64
 _MAX_STEPS = 2 ** 16
@@ -107,10 +110,15 @@ def _largest(residuals: Sequence[float]) -> float:
 
 
 def is_spectral_valued(f: FunctionalHandle, samples: Sequence[Element]):
-    """(residual, residual <= _CHECK_TOL): max distance of f(x) to sigma(x)."""
+    """(residual, residual <= _CHECK_TOL): max distance of f(x) to sigma(x),
+    every sigma(x) from one stacked pass, so all x share one algebra."""
     if not samples:
         raise ValueError("need at least one sample")
-    residual = _largest([jordan_spectrum(x).distance(f(x)) for x in samples])
+    if len({x.algebra for x in samples}) > 1:
+        raise AlgebraMismatch("samples belong to different algebras")
+    spectra = _spectra(np.array([x.coeffs for x in samples]),
+                       samples[0].algebra)
+    residual = _largest([s.distance(f(x)) for s, x in zip(spectra, samples)])
     return residual, residual <= _CHECK_TOL
 
 
@@ -281,8 +289,9 @@ def pos_neg_parts(x: Element) -> tuple[Element, Element]:
 def _principal_samples(algebra: AlgebraSpec, depth: int,
                        seeds: Sequence[int]) -> list[Element]:
     """``principal_component_sample(algebra, depth, s)`` for each s of seeds:
-    the depth x len(seeds) exponentials are one stacked exp, and each level
-    one stacked U-apply over the samples."""
+    the depth x len(seeds) exponentials are one stacked exp, each level one
+    stacked U-apply over the samples, and their invertibility one stacked
+    check."""
     if depth < 1:
         raise ValueError("depth must be at least 1")
     draws = np.array([[random_element(algebra, rng, norm_cap=1.0).coeffs
@@ -294,7 +303,7 @@ def _principal_samples(algebra: AlgebraSpec, depth: int,
     for level in range(depth):
         out = _U_apply(e[:, level], out, algebra)
     samples = [Element(algebra, row) for row in out]
-    if not all(is_invertible(s) for s in samples):
+    if not all(_invertible_rows(out, algebra)):
         raise JordanNumError(
             "principal-component sample unexpectedly non-invertible"
         )
@@ -329,7 +338,8 @@ def verify_character_theorem(f: FunctionalHandle, algebra: AlgebraSpec,
     pairs = [(random_element(algebra, rng), random_element(algebra, rng))
              for _ in range(n_samples)]
 
-    spectra = [jordan_spectrum(x) for x in samples]
+    rows = np.array([x.coeffs for x in samples])
+    spectra = _spectra(rows, algebra)
     report.spectral_residual = _largest([s.distance(f(x))
                                          for s, x in zip(spectra, samples)])
     report.U_mult_residual, _ = is_U_multiplicative(f, pairs)
@@ -373,7 +383,7 @@ def verify_character_theorem(f: FunctionalHandle, algebra: AlgebraSpec,
     report.spectrum_membership_residual = _largest(
         [s.distance(psi(x)) for s, x in zip(spectra, samples)])
 
-    exps = _exp_rows(np.array([x.coeffs for x in samples]), algebra)
+    exps = _exp_rows(rows, algebra)
     report.exp_agreement_residual = _largest(
         [abs(f(Element(algebra, e)) - cmath.exp(psi(x)))
          for e, x in zip(exps, samples)])

@@ -6,9 +6,17 @@ ch. II): L_a Q = Q H, H m x m (``algebra._generated``). sigma(a) is H's;
 a is invertible iff H is, as a^{-1} lies in C[a] (McCrimmon, A Taste of
 Jordan Algebras, 2004), and then a^{-1} = Q H^{-1} |1| e_1. The resolvent
 and the contour calculus solve (zeta I - H) y = |1| e_1, the calculus a
-level's nodes in one call. A solve refuses a system whose smallest singular
-value is at most ``DEFAULT_COND_TOL`` of its largest; the SVD runs only where
-|A|_F |A^-1|_F >= kappa_2 does not clear it (``_solve_checked``, chunked).
+level's nodes in one chunked call. A solve refuses a system whose smallest
+singular value is at most ``DEFAULT_COND_TOL`` of its largest; the SVD runs
+only where |A|_F |A^-1|_F >= kappa_2 does not clear it (``_solve_checked``).
+
+The character vetting asks for the spectra of its samples, and for the
+invertibility of its principal samples, a stack at a time: ``_spectra`` and
+``_invertible_rows`` take every H from one stacked Arnoldi pass
+(``algebra._generated_rows``) and send the H's of one size to one stacked
+``eigvals`` or SVD call, each row bitwise the single call. A single element
+keeps the 2-D loop of ``algebra._generated``, which is about twice as fast
+as a one-row stack.
 Finite spectra have connected complements: ``in_unbounded_component`` is exact.
 """
 
@@ -18,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Element, _chunked, _generated
+from .algebra import Element, _chunked, _generated, _generated_rows
 from .errors import NotInvertible, OnSpectrum
 
 DEFAULT_COND_TOL = 1e-10
@@ -44,8 +52,37 @@ class SpectrumSet:
 
 def is_invertible(a: Element) -> bool:
     """True iff H's least singular value clears DEFAULT_COND_TOL relatively."""
-    s = np.linalg.svd(_generated(a)[1], compute_uv=False)
+    return _clears(np.linalg.svd(_generated(a)[1], compute_uv=False))
+
+
+def _clears(s: np.ndarray) -> bool:
+    """The invertibility rule on singular values s, largest first."""
     return bool(s[-1] > DEFAULT_COND_TOL * s[0])
+
+
+def _per_compression(x: np.ndarray, algebra, lapack) -> list:
+    """``lapack`` of each row's H, from one ``_generated_rows`` pass over the
+    stack x: the H's of one size m go to one stacked call, whose results are
+    bitwise the single calls', and come back in row order."""
+    hs = [h for _, h in _generated_rows(x, algebra)]
+    out = [None] * len(hs)
+    for m in {h.shape[0] for h in hs}:
+        rows = [r for r, h in enumerate(hs) if h.shape[0] == m]
+        for r, value in zip(rows, lapack(np.array([hs[r] for r in rows]))):
+            out[r] = value
+    return out
+
+
+def _invertible_rows(x: np.ndarray, algebra) -> list[bool]:
+    """``is_invertible`` of each row of the stack x, in one pass."""
+    return [_clears(s) for s in _per_compression(
+        x, algebra, lambda h: np.linalg.svd(h, compute_uv=False))]
+
+
+def _spectra(x: np.ndarray, algebra) -> list[SpectrumSet]:
+    """``jordan_spectrum`` of each row of the stack x, in one pass."""
+    return [_clustered(raw)
+            for raw in _per_compression(x, algebra, np.linalg.eigvals)]
 
 
 @_chunked
@@ -91,16 +128,16 @@ def inverse(a: Element) -> Element:
 
 def jordan_spectrum(a: Element) -> SpectrumSet:
     """Spectrum of a: the eigenvalues of L_a compressed to C[a], clustered."""
-    return _clustered_eigenvalues(_generated(a)[1])
+    return _clustered(np.linalg.eigvals(_generated(a)[1]))
 
 
-def _clustered_eigenvalues(hmat: np.ndarray) -> SpectrumSet:
-    """The eigenvalues of hmat, merged into clusters, as a SpectrumSet.
+def _clustered(eigenvalues: np.ndarray) -> SpectrumSet:
+    """The eigenvalues of H, merged into clusters, as a SpectrumSet.
 
     Eigenvalues within ``dedupe_tol`` = 1e-6 (1 + max |eigenvalue|) are
     linked, and each single-linkage cluster is reported as its mean.
     """
-    raw = np.sort(np.linalg.eigvals(hmat))
+    raw = np.sort(eigenvalues)
     tol = 1e-6 * (1.0 + float(np.max(np.abs(raw))))
     linked = np.abs(raw[:, None] - raw[None, :]) <= tol
     for _ in range(raw.size.bit_length()):  # closure: row i is i's cluster

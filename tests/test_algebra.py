@@ -23,8 +23,9 @@ from jordannum import (
     pos_neg_parts,
     random_element,
 )
+from jordannum import algebra as algebra_module
 from jordannum.algebra import (Element, OperatorMatrix, _generated,
-                               _mult_matrix, _product)
+                               _generated_rows, _mult_matrix, _product)
 from jordannum.errors import (AlgebraMismatch, ExpOverflow, ParseError,
                               StructureError, UnsupportedAlgebra)
 from test_basis_change import algebra
@@ -243,6 +244,24 @@ class TestElement:
         a = make_function_algebra(3)
         with pytest.raises(StructureError, match="finite"):
             Element(a, np.array([1.0, bad, 2.0]))
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-170, 1e300])
+    def test_norm_outside_the_squares_range(self, scale):
+        # the plain sum of squares overflows (inf, with a RuntimeWarning)
+        # or underflows (0.0) at these scales
+        a = make_function_algebra(2)
+        assert a.element([3.0 * scale, scale]).norm == pytest.approx(
+            np.sqrt(10.0) * scale, rel=1e-15)
+        assert a.element([3j * scale, -scale]).norm == pytest.approx(
+            np.sqrt(10.0) * scale, rel=1e-15)
+
+    def test_norm_in_range_is_numpys(self):
+        a = from_descriptor("sum:fn:2+matrix:2")
+        rng = np.random.default_rng(67)
+        for cap in (1e-150, 1e-3, 1.0, 1e150):
+            x = random_element(a, rng) * cap
+            assert x.norm == float(np.linalg.norm(x.coeffs))
+        assert a.zero().norm == 0.0
 
     def test_scalar_on_one_dimensional_algebra(self):
         # a scalar is the coefficient vector of length 1
@@ -526,6 +545,82 @@ class TestGenerated:
         a = make_matrix_jordan(3)
         assert self.check(a.one()) == 1
         assert self.check(a.zero()) == 1
+
+
+def special_rows(desc):
+    """Rows with short or extreme compressions: 3 * 1 (m = 1), 0, and per
+    family a nilpotent, an idempotent or a Jordan block; on fn, a row whose
+    h_{2,1} is 1.19 times its stop tolerance."""
+    a = from_descriptor(desc)
+    rows = [3.0 * a.unit, np.zeros(a.dim, dtype=complex)]
+    if desc.startswith("spin"):
+        u = np.zeros(a.dim, dtype=complex)
+        u[1], u[2] = 1.0, 1j  # u o u = 0
+        rows += [u, 2.0 * a.unit + u]
+    elif desc.startswith("matrix"):
+        n = int(desc.split(":")[1])
+        rows += [np.eye(n, k=1).reshape(-1) + 0j,
+                 (0.7 * np.eye(n) + np.eye(n, k=1)).reshape(-1) + 0j]
+    elif desc.startswith("sum"):  # fn:2 + matrix:2
+        rows += [np.array([0, 0, 0, 1, 0, 0], dtype=complex),
+                 np.array([2, 2, 0.7, 1, 0, 0.7], dtype=complex)]
+    else:
+        rows += [a.basis_element(0).coeffs,
+                 a.unit + 5.5e-12 * a.basis_element(0).coeffs]
+    return rows
+
+
+class TestGeneratedRows:
+    """The stacked Arnoldi: each row's (Q, H, m) bitwise ``_generated``'s."""
+
+    STACKED = ["fn:4", "spin:4", "matrix:3", "sum:fn:2+matrix:2"]
+
+    @staticmethod
+    def stack(desc):
+        a = from_descriptor(desc)
+        rng = np.random.default_rng(61)
+        rows = [random_element(a, rng, norm_cap=cap).coeffs
+                for cap in (0.1, 1.0, 5.0) for _ in range(4)]
+        rows += special_rows(desc)
+        rows += [r * scale for r in rows[2:4] + rows[-2:]
+                 for scale in (1e200, 1e-200)]
+        return a, np.array(rows)
+
+    @staticmethod
+    def assert_single(a, x, pairs):
+        assert len(pairs) == len(x)
+        for row, (q, h) in zip(x, pairs):
+            want_q, want_h = _generated(a.element(row))
+            assert np.array_equal(q, want_q)  # shapes too: m x m, d x m
+            assert np.array_equal(h, want_h)
+
+    @pytest.mark.parametrize("desc", STACKED)
+    def test_rows_are_the_single_runs(self, desc):
+        a, x = self.stack(desc)
+        pairs = _generated_rows(x, a)
+        sizes = [h.shape[0] for _, h in pairs]
+        assert min(sizes) == 1 < max(sizes)
+        self.assert_single(a, x, pairs)
+        # random rows only: no row stops before the others
+        self.assert_single(a, x[:12], _generated_rows(x[:12], a))
+
+    @pytest.mark.parametrize("desc", STACKED)
+    def test_chunked_rows_are_the_single_runs(self, desc, monkeypatch):
+        a, x = self.stack(desc)
+        whole = _generated_rows(x, a)
+        monkeypatch.setattr(algebra_module, "_STACK_ENTRIES", 3 * a.dim ** 2)
+        sizes, mult = [], algebra_module._mult_matrix
+
+        def recorded(rows, algebra):
+            sizes.append(int(np.prod(rows.shape[:-1])))
+            return mult(rows, algebra)
+
+        monkeypatch.setattr(algebra_module, "_mult_matrix", recorded)
+        chunked = _generated_rows(x, a)
+        assert len(sizes) > 1 and max(sizes) == 3 and sum(sizes) == len(x)
+        for (q, h), (want_q, want_h) in zip(chunked, whole, strict=True):
+            assert np.array_equal(q, want_q) and np.array_equal(h, want_h)
+        self.assert_single(a, x, chunked)
 
 
 class TestIdentities:

@@ -559,6 +559,22 @@ class TestHolomorphicCalculus:
             tracemalloc.stop()
         assert peak < 16e6
 
+    def test_each_chunk_forms_its_own_operators(self, monkeypatch):
+        # the same rule: its last level's 4,096 operators are formed one
+        # chunk of _STACK_ENTRIES / m^2 at a time, not as a 9.4 MB stack
+        x = random_element(from_descriptor("matrix:12"),
+                           np.random.default_rng(5), norm_cap=2.0)
+        contour = Contour(0.0, 2.0 * jordan_spectrum(x).spectral_radius + 1.0)
+        monkeypatch.setattr(calculus, "_QUADRATURE_TOL", -1.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(QuadratureError):
+                holomorphic_calculus(cmath.exp, x, contour)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6
+
     def test_contour_validation(self):
         with pytest.raises(ValueError):
             Contour(0.0, -1.0)

@@ -35,7 +35,7 @@ from jordannum import (
     verify_character_theorem,
 )
 from jordannum import algebra as algebra_module
-from jordannum import calculus, functionals
+from jordannum import calculus, functionals, spectral
 from jordannum.errors import ExpOverflow, JordanNumError
 
 
@@ -194,6 +194,31 @@ class TestSpectralValued:
         a = from_descriptor("fn:2")
         with pytest.raises(ValueError):
             is_spectral_valued(coordinate(a, 0), [])
+
+    def test_samples_share_one_algebra(self):
+        # the spectra are one stacked pass, so every sample is in one algebra
+        a, b = from_descriptor("fn:2"), from_descriptor("spin:1")
+        with pytest.raises(AlgebraMismatch):
+            is_spectral_valued(coordinate(a, 0), [a.one(), b.one()])
+
+    @pytest.mark.parametrize("label", ["fn:3", "fn:4", "sum:fn:2+matrix:2",
+                                       "matrix:2"])
+    def test_results_are_the_single_spectra_bitwise(self, label):
+        # the per-sample form: one jordan_spectrum per sample
+        a = from_descriptor(label)
+        fs = [coordinate(a, 0), coordinate(a, a.dim - 1),
+              FunctionalHandle(lambda x: 0.5 * complex(x.coeffs[0]
+                                                       + x.coeffs[-1]))]
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            samples = [random_element(a, rng) for _ in range(12)]
+            samples += [a.zero(), 3.0 * a.one(), samples[0] * 1e200]
+            for f in fs:
+                want = functionals._largest(
+                    [jordan_spectrum(x).distance(f(x)) for x in samples])
+                residual, ok = is_spectral_valued(f, samples)
+                assert float(residual).hex() == float(want).hex()
+                assert ok == (want <= 1e-8)
 
     def test_nan_after_first_sample_fails(self):
         # max(0.0, nan) is 0.0, so a running max drops a NaN that is not
@@ -572,6 +597,12 @@ class TestPrincipalComponentSample:
         got = U_operator(exp(el)).apply(a.one())
         assert (expected - got).norm <= 1e-10
 
+    def test_non_invertible_sample_raises(self, monkeypatch):
+        # no H clears a relative singular-value floor above 1
+        monkeypatch.setattr(spectral, "DEFAULT_COND_TOL", 2.0)
+        with pytest.raises(JordanNumError, match="unexpectedly non-invert"):
+            principal_component_sample(from_descriptor("fn:3"), 2, 0)
+
     def test_bad_depth(self):
         with pytest.raises(ValueError):
             principal_component_sample(from_descriptor("fn:2"), depth=0,
@@ -638,22 +669,23 @@ class TestVerifyCharacterTheorem:
 
     def test_one_spectrum_per_sample(self, monkeypatch):
         # both the spectral-valued and the spectrum-membership residuals
-        # read the same spectra: one jordan_spectrum call per sample
+        # read the same spectra: one stacked pass over the 6 samples
         a = from_descriptor("sum:fn:2+matrix:2")
         f = coordinate(a, 1)
         expected = verify_character_theorem(f, a, seed=6, n_samples=6)
         calls = []
+        spectra = functionals._spectra
 
-        def counted(x):
-            calls.append(x)
-            return jordan_spectrum(x)
+        def counted(x, algebra):
+            calls.append(x.copy())
+            return spectra(x, algebra)
 
-        monkeypatch.setattr(functionals, "jordan_spectrum", counted)
+        monkeypatch.setattr(functionals, "_spectra", counted)
         report = verify_character_theorem(f, a, seed=6, n_samples=6)
-        samples = list(calls)
         monkeypatch.undo()
-        assert len(samples) == 6
+        assert [len(stack) for stack in calls] == [6]
         assert list(report.as_lines()) == list(expected.as_lines())
+        samples = [a.element(row) for row in calls[0]]
         residual, _ = is_spectral_valued(f, samples)
         assert report.spectral_residual == residual
 
@@ -704,6 +736,21 @@ class TestStackedVetting:
             got = outcome(verify_character_theorem, f, a, seed)
             assert "passed=True" not in got
             assert got == outcome(oracle_vetting, f, a, seed)
+
+    @pytest.mark.parametrize("label", ["fn:3", "fn:4", "sum:fn:2+matrix:2",
+                                       "matrix:2"])
+    def test_reports_match_the_oracle_bitwise(self, label):
+        # passing and failing functionals; the oracle takes one spectrum
+        # and one invertibility check per sample
+        a = from_descriptor(label)
+        fs = [coordinate(a, 0), coordinate(a, a.dim - 1, sign=-1.0),
+              FunctionalHandle(lambda x: 0.5 * complex(x.coeffs[0]
+                                                       + x.coeffs[-1]),
+                               label="mean")]
+        for seed in (0, 5, 11):
+            for f in fs:
+                got = outcome(verify_character_theorem, f, a, seed)
+                assert got == outcome(oracle_vetting, f, a, seed)
 
     @pytest.mark.parametrize("label", ["fn:3", "fn:4", "sum:fn:2+matrix:2",
                                        "spin:3", "matrix:3"])

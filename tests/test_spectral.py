@@ -21,7 +21,7 @@ from jordannum import (
 )
 from jordannum.algebra import _generated
 from jordannum.errors import NotInvertible, OnSpectrum
-from jordannum.spectral import SpectrumSet
+from jordannum.spectral import SpectrumSet, _invertible_rows, _spectra
 
 FAMILIES = ["matrix:2", "matrix:3", "spin:4", "fn:5", "sum:fn:2+matrix:2"]
 
@@ -441,6 +441,41 @@ class TestSolveChecked:
         assert (chunked.value.smallest_singular_value
                 == whole.value.smallest_singular_value
                 == np.linalg.svd(ops[7], compute_uv=False)[-1])
+
+
+class TestStackedCompression:
+    """One stacked Arnoldi pass gives every row's spectrum and invertibility
+    as the single calls give them: H's of one size share one stacked
+    ``eigvals`` or SVD call."""
+
+    @staticmethod
+    def stack(desc):
+        a = from_descriptor(desc)
+        rng = np.random.default_rng(71)
+        xs = [random_element(a, rng, norm_cap=cap)
+              for cap in (0.1, 1.0, 5.0) for _ in range(5)]
+        xs += [a.zero(), 3.0 * a.one(), a.basis_element(0),
+               xs[0] * 1e200, xs[1] * 1e-200]
+        defective = (make() for make in DEFECTIVE.values())
+        xs += [x for x in defective if x.algebra == a]
+        return a, xs
+
+    @pytest.mark.parametrize("desc", FAMILIES + ["matrix:4", "spin:3"])
+    def test_spectra_are_the_single_calls(self, desc):
+        a, xs = self.stack(desc)
+        want = [jordan_spectrum(x) for x in xs]
+        assert _spectra(np.array([x.coeffs for x in xs]), a) == want
+        assert _spectra(xs[0].coeffs[None], a) == want[:1]
+
+    @pytest.mark.parametrize("desc", FAMILIES + ["matrix:4", "spin:3"])
+    def test_invertibility_is_the_single_calls(self, desc):
+        a, xs = self.stack(desc)
+        xs += [x + 2.0 * a.one() for x in xs]
+        got = _invertible_rows(np.array([x.coeffs for x in xs]), a)
+        want = [is_invertible(x) for x in xs]
+        assert got == want
+        assert _invertible_rows(xs[0].coeffs[None], a) == want[:1]
+        assert True in want and False in want
 
 
 class TestExtremeScales:

@@ -415,6 +415,21 @@ class TestGeneralTrotter:
         rep = general_trotter(f, plan, geometric_grid())
         assert all(e <= 1e-8 for e in rep.errors)
 
+    def test_errors_past_the_squares_range_stay_finite(self):
+        # 3^512 = 1.9e244: a plain sum of squares overflows at 1.3e154 and
+        # gave the error inf with a RuntimeWarning; the curve is the base
+        # [3, 0.5] off 0, so f'(0) ~ 0 and the errors are |base^n - 1|
+        a = from_descriptor("fn:2")
+        base = a.element([3.0, 0.5])
+        f = HolomorphicCurve(lambda z: a.one() if z == 0 else base,
+                             radius_r=np.inf)
+        plan = SequencePlan(lambda n: 1.0 / n, lambda n: n, 1.0)
+        grid = (16, 32, 64, 128, 256, 512)
+        rep = general_trotter(f, plan, grid)
+        assert rep.errors == pytest.approx(
+            [np.hypot(3.0 ** n - 1.0, 0.5 ** n - 1.0) for n in grid],
+            rel=1e-12)
+
     def test_entire_curve(self):
         # radius_r = inf: f'(0) is sampled at rho = 1
         a = from_descriptor("fn:2")

@@ -9,6 +9,8 @@ structure entries, and the best-of-N time per call, in microseconds, of
 - ``jordan_mul``, ``exp``, ``U_operator``, ``spectrum``
   (``jordan_spectrum``), ``inverse`` and ``is_invertible`` (of 2 + x) and
   ``resolvent`` (of x at 3);
+- ``spectra20``: ``is_spectral_valued`` of the coordinate functional
+  x -> x_0 over 20 ``random_element``s, the vetting's spectra;
 - ``contour``: ``holomorphic_calculus(cmath.exp, x, Contour(0, 2R + 1))``,
   R the spectral radius of x;
 - ``log``: ``log(exp(x))``, with exp(x) taken once before the timing;
@@ -20,7 +22,7 @@ structure entries, and the best-of-N time per call, in microseconds, of
 - ``report``: ``convergence_report("U_pair", ...)`` of x, y and a third
   element on ``geometric_grid()``, 16 to 4096;
 - ``principal``: ``principal_component_sample(a, 2, seed)``, two stacked
-  U_{exp(a_j)} levels and one ``is_invertible``;
+  U_{exp(a_j)} levels and one invertibility check;
 - ``build``: ``from_descriptor`` with its cache cleared first.
 
 Each time is the least over 9 repeats of the mean over a batch of calls
@@ -58,8 +60,9 @@ from speed import Speed  # noqa: E402
 FAMILIES = ["fn:5", "spin:4", "matrix:2", "matrix:3", "matrix:4",
             "matrix:8", "matrix:10", "matrix:12", "matrix:16"]
 COLUMNS = ["product", "stack65", "L_x", "jordan_mul", "exp", "U_operator",
-           "spectrum", "inverse", "is_invertible", "resolvent", "contour",
-           "log", "cauchy", "limit", "report", "principal", "build"]
+           "spectrum", "spectra20", "inverse", "is_invertible", "resolvent",
+           "contour", "log", "cauchy", "limit", "report", "principal",
+           "build"]
 REPEAT = 9
 MIN_BATCH_S = 0.02
 
@@ -89,6 +92,8 @@ def kernels(jn, desc):
     curve = jn.HolomorphicCurve(lambda z: jn.exp(x * z), radius_r=2.0)
     ex = jn.exp(x)
     params = {"a": x, "b": y, "c": jn.random_element(a, rng)}
+    samples = [jn.random_element(a, rng) for _ in range(20)]
+    coordinate = jn.FunctionalHandle(lambda v: complex(v.coeffs[0]))
     grid = jn.geometric_grid()
     plan = jn.SequencePlan(lambda n: 1.0 / n, lambda n: float(n), 1.0)
 
@@ -104,6 +109,7 @@ def kernels(jn, desc):
         ("exp", lambda: jn.exp(x)),
         ("U_operator", lambda: jn.U_operator(x)),
         ("spectrum", lambda: jn.jordan_spectrum(x)),
+        ("spectra20", lambda: jn.is_spectral_valued(coordinate, samples)),
         ("inverse", lambda: jn.inverse(w)),
         ("is_invertible", lambda: jn.is_invertible(w)),
         ("resolvent", lambda: jn.resolvent(x, 3.0)),
