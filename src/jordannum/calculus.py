@@ -35,8 +35,8 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import (Element, _chunked, _generated, _mult_matrix, _product,
-                      _same_algebra, jordan_mul)
+from .algebra import (Element, _chunked, _generated, _mult_matrix, _norm,
+                      _product, _same_algebra, jordan_mul)
 from .errors import (BranchCut, ContourViolation, ExpOverflow, JordanNumError,
                      QuadratureError)
 from .spectral import _clustered, _solve_checked, inverse, jordan_spectrum
@@ -89,9 +89,10 @@ def _scaled(arg: np.ndarray, algebra):
     and ell = sqrt(|L_x|_1 |L_x|_inf) to ``_ELL_LIMIT`` or below: a norm
     does not bound L_x (scaling the structure tensor by c scales L_x by c).
     On the standard families ell <= 2.23 |x| <= 1.12, so the norm alone
-    sets s. arg may carry leading batch axes; then each row has its own s.
+    sets s. arg may carry leading batch axes; then each row has its own s,
+    from its norm (``_norms``).
     """
-    s = np.ceil(np.log2(np.maximum(2.0 * np.sqrt(_sq_norm(arg)), 1.0)))
+    s = np.ceil(np.log2(np.maximum(2.0 * _norms(arg), 1.0)))
     x = arg / (2.0 ** s)[..., None]
     lx = _mult_matrix(x, algebra)
     ell = _ell(lx)
@@ -112,6 +113,18 @@ def _ell(lx: np.ndarray) -> np.ndarray:
 def _sq_norm(v: np.ndarray) -> np.ndarray:
     """The squared Euclidean norm of complex coefficients, per row."""
     return np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag)
+
+
+@np.errstate(over="ignore")  # half the cost of a with block per call
+def _norms(arg: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row of arg: the square root of
+    ``_sq_norm``, and ``algebra._norm``, which scales, on a row whose sum of
+    squares overflows (norms above about 1.3e154)."""
+    norm = np.sqrt(_sq_norm(arg))
+    if np.count_nonzero(np.isfinite(norm)) == norm.size:
+        return norm
+    return np.where(np.isfinite(norm), norm,
+                    np.vectorize(_norm, signature="(d)->()")(arg))
 
 
 def _series(x: np.ndarray, lx: np.ndarray, ell: np.ndarray) -> np.ndarray:
@@ -151,7 +164,7 @@ def _square_repeatedly(square, acc, s, arg: np.ndarray) -> np.ndarray:
     if not np.isfinite(acc).all():
         raise ExpOverflow(
             f"exponential overflows double precision (argument norm "
-            f"{np.linalg.norm(arg, axis=-1).max():.3e})"
+            f"{_norms(arg).max():.3e})"
         )
     return acc
 

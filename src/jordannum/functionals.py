@@ -14,7 +14,16 @@ samples' exponentials with a stacked U-apply per level
 pairs (``algebra._U_apply``), and one stacked Arnoldi pass each for the
 samples' spectra and the principal samples' invertibility
 (``spectral._spectra``, ``spectral._invertible_rows``), each cut by
-``algebra._chunked``.
+``algebra._chunked``, and one stacked product over the pairs for the
+multiplicativity residual.
+
+The samples, the pairs and each principal sample's levels are drawn as
+stacks (``algebra._random_rows``), each row bitwise the one-row draw
+``random_element``. A row that a kernel made reaches f through
+``algebra._rows``: one finiteness check per stack and no per-row check or
+copy; the stack is read-only, so f cannot write to its argument. Only the
+unit, the basis and the linearity combinations' arithmetic build checked
+Elements.
 """
 
 from __future__ import annotations
@@ -25,8 +34,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import (AlgebraSpec, Element, _family_size, _U_apply,
-                      jordan_mul, random_element)
+from .algebra import (AlgebraSpec, Element, _family_size, _finite, _product,
+                      _random_rows, _rows, _U_apply)
 from .calculus import _exp_rows
 from .errors import (AlgebraMismatch, BranchTrackingFailed, ExpOverflow,
                      JordanNumError, NotSelfAdjoint, NotUMultiplicative,
@@ -133,9 +142,9 @@ def is_U_multiplicative(f: FunctionalHandle, sample_pairs: Sequence[tuple]):
     algebra = sample_pairs[0][0].algebra
     xs, ys = (np.array([pair[k].coeffs for pair in sample_pairs])
               for k in (0, 1))
-    u = _U_apply(xs, ys, algebra)
-    residual = _largest([abs(f(Element(algebra, row)) - f(x) ** 2 * f(y))
-                         for row, (x, y) in zip(u, sample_pairs)])
+    u = _rows(algebra, _U_apply(xs, ys, algebra))
+    residual = _largest([abs(f(v) - f(x) ** 2 * f(y))
+                         for v, (x, y) in zip(u, sample_pairs)])
     return residual, residual <= _CHECK_TOL
 
 
@@ -156,7 +165,7 @@ def unit_sign(f: FunctionalHandle, algebra: AlgebraSpec) -> int:
 
 def _path_values(f: FunctionalHandle, algebra: AlgebraSpec, rows):
     """f at each path point of ``rows``, checked finite and nonzero."""
-    values = np.array([f(Element(algebra, row)) for row in rows])
+    values = np.array([f(x) for x in _rows(algebra, rows)])
     if not np.isfinite(values).all():
         raise BranchTrackingFailed(
             "functional is not finite along the tracking path")
@@ -294,15 +303,14 @@ def _principal_samples(algebra: AlgebraSpec, depth: int,
     check."""
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    draws = np.array([[random_element(algebra, rng, norm_cap=1.0).coeffs
-                       for _ in range(depth)]
+    draws = np.array([_random_rows(algebra, rng, depth)
                       for rng in map(np.random.default_rng, seeds)])
     e = _exp_rows(draws.reshape(-1, algebra.dim), algebra).reshape(
         draws.shape)
     out = np.broadcast_to(algebra.unit, (len(seeds), algebra.dim))
     for level in range(depth):
         out = _U_apply(e[:, level], out, algebra)
-    samples = [Element(algebra, row) for row in out]
+    samples = _rows(algebra, out)
     if not all(_invertible_rows(out, algebra)):
         raise JordanNumError(
             "principal-component sample unexpectedly non-invertible"
@@ -334,11 +342,13 @@ def verify_character_theorem(f: FunctionalHandle, algebra: AlgebraSpec,
     report = CharacterReport(label=f.label)
     report.unit_value = f(algebra.one())
 
-    samples = [random_element(algebra, rng) for _ in range(n_samples)]
-    pairs = [(random_element(algebra, rng), random_element(algebra, rng))
-             for _ in range(n_samples)]
+    # n_samples draws, then n_samples pairs: pair i is rows 2i and 2i + 1
+    rows = _random_rows(algebra, rng, n_samples)
+    samples = _rows(algebra, rows)
+    pair_rows = _random_rows(algebra, rng, 2 * n_samples)
+    members = _rows(algebra, pair_rows)
+    pairs = list(zip(members[::2], members[1::2]))
 
-    rows = np.array([x.coeffs for x in samples])
     spectra = _spectra(rows, algebra)
     report.spectral_residual = _largest([s.distance(f(x))
                                          for s, x in zip(spectra, samples)])
@@ -360,8 +370,7 @@ def verify_character_theorem(f: FunctionalHandle, algebra: AlgebraSpec,
 
     combos = []
     for _ in range(max(4, n_samples // 4)):
-        x = random_element(algebra, rng)
-        y = random_element(algebra, rng)
+        x, y = _rows(algebra, _random_rows(algebra, rng, 2))
         alpha = complex(rng.standard_normal(), rng.standard_normal())
         beta = complex(rng.standard_normal(), rng.standard_normal())
         combos.append(x * alpha + y * beta)
@@ -374,26 +383,30 @@ def verify_character_theorem(f: FunctionalHandle, algebra: AlgebraSpec,
         return report
     psi_coeffs = np.array(psis[:algebra.dim], dtype=complex)
 
-    def psi(el):
-        return complex(psi_coeffs @ el.coeffs)
+    def psi(v):  # psi of a coefficient row
+        return complex(psi_coeffs @ v)
 
     report.linearity_residual = _largest(
-        [abs(p - psi(c)) for p, c in zip(psis[algebra.dim:], combos)])
+        [abs(p - psi(c.coeffs)) for p, c in zip(psis[algebra.dim:], combos)])
 
     report.spectrum_membership_residual = _largest(
-        [s.distance(psi(x)) for s, x in zip(spectra, samples)])
+        [s.distance(psi(v)) for s, v in zip(spectra, rows)])
 
-    exps = _exp_rows(rows, algebra)
+    exps = _rows(algebra, _exp_rows(rows, algebra))
     report.exp_agreement_residual = _largest(
-        [abs(f(Element(algebra, e)) - cmath.exp(psi(x)))
-         for e, x in zip(exps, samples)])
+        [abs(f(e) - cmath.exp(psi(v))) for e, v in zip(exps, rows)])
 
+    # each row of the stacked product is bitwise its jordan_mul
+    xs, ys = pair_rows[::2], pair_rows[1::2]
+    products = _product(xs, ys, algebra)
+    _finite(products)
     report.multiplicativity_residual = _largest(
-        [abs(psi(jordan_mul(x, y)) - psi(x) * psi(y)) for x, y in pairs])
+        [abs(psi(xy) - psi(x) * psi(y)) for xy, x, y in zip(products, xs, ys)])
 
     seeds = [int(rng.integers(2 ** 31)) for _ in range(n_samples)]
     report.principal_agreement_residual = _largest(
-        [abs(f(s) - psi(s)) for s in _principal_samples(algebra, 2, seeds)])
+        [abs(f(s) - psi(s.coeffs))
+         for s in _principal_samples(algebra, 2, seeds)])
 
     for name, what in _RESIDUALS[2:]:
         value = getattr(report, name)

@@ -25,7 +25,8 @@ from jordannum import (
 )
 from jordannum import algebra as algebra_module
 from jordannum.algebra import (Element, OperatorMatrix, _generated,
-                               _generated_rows, _mult_matrix, _product)
+                               _generated_rows, _mult_matrix, _product,
+                               _random_rows, _rows)
 from jordannum.errors import (AlgebraMismatch, ExpOverflow, ParseError,
                               StructureError, UnsupportedAlgebra)
 from test_basis_change import algebra
@@ -269,6 +270,77 @@ class TestElement:
         assert np.array_equal(a.element(2.0).coeffs, [2.0])
         assert np.array_equal(
             AlgebraSpec(1, a.structure, 1.0, "fn:1").unit, [1.0])
+
+
+def legacy_random_element(algebra, rng, norm_cap=1.0):
+    """The one-row draw written out: two draws of d normals, and the scaling
+    by ``np.linalg.norm``."""
+    z = (rng.standard_normal(algebra.dim)
+         + 1j * rng.standard_normal(algebra.dim)) / np.sqrt(2.0)
+    nrm = np.linalg.norm(z)
+    if nrm > norm_cap:
+        z = z * (norm_cap / nrm)
+    return Element(algebra, z)
+
+
+class TestRandomRows:
+    """``_random_rows``: n rows from one draw, each row bitwise a one-row
+    draw, and ``random_element`` its one-row call."""
+
+    @pytest.mark.parametrize("desc", ["fn:2", "fn:5", "spin:3",
+                                      "sum:fn:2+matrix:2", "matrix:3",
+                                      "matrix:12"])
+    def test_rows_are_the_one_row_draws_bitwise(self, desc):
+        a = from_descriptor(desc)
+        for seed in range(30):
+            for cap in (0.5, 1.0, 3.0):
+                for n in (1, 2, 20):
+                    rows = _random_rows(a, np.random.default_rng(seed), n,
+                                        cap)
+                    rng, legacy = (np.random.default_rng(seed)
+                                   for _ in range(2))
+                    for row in rows:
+                        assert np.array_equal(
+                            row, random_element(a, rng, cap).coeffs)
+                        assert np.array_equal(
+                            row, legacy_random_element(a, legacy, cap).coeffs)
+                    # both leave the stream at the same point
+                    assert rng.standard_normal() == legacy.standard_normal()
+
+    def test_random_element_is_a_read_only_checked_row(self):
+        a = from_descriptor("fn:3")
+        x = random_element(a, np.random.default_rng(0))
+        assert x.coeffs.shape == (3,)
+        with pytest.raises(ValueError):
+            x.coeffs[0] = 0.0
+        with pytest.raises(StructureError, match="finite"):
+            random_element(a, np.random.default_rng(0), norm_cap=-np.inf)
+
+
+class TestRows:
+    """``_rows``: a kernel's stack wrapped row by row, checked once."""
+
+    def test_rows_are_read_only_views_of_the_stack(self):
+        a = from_descriptor("fn:3")
+        stack = np.arange(6.0).reshape(2, 3) + 0j
+        xs = _rows(a, stack)
+        assert [x.algebra for x in xs] == [a, a]
+        for x, row in zip(xs, stack):
+            assert np.shares_memory(x.coeffs, stack)
+            assert np.array_equal(x.coeffs, row)
+            with pytest.raises(ValueError):
+                x.coeffs[0] = 1.0
+        with pytest.raises(ValueError):
+            stack[0, 0] = 1.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_one_non_finite_entry_refuses_the_stack(self, bad):
+        a = from_descriptor("fn:3")
+        stack = np.ones((4, 3), dtype=complex)
+        stack[3, 1] = bad
+        with pytest.raises(StructureError,
+                           match="coefficients must be finite"):
+            _rows(a, stack)
 
 
 class TestDescriptor:

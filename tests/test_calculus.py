@@ -160,6 +160,20 @@ class TestExp:
         got = exp(x)
         assert (got - (a.one() + x)).norm <= 1e-12 * x.norm
 
+    def test_nilpotent_beyond_the_squares_range_is_finite(self):
+        # the plain sum of squares of 1e160 overflows: the squaring count
+        # was inf, with a RuntimeWarning and then a bare OverflowError
+        a = make_matrix_jordan(2)
+        got = exp(a.element([0.0, 1e160, 0.0, 0.0]))
+        assert np.array_equal(got.coeffs, [1.0, 1e160, 0.0, 1.0])
+
+    def test_overflow_beyond_the_squares_range_raises_exp_overflow(self):
+        a = from_descriptor("fn:2")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ExpOverflow, match=r"norm 3\.162e\+160"):
+                exp(a.element([3e160, 1e160]))
+
     def test_spectral_mapping(self):
         for desc in FAMILIES:
             a = from_descriptor(desc)

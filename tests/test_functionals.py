@@ -36,7 +36,8 @@ from jordannum import (
 )
 from jordannum import algebra as algebra_module
 from jordannum import calculus, functionals, spectral
-from jordannum.errors import ExpOverflow, JordanNumError
+from jordannum.errors import ExpOverflow, JordanNumError, StructureError
+from test_algebra import legacy_random_element
 
 
 def coordinate(algebra, i, sign=1.0):
@@ -809,6 +810,101 @@ class TestStackedVetting:
         assert exact_lines(report) == expected
         assert {name: max(n) for name, n in sizes.items()} == {
             "jordannum.calculus": 3, "jordannum.algebra": 3}
+
+
+class TestVettingRows:
+    """The vetting draws its samples and pairs as stacks and hands f the
+    rows that its kernels made, wrapped without a per-row check."""
+
+    def test_pairs_are_the_draws_after_the_samples(self, monkeypatch):
+        # pair i is rows 2i and 2i + 1: the pairs that one-row draws after
+        # the n samples' would give, in order
+        a = from_descriptor("sum:fn:2+matrix:2")
+        seen = []
+
+        def recorded(f, pairs):
+            seen.append(pairs)
+            return is_U_multiplicative(f, pairs)
+
+        monkeypatch.setattr(functionals, "is_U_multiplicative", recorded)
+        for n_samples in (1, 6):
+            verify_character_theorem(coordinate(a, 0), a, 4, n_samples)
+            rng = np.random.default_rng(4)
+            for _ in range(n_samples):
+                legacy_random_element(a, rng)
+            want = [(legacy_random_element(a, rng),
+                     legacy_random_element(a, rng))
+                    for _ in range(n_samples)]
+            got = seen.pop()
+            assert len(got) == n_samples
+            for (x, y), (wx, wy) in zip(got, want):
+                assert np.array_equal(x.coeffs, wx.coeffs)
+                assert np.array_equal(y.coeffs, wy.coeffs)
+
+    @pytest.mark.parametrize("label", ["fn:3", "spin:3", "matrix:2"])
+    def test_principal_samples_are_the_written_out_draws(self, label):
+        a = from_descriptor(label)
+        for seed in (0, 3, 2 ** 31 - 1):
+            rng = np.random.default_rng(seed)
+            want = a.one()
+            for _ in range(2):
+                want = U_operator(exp(legacy_random_element(a, rng))).apply(
+                    want)
+            got = principal_component_sample(a, 2, seed)
+            assert np.array_equal(got.coeffs, want.coeffs)
+
+    def test_f_cannot_write_to_its_argument(self):
+        # every argument f gets, the wrapped rows included, is read-only
+        a = from_descriptor("fn:3")
+        written = []
+
+        def value(x):
+            try:
+                x.coeffs[0] = x.coeffs[0]
+            except ValueError:
+                pass
+            else:
+                written.append(x)
+            return complex(x.coeffs[0])
+
+        report = verify_character_theorem(FunctionalHandle(value), a,
+                                          n_samples=6)
+        assert report.passed, report.failures
+        assert written == []
+
+        def writer(x):
+            x.coeffs[0] = 0.0
+            return 1.0
+
+        with pytest.raises(ValueError, match="read-only"):
+            verify_character_theorem(FunctionalHandle(writer), a)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_U_rows_are_refused(self):
+        # U_x(y) with x = (1e200, 1) overflows; the row is refused, as an
+        # Element of it is, before f sees it
+        a = from_descriptor("fn:2")
+        x, y = a.element([1e200, 1.0]), a.one()
+        with pytest.raises(StructureError,
+                           match="coefficients must be finite"):
+            is_U_multiplicative(coordinate(a, 1), [(y, y), (x, y)])
+
+    def test_few_checked_elements(self, monkeypatch):
+        # at n_samples = 20 on fn:3 the vetting built about 730 checked
+        # Elements, most of them psi path points: now only the unit, the
+        # basis and the linearity combinations' arithmetic are checked
+        a = from_descriptor("fn:3")
+        built = []
+        check = algebra_module.Element.__post_init__
+
+        def counted(self):
+            built.append(self)
+            check(self)
+
+        monkeypatch.setattr(algebra_module.Element, "__post_init__", counted)
+        report = verify_character_theorem(coordinate(a, 0), a, n_samples=20)
+        assert report.passed, report.failures
+        assert 0 < len(built) < 100
 
 
 class TestTrackingFailures:

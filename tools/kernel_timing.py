@@ -11,6 +11,9 @@ structure entries, and the best-of-N time per call, in microseconds, of
   ``resolvent`` (of x at 3);
 - ``spectra20``: ``is_spectral_valued`` of the coordinate functional
   x -> x_0 over 20 ``random_element``s, the vetting's spectra;
+- ``vetting``: ``verify_character_theorem`` of the same functional, seed 0,
+  20 samples: the whole vetting on ``fn``, where x -> x_0 is a character,
+  and up to the failed spectral-valued check on the other families;
 - ``contour``: ``holomorphic_calculus(cmath.exp, x, Contour(0, 2R + 1))``,
   R the spectral radius of x;
 - ``log``: ``log(exp(x))``, with exp(x) taken once before the timing;
@@ -60,9 +63,9 @@ from speed import Speed  # noqa: E402
 FAMILIES = ["fn:5", "spin:4", "matrix:2", "matrix:3", "matrix:4",
             "matrix:8", "matrix:10", "matrix:12", "matrix:16"]
 COLUMNS = ["product", "stack65", "L_x", "jordan_mul", "exp", "U_operator",
-           "spectrum", "spectra20", "inverse", "is_invertible", "resolvent",
-           "contour", "log", "cauchy", "limit", "report", "principal",
-           "build"]
+           "spectrum", "spectra20", "vetting", "inverse", "is_invertible",
+           "resolvent", "contour", "log", "cauchy", "limit", "report",
+           "principal", "build"]
 REPEAT = 9
 MIN_BATCH_S = 0.02
 
@@ -110,6 +113,7 @@ def kernels(jn, desc):
         ("U_operator", lambda: jn.U_operator(x)),
         ("spectrum", lambda: jn.jordan_spectrum(x)),
         ("spectra20", lambda: jn.is_spectral_valued(coordinate, samples)),
+        ("vetting", lambda: jn.verify_character_theorem(coordinate, a, 0, 20)),
         ("inverse", lambda: jn.inverse(w)),
         ("is_invertible", lambda: jn.is_invertible(w)),
         ("resolvent", lambda: jn.resolvent(x, 3.0)),
