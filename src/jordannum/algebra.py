@@ -32,7 +32,7 @@ _UNIT_TOL = 1e-12
 _KRYLOV_TOL = 1e-12
 # ||L_x||_F outside this range could over- or underflow the squared norms
 _ARNOLDI_RANGE = (1e-100, 1e100)
-# a plain norm below this sums subnormal squares (``_norm``)
+# a plain norm below this sums subnormal squares (``_norms``)
 _NORM_FLOOR = 1.5e-154
 # rows * w^2 of one chunk of a ``_chunked`` kernel's stacks (w = d or m)
 _STACK_ENTRIES = 1 << 16
@@ -109,21 +109,30 @@ class AlgebraSpec:
         triple's sum is applied to a random vector v through products only,
         a o ((b o c) o v) - (b o c) o (a o v), and the residual is taken
         relative to max |v| and the product of the max-abs entries of L_a,
-        L_b and L_c, so rescaling the structure does not change it.
+        L_b and L_c, so rescaling the structure does not change it. Each
+        product and each of the three is scaled by 2^-e, e the exponent of
+        the largest stored modulus: exactly, so the cubes of the scale stay
+        in range beyond 1e+-100 and the ratio is bitwise as it was.
         """
         d = self.dim
         rng = np.random.default_rng(0)
         t, v = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
                 for shape in ((2, 3, d), (2, 1, d)))
-        bc = _product(t[:, [1, 2, 0]], t[:, [2, 0, 1]], self)
+        e = -int(np.frexp(np.abs(self._values).max())[1])
+
+        def mul(a, b):  # ldexp on the parts: exact down to subnormals
+            return np.ldexp(_product(a, b, self).view(float), e).view(complex)
+
+        bc = mul(t[:, [1, 2, 0]], t[:, [2, 0, 1]])
         # [a o ((b o c) o v), (b o c) o (a o v)] as one stacked product
         pair = np.stack([t, bc])
-        outer = _product(pair, _product(pair[::-1], v, self), self)
+        outer = mul(pair, mul(pair[::-1], v))
         resid = (outer[0] - outer[1]).sum(axis=1)
         # the max-abs entries among _mult_matrix's sums, before the d x d fill
         i, values, starts, _ = self._lx
-        scale = np.abs(np.add.reduceat(t.take(i, axis=-1) * values, starts,
-                                       axis=-1)).max(axis=-1).prod(axis=1)
+        scale = np.ldexp(np.abs(np.add.reduceat(
+            t.take(i, axis=-1) * values, starts, axis=-1)).max(axis=-1),
+            e).prod(axis=1)
         rel = np.max(np.abs(resid).max(axis=1)
                      / (scale * np.abs(v).max(axis=(1, 2))))
         if rel > _JORDAN_ID_TOL:
@@ -194,7 +203,7 @@ class Element:
 
     @property
     def norm(self) -> float:
-        return _norm(self.coeffs)
+        return _norms(self.coeffs)
 
     def __add__(self, other: "Element") -> "Element":
         _same_algebra(self, other)
@@ -260,21 +269,30 @@ def _rows(algebra: AlgebraSpec, stack: np.ndarray) -> list[Element]:
     return out
 
 
-def _norm(v: np.ndarray) -> float:
-    """The Euclidean norm of a finite complex row, summed as
-    ``np.linalg.norm`` sums it, so bitwise its result, except where that
-    plain sum of squares overflows (norms above about 1.3e154) or is
-    subnormal (below about 1.5e-154): there it is the norm of v divided by
-    its largest modulus, times that modulus."""
+@np.errstate(over="ignore")  # half the cost of a with block per call
+def _norms(v: np.ndarray):
+    """The Euclidean norm of a complex row (a float) or of each row of a
+    stack, summed as ``np.linalg.norm`` sums it and so bitwise its result,
+    except where that plain sum of squares overflows (norms above about
+    1.3e154) or is subnormal (below about 1.5e-154): there the row is
+    scaled by 2^-e, e the exponent of its largest modulus, exactly. A row
+    takes two dots, as cheap as ``np.linalg.norm``; a stack two
+    ``vecdot``s, each row bitwise its one-row call."""
     re, im = v.real, v.imag
-    with np.errstate(over="ignore"):
+    if v.ndim == 1:
         norm = math.sqrt(re.dot(re) + im.dot(im))
-    if not _NORM_FLOOR <= norm < math.inf:
-        top = float(np.abs(v).max())
-        if top:
-            w = v / top
-            norm = top * math.sqrt(w.real.dot(w.real) + w.imag.dot(w.imag))
-    return norm
+        if _NORM_FLOOR <= norm < math.inf:
+            return norm
+        return float(_norms(v[None])[0])
+    norms = np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
+    inside = (_NORM_FLOOR <= norms) & (norms < math.inf)
+    if np.count_nonzero(inside) < inside.size:
+        out = ~inside  # frexp gives e = 0 for a zero, inf or NaN top
+        e = np.frexp(np.abs(v[out]).max(axis=-1))[1]
+        re, im = (np.ldexp(part[out], -e[..., None]) for part in (re, im))
+        norms[out] = np.ldexp(np.sqrt(np.vecdot(re, re) + np.vecdot(im, im)),
+                              e)
+    return norms
 
 
 def _same_algebra(a: Element, b: Element):
@@ -381,7 +399,7 @@ def _generated(x: Element) -> tuple[np.ndarray, np.ndarray]:
     d = x.algebra.dim
     q = np.zeros((d, d), dtype=complex)  # basis vectors as rows
     h = np.zeros((d, d), dtype=complex)
-    q[0] = x.algebra.unit / np.linalg.norm(x.algebra.unit)
+    q[0] = x.algebra.unit / _norms(x.algebra.unit)
     for j in range(d):
         w = lx @ q[j]
         for _ in range(2):
@@ -420,8 +438,8 @@ def _chunked(kernel):
 
 @_chunked
 def _generated_rows(x: np.ndarray, algebra: AlgebraSpec) -> list:
-    """``_generated`` of each row of the stack x: a list of (Q, H), each
-    bitwise ``_generated``'s, copied out of the stack's d x d arrays.
+    """The H of ``_generated`` for each row of the stack x, each bitwise
+    ``_generated``'s, copied out of the stack's d x d arrays.
 
     Each row has its own tolerance and exponent (``_krylov_scale``), and
     each step runs the same products, as ``np.matvec`` over the rows still
@@ -432,13 +450,13 @@ def _generated_rows(x: np.ndarray, algebra: AlgebraSpec) -> list:
     whose 2-D loop is about twice as fast.
     """
     if len(x) == 1:
-        return [tuple(v.copy() for v in _generated(Element(algebra, x[0])))]
+        return [_generated(Element(algebra, x[0]))[1].copy()]
     lx, e, tol = _krylov_scale(_mult_matrix(x, algebra))
     rows, d = x.shape
     q = np.zeros((rows, d, d), dtype=complex)  # basis vectors as rows
     h = np.zeros((rows, d, d), dtype=complex)
     m = np.zeros(rows, dtype=int)
-    q[:, 0] = algebra.unit / np.linalg.norm(algebra.unit)
+    q[:, 0] = algebra.unit / _norms(algebra.unit)
     live = slice(None)  # the rows still running: all, or their indices
     for j in range(d):
         w = np.matvec(lx[live], q[live, j])
@@ -460,8 +478,7 @@ def _generated_rows(x: np.ndarray, algebra: AlgebraSpec) -> list:
         q[live, j + 1] = w / beta[:, None]
     if e is not None:
         h = h * np.ldexp(1.0, e)[:, None, None]
-    return [(q[r, :k].T.copy(), h[r, :k, :k].copy())
-            for r, k in enumerate(m.tolist())]
+    return [h[r, :k, :k].copy() for r, k in enumerate(m.tolist())]
 
 
 def mult_operator(a: Element) -> OperatorMatrix:
@@ -695,6 +712,8 @@ def _random_rows(algebra: AlgebraSpec, rng: np.random.Generator, n: int,
     as ``np.linalg.norm`` sums it, so row i is bitwise the i-th of n one-row
     calls (``random_element``). The norms and the scalings run row by row:
     a stacked norm and a masked scaling made a one-row call a third slower.
+    A draw never leaves the squares' range, so its rows skip ``_norms``,
+    which costs about 0.8 us more per row (x86-64, numpy 2.4).
     """
     g = rng.standard_normal((n, 2, algebra.dim))
     z = 1j * g[:, 1]

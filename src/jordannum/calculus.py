@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import (Element, _chunked, _generated, _mult_matrix, _norm,
+from .algebra import (Element, _chunked, _generated, _mult_matrix, _norms,
                       _product, _same_algebra, jordan_mul)
 from .errors import (BranchCut, ContourViolation, ExpOverflow, JordanNumError,
                      QuadratureError)
@@ -90,7 +90,7 @@ def _scaled(arg: np.ndarray, algebra):
     does not bound L_x (scaling the structure tensor by c scales L_x by c).
     On the standard families ell <= 2.23 |x| <= 1.12, so the norm alone
     sets s. arg may carry leading batch axes; then each row has its own s,
-    from its norm (``_norms``).
+    from its norm (``algebra._norms``, finite above 1.3e154).
     """
     s = np.ceil(np.log2(np.maximum(2.0 * _norms(arg), 1.0)))
     x = arg / (2.0 ** s)[..., None]
@@ -108,23 +108,6 @@ def _ell(lx: np.ndarray) -> np.ndarray:
     """sqrt(|L|_1 |L|_inf) >= |L|_2, per matrix of a stack."""
     mag = np.abs(lx)
     return np.sqrt(mag.sum(-2).max(-1) * mag.sum(-1).max(-1))
-
-
-def _sq_norm(v: np.ndarray) -> np.ndarray:
-    """The squared Euclidean norm of complex coefficients, per row."""
-    return np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag)
-
-
-@np.errstate(over="ignore")  # half the cost of a with block per call
-def _norms(arg: np.ndarray) -> np.ndarray:
-    """The Euclidean norm of each row of arg: the square root of
-    ``_sq_norm``, and ``algebra._norm``, which scales, on a row whose sum of
-    squares overflows (norms above about 1.3e154)."""
-    norm = np.sqrt(_sq_norm(arg))
-    if np.count_nonzero(np.isfinite(norm)) == norm.size:
-        return norm
-    return np.where(np.isfinite(norm), norm,
-                    np.vectorize(_norm, signature="(d)->()")(arg))
 
 
 def _series(x: np.ndarray, lx: np.ndarray, ell: np.ndarray) -> np.ndarray:
@@ -164,7 +147,7 @@ def _square_repeatedly(square, acc, s, arg: np.ndarray) -> np.ndarray:
     if not np.isfinite(acc).all():
         raise ExpOverflow(
             f"exponential overflows double precision (argument norm "
-            f"{_norms(arg).max():.3e})"
+            f"{np.max(_norms(arg)):.3e})"
         )
     return acc
 
@@ -275,8 +258,7 @@ def log(a: Element) -> Element:
     for k in range(1, 200):
         term = lz @ term
         acc = acc + term * ((-1.0) ** (k + 1) / k)
-        if _sq_norm(term) / k ** 2 < _SERIES_TOL ** 2 * max(_sq_norm(acc),
-                                                            1e-60):
+        if _norms(term) / k < _SERIES_TOL * max(_norms(acc), 1e-30):
             break
     else:
         raise JordanNumError("log series did not converge in 200 terms")
@@ -299,9 +281,9 @@ def _nested_trapezoid(sample: Callable[[np.ndarray], np.ndarray],
     rule takes ``nodes`` equispaced points; each doubling adds only the
     midpoints theta = 2 pi (k + 1/2) / n to the running sum, so every point
     is sampled once. The rule is accepted when a doubling moves it by at
-    most ``_QUADRATURE_TOL`` relative; ``name`` names it in the
-    QuadratureError raised when that does not happen below
-    ``_MAX_CONTOUR_NODES`` points.
+    most ``_QUADRATURE_TOL`` relative, in ``algebra._norms`` (finite above
+    1.3e154); ``name`` names it in the QuadratureError raised when that
+    does not happen below ``_MAX_CONTOUR_NODES`` points.
     """
     n = nodes
     total = sample(np.exp(2j * np.pi * np.arange(n) / n)).sum(axis=0)
@@ -311,8 +293,7 @@ def _nested_trapezoid(sample: Callable[[np.ndarray], np.ndarray],
             np.exp(2j * np.pi * (np.arange(n) + 0.5) / n)).sum(axis=0)
         n *= 2
         cur = total / n
-        if (np.linalg.norm(cur - prev)
-                <= _QUADRATURE_TOL * max(np.linalg.norm(cur), 1.0)):
+        if _norms(cur - prev) <= _QUADRATURE_TOL * max(_norms(cur), 1.0):
             return cur
         prev = cur
     raise QuadratureError(
@@ -342,7 +323,7 @@ def holomorphic_calculus(h: Callable[[complex], complex], a: Element,
                 f"spectrum point {p} is not strictly inside the contour"
             )
     m = hmat.shape[0]
-    rhs = np.linalg.norm(a.algebra.unit) * np.eye(m)[0]  # Q^H 1 = |1| e_1
+    rhs = _norms(a.algebra.unit) * np.eye(m)[0]  # Q^H 1 = |1| e_1
 
     @_chunked
     def solve(rhs_rows, zetas):

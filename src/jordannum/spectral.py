@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Element, _chunked, _generated, _generated_rows
+from .algebra import Element, _chunked, _generated, _generated_rows, _norms
 from .errors import NotInvertible, OnSpectrum
 
 DEFAULT_COND_TOL = 1e-10
@@ -64,7 +64,7 @@ def _per_compression(x: np.ndarray, algebra, lapack) -> list:
     """``lapack`` of each row's H, from one ``_generated_rows`` pass over the
     stack x: the H's of one size m go to one stacked call, whose results are
     bitwise the single calls', and come back in row order."""
-    hs = [h for _, h in _generated_rows(x, algebra)]
+    hs = _generated_rows(x, algebra)
     out = [None] * len(hs)
     for m in {h.shape[0] for h in hs}:
         rows = [r for r, h in enumerate(hs) if h.shape[0] == m]
@@ -122,7 +122,7 @@ def _solve_checked(ops: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def inverse(a: Element) -> Element:
     """Jordan inverse a^{-1} = Q y in C[a], where H y = |1| e_1 = Q^H 1."""
     q, h = _generated(a)
-    rhs = np.linalg.norm(a.algebra.unit) * np.eye(h.shape[0])[:1]
+    rhs = _norms(a.algebra.unit) * np.eye(h.shape[0])[:1]
     return Element(a.algebra, q @ _solve_checked(h[None], rhs)[0])
 
 

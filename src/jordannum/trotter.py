@@ -49,11 +49,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import (Element, _family_size, _norm, _power, _product,
-                      _same_algebra)
+from .algebra import (Element, _family_size, _finite, _norms, _power,
+                      _product, _same_algebra)
 from .calculus import (HolomorphicCurve, _expm1, _offset_mul,
                        derivative_at_zero, exp, power_mu)
-from .errors import BranchCut, InsufficientData, StructureError
+from .errors import BranchCut, InsufficientData
 
 ERROR_FLOOR = 1e-12
 # the largest integer mu_n that takes the plain power (``_integer_mu``)
@@ -207,13 +207,12 @@ def _integer_mu(mu) -> int | None:
 
 
 def _errors(rows: np.ndarray, target: Element) -> tuple:
-    """The norm of each row minus the target's coefficients (``_norm``, so
-    a row above 1.3e154 keeps a finite norm); one check raises
-    ``StructureError`` if any difference is not finite."""
+    """The norm of each row minus the target's coefficients, one stacked
+    ``algebra._norms`` call (so a row above 1.3e154 keeps a finite norm),
+    after one ``algebra._finite`` check of the differences."""
     diffs = rows - target.coeffs
-    if not np.isfinite(diffs).all():
-        raise StructureError("coefficients must be finite")
-    return tuple(_norm(d) for d in diffs)
+    _finite(diffs)
+    return tuple(_norms(diffs).tolist())
 
 
 def general_trotter(f: HolomorphicCurve, plan: SequencePlan,

@@ -25,8 +25,8 @@ from jordannum import (
 )
 from jordannum import algebra as algebra_module
 from jordannum.algebra import (Element, OperatorMatrix, _generated,
-                               _generated_rows, _mult_matrix, _product,
-                               _random_rows, _rows)
+                               _generated_rows, _mult_matrix, _norms,
+                               _product, _random_rows, _rows)
 from jordannum.errors import (AlgebraMismatch, ExpOverflow, ParseError,
                               StructureError, UnsupportedAlgebra)
 from test_basis_change import algebra
@@ -237,6 +237,27 @@ class TestConstructors:
             AlgebraSpec(spin.dim, spin.structure * scale, spin.unit / scale,
                         "scaled")
 
+    SCALES = [1e-200, 1e-160, 1e-100, 1.0, 1e100, 1e150, 1e160, 1e200]
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_non_jordan_tensor_refused_at_every_scale(self, scale):
+        # unit e0, e1 o e1 = e2, e2 o e2 = e1, e1 o e2 = 0. The cubes of the
+        # scale in the residual and its reference overflowed or underflowed
+        # beyond 1e+-100: rel was NaN, so the tensor was accepted, and under
+        # a RuntimeWarning filter the check raised RuntimeWarning
+        c = np.zeros((3, 3, 3))
+        for j in range(3):
+            c[0, j, j] = c[j, 0, j] = 1.0
+        c[1, 1, 2] = c[2, 2, 1] = 1.0
+        with pytest.raises(StructureError,
+                           match=r"relative residual 6\.034e-01"):
+            AlgebraSpec(3, c * scale, np.array([1.0, 0, 0]) / scale, "bad")
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_matrix_accepted_at_every_scale(self, scale):
+        m2 = from_descriptor("matrix:2")
+        AlgebraSpec(4, m2.structure * scale, m2.unit / scale, "scaled")
+
 
 class TestElement:
     @pytest.mark.parametrize("bad", [complex(np.nan, 0.0),
@@ -270,6 +291,54 @@ class TestElement:
         assert np.array_equal(a.element(2.0).coeffs, [2.0])
         assert np.array_equal(
             AlgebraSpec(1, a.structure, 1.0, "fn:1").unit, [1.0])
+
+
+class TestNorms:
+    """``_norms``: the one Euclidean norm of a row, a float, or of each row
+    of a stack; ``np.linalg.norm``'s bitwise while the plain sum of squares
+    is normal, and scaled by a power of two outside that range."""
+
+    FAMILIES = ["fn:2", "spin:3", "matrix:3", "sum:fn:2+matrix:2"]
+
+    @pytest.mark.parametrize("desc", FAMILIES)
+    def test_in_range_is_numpys(self, desc):
+        a = from_descriptor(desc)
+        rng = np.random.default_rng(71)
+        x = np.array([random_element(a, rng, norm_cap=cap).coeffs * scale
+                      for cap in (0.1, 1.0, 5.0)
+                      for scale in (1e-150, 1e-3, 1.0, 1e150)])
+        got = _norms(x)
+        assert got.shape == (len(x),)
+        for row, norm in zip(x, got):
+            one = _norms(row)
+            assert type(one) is float
+            assert one == norm == np.linalg.norm(row)
+        assert _norms(x.reshape(3, 4, -1)).tolist() == \
+            got.reshape(3, 4).tolist()
+
+    @pytest.mark.parametrize("desc", FAMILIES)
+    @pytest.mark.parametrize("scale", [1e160, 1e-170, 1e300])
+    def test_outside_the_squares_range(self, desc, scale):
+        a = from_descriptor(desc)
+        x = random_element(a, np.random.default_rng(73)).coeffs
+        want = np.linalg.norm(x) * scale
+        stack = np.array([x * scale, -1j * x * scale])
+        assert _norms(stack) == pytest.approx([want, want], rel=1e-15)
+        assert _norms(stack).tolist() == [_norms(r) for r in stack]
+
+    def test_mixed_stack_is_its_rows(self):
+        a = from_descriptor("sum:fn:2+matrix:2")
+        x = random_element(a, np.random.default_rng(79)).coeffs
+        tiny = np.zeros(a.dim, dtype=complex)
+        tiny[3] = 5e-324
+        rows = [np.zeros(a.dim, dtype=complex), x, 1e200 * x, 1e-170 * x,
+                tiny, np.where(np.arange(a.dim) == 1, 1e300, 1e-300 * x)]
+        got = _norms(np.array(rows))
+        assert got.tolist() == [_norms(r) for r in rows]
+        assert got[:2].tolist() == [0.0, np.linalg.norm(x)]
+        assert got[4] == 5e-324 and got[5] == 1e300
+        assert got[2] == pytest.approx(1e200 * got[1], rel=1e-15)
+        assert got[3] == pytest.approx(1e-170 * got[1], rel=1e-15)
 
 
 def legacy_random_element(algebra, rng, norm_cap=1.0):
@@ -643,7 +712,7 @@ def special_rows(desc):
 
 
 class TestGeneratedRows:
-    """The stacked Arnoldi: each row's (Q, H, m) bitwise ``_generated``'s."""
+    """The stacked Arnoldi: each row's H (m x m) bitwise ``_generated``'s."""
 
     STACKED = ["fn:4", "spin:4", "matrix:3", "sum:fn:2+matrix:2"]
 
@@ -659,20 +728,19 @@ class TestGeneratedRows:
         return a, np.array(rows)
 
     @staticmethod
-    def assert_single(a, x, pairs):
-        assert len(pairs) == len(x)
-        for row, (q, h) in zip(x, pairs):
-            want_q, want_h = _generated(a.element(row))
-            assert np.array_equal(q, want_q)  # shapes too: m x m, d x m
-            assert np.array_equal(h, want_h)
+    def assert_single(a, x, hs):
+        assert len(hs) == len(x)
+        for row, h in zip(x, hs):
+            # shapes too: m x m
+            assert np.array_equal(h, _generated(a.element(row))[1])
 
     @pytest.mark.parametrize("desc", STACKED)
     def test_rows_are_the_single_runs(self, desc):
         a, x = self.stack(desc)
-        pairs = _generated_rows(x, a)
-        sizes = [h.shape[0] for _, h in pairs]
+        hs = _generated_rows(x, a)
+        sizes = [h.shape[0] for h in hs]
         assert min(sizes) == 1 < max(sizes)
-        self.assert_single(a, x, pairs)
+        self.assert_single(a, x, hs)
         # random rows only: no row stops before the others
         self.assert_single(a, x[:12], _generated_rows(x[:12], a))
 
@@ -690,8 +758,8 @@ class TestGeneratedRows:
         monkeypatch.setattr(algebra_module, "_mult_matrix", recorded)
         chunked = _generated_rows(x, a)
         assert len(sizes) > 1 and max(sizes) == 3 and sum(sizes) == len(x)
-        for (q, h), (want_q, want_h) in zip(chunked, whole, strict=True):
-            assert np.array_equal(q, want_q) and np.array_equal(h, want_h)
+        for h, want_h in zip(chunked, whole, strict=True):
+            assert np.array_equal(h, want_h)
         self.assert_single(a, x, chunked)
 
 

@@ -167,6 +167,23 @@ class TestExp:
         got = exp(a.element([0.0, 1e160, 0.0, 0.0]))
         assert np.array_equal(got.coeffs, [1.0, 1e160, 0.0, 1.0])
 
+    def test_squaring_counts_from_the_one_norm(self):
+        # a row whose plain sum of squares is normal takes np.linalg.norm's
+        # count; below that range (1e-170, a subnormal entry, zero) it stays
+        # 0, and at 1e160 it is finite
+        a = from_descriptor("matrix:3")
+        rng = np.random.default_rng(109)
+        rows = [random_element(a, rng, norm_cap=cap).coeffs
+                for cap in (0.5, 1.0, 4.0, 1e3)]
+        plain = [np.ceil(np.log2(max(2.0 * np.linalg.norm(r), 1.0)))
+                 for r in rows]
+        tiny, huge = np.zeros(9, dtype=complex), np.zeros(9, dtype=complex)
+        tiny[1], huge[1] = 5e-324, 1e160
+        rows += [1e-170 * rows[0], tiny, np.zeros(9), huge]
+        s = calculus._scaled(np.array(rows), a)[0]
+        assert s.tolist() == plain + [0.0, 0.0, 0.0, 533.0]
+        assert [calculus._scaled(r, a)[0] for r in rows] == s.tolist()
+
     def test_overflow_beyond_the_squares_range_raises_exp_overflow(self):
         a = from_descriptor("fn:2")
         with warnings.catch_warnings():
@@ -541,6 +558,24 @@ class TestHolomorphicCalculus:
         assert all(rows * w * w <= bound and w == m
                    for rows, w, _ in stacks)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e160])
+    def test_stop_test_beyond_the_squares_range(self, scale):
+        # the stop test's plain norms were inf <= inf above 1.3e154: the
+        # rule stopped at its first doubling, 512 nodes, off by 4e-5 and
+        # with two overflow RuntimeWarnings
+        a = from_descriptor("fn:2")
+        x = a.element([0.3, -0.2])
+        nodes = []
+
+        def h(z):
+            nodes.append(z)
+            return scale / (z - 1.02)
+
+        got = holomorphic_calculus(h, x, Contour(0.0, 1.0)).coeffs
+        want = scale / (x.coeffs - 1.02)
+        assert len(nodes) == 4096
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
     def test_spectrum_outside_contour_rejected(self):
         a = from_descriptor("fn:5")
         with pytest.raises(ContourViolation):
@@ -649,6 +684,24 @@ class TestDerivativeAtZero:
                                  rho=2.0 * ratio)
         assert len(nodes) == len(set(nodes)) == count
         assert (got - x).norm <= 1e-14 * x.norm
+
+    @pytest.mark.parametrize("scale", [1.0, 1e160])
+    def test_stop_test_beyond_the_squares_range(self, scale):
+        # z -> s (1 + e_1 / (z - 0.6)), f'(0) = -s e_1 / 0.36: at 1e160 the
+        # plain norms stopped the rule at 128 calls, off by 1.5e-5
+        a = from_descriptor("spin:3")
+        e1 = a.basis_element(1)
+        nodes = []
+
+        def curve(z):
+            nodes.append(z)
+            return (a.one() + e1 / (z - 0.6)) * scale
+
+        got = derivative_at_zero(HolomorphicCurve(curve, radius_r=0.6),
+                                 rho=0.55)
+        assert len(nodes) == 512
+        assert np.abs(got.coeffs + scale / 0.36 * e1.coeffs).max() <= \
+            1e-14 * scale
 
     @pytest.mark.parametrize("ratio", [0.73, 0.8, 0.9, 0.95])
     def test_capped_start_is_the_64_node_rule(self, ratio):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from jordannum import (
+    AlgebraSpec,
     Element,
     U_operator,
     from_descriptor,
@@ -242,6 +243,20 @@ class TestSpectrum:
         base = jordan_spectrum(x).points
         shifted = jordan_spectrum(x * alpha + a.one() * beta).points
         assert hausdorff(shifted, [alpha * p + beta for p in base]) < 1e-7
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e160, 1e200])
+    def test_rescaled_structure(self, scale):
+        # matrix:2 with its structure times s and its unit over s, where
+        # diag(2, 3) / s has spectrum {2, 3} and inverse diag(1/2, 1/3) / s.
+        # The unit's plain norm (squares below 1e-308) normalised Arnoldi's
+        # first vector wrongly: 4 points at 1e160; the identity check refused
+        # the other three scales with a RuntimeWarning
+        m2 = from_descriptor("matrix:2")
+        a = AlgebraSpec(4, m2.structure * scale, m2.unit / scale, "scaled")
+        x = a.element(np.array([2.0, 0.0, 0.0, 3.0]) / scale)
+        assert hausdorff(jordan_spectrum(x).points, [2.0, 3.0]) < 1e-12
+        assert np.allclose(inverse(x).coeffs * scale, [0.5, 0, 0, 1 / 3],
+                           rtol=0, atol=1e-15)
 
     def test_pencil_consistency(self):
         # nothing spurious: U_{x - p 1} is singular at every reported point;

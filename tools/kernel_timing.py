@@ -6,6 +6,7 @@ structure entries, and the best-of-N time per call, in microseconds, of
 - ``product``: ``algebra._product`` of two coefficient vectors;
 - ``stack65``: ``_product`` of two stacks of 65 rows (a ψ path's size);
 - ``L_x``: ``algebra._mult_matrix``, the d x d matrix of y -> x o y;
+- ``norm``: ``x.norm``, the Euclidean norm of x's coefficients;
 - ``jordan_mul``, ``exp``, ``U_operator``, ``spectrum``
   (``jordan_spectrum``), ``inverse`` and ``is_invertible`` (of 2 + x) and
   ``resolvent`` (of x at 3);
@@ -62,10 +63,10 @@ from speed import Speed  # noqa: E402
 
 FAMILIES = ["fn:5", "spin:4", "matrix:2", "matrix:3", "matrix:4",
             "matrix:8", "matrix:10", "matrix:12", "matrix:16"]
-COLUMNS = ["product", "stack65", "L_x", "jordan_mul", "exp", "U_operator",
-           "spectrum", "spectra20", "vetting", "inverse", "is_invertible",
-           "resolvent", "contour", "log", "cauchy", "limit", "report",
-           "principal", "build"]
+COLUMNS = ["product", "stack65", "L_x", "norm", "jordan_mul", "exp",
+           "U_operator", "spectrum", "spectra20", "vetting", "inverse",
+           "is_invertible", "resolvent", "contour", "log", "cauchy", "limit",
+           "report", "principal", "build"]
 REPEAT = 9
 MIN_BATCH_S = 0.02
 
@@ -108,6 +109,7 @@ def kernels(jn, desc):
         ("product", lambda: algebra._product(x.coeffs, y.coeffs, a)),
         ("stack65", lambda: algebra._product(xs, ys, a)),
         ("L_x", lambda: algebra._mult_matrix(x.coeffs, a)),
+        ("norm", lambda: x.norm),
         ("jordan_mul", lambda: jn.jordan_mul(x, y)),
         ("exp", lambda: jn.exp(x)),
         ("U_operator", lambda: jn.U_operator(x)),
