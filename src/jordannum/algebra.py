@@ -247,10 +247,11 @@ class OperatorMatrix:
         return Element(self.algebra, self.entries @ x.coeffs)
 
 
-def _finite(stack: np.ndarray):
-    """Raise ``Element``'s error unless every coefficient is finite."""
+def _finite(stack: np.ndarray) -> np.ndarray:
+    """The stack; ``Element``'s error if any entry is not finite."""
     if np.count_nonzero(np.isfinite(stack)) < stack.size:
         raise StructureError("coefficients must be finite")
+    return stack
 
 
 def _rows(algebra: AlgebraSpec, stack: np.ndarray) -> list[Element]:
@@ -381,25 +382,25 @@ def _krylov_scale(lx: np.ndarray):
     return lx, e, _KRYLOV_TOL * norm(lx)
 
 
-def _generated(x: Element) -> tuple[np.ndarray, np.ndarray]:
+def _generated(x: np.ndarray, algebra: AlgebraSpec) -> tuple:
     """Orthonormal Q (d x m) spanning C[x] = span{1, x, x^2, ...}, and H.
 
-    Arnoldi on L_x from the normalised unit, with classical Gram-Schmidt run
-    twice per step, stopping once h_{j+1,j} <= ``_KRYLOV_TOL`` ||L_x||_F:
-    then L_x Q = Q H, H is upper Hessenberg and m <= d is the degree of x's
-    minimal polynomial. Outside ``_ARNOLDI_RANGE`` it runs on 2^-e L_x, with
-    entries below 1 in modulus, and scales H back: exactly, as e is an int
-    (``_krylov_scale``). ``_generated_rows`` runs this loop over a stack,
-    row for row bitwise. A single element keeps the 2-D loop: the stacked
-    one's 3-D matvecs and live-row bookkeeping made a one-row stack about
-    twice as slow a call (d = 3 to 144), and the calculus and the dense
-    families make single calls.
+    Arnoldi on L_x, x a coefficient row, from the normalised unit, with
+    classical Gram-Schmidt twice per step, stopping once h_{j+1,j} <=
+    ``_KRYLOV_TOL`` ||L_x||_F: then L_x Q = Q H, H is upper Hessenberg and m,
+    at most d, is the degree of x's minimal polynomial. Outside
+    ``_ARNOLDI_RANGE`` it runs on 2^-e L_x, with entries below 1 in modulus,
+    and scales H back: exactly, as e is an int (``_krylov_scale``).
+    ``_generated_rows`` runs this loop over a stack, row for row bitwise. A
+    single element keeps the 2-D loop: the stacked one's 3-D matvecs and
+    live-row bookkeeping made a one-row stack about twice as slow a call
+    (d = 3 to 144), and the calculus and the dense families make single calls.
     """
-    lx, e, tol = _krylov_scale(_mult_matrix(x.coeffs, x.algebra))
-    d = x.algebra.dim
+    lx, e, tol = _krylov_scale(_mult_matrix(x, algebra))
+    d = algebra.dim
     q = np.zeros((d, d), dtype=complex)  # basis vectors as rows
     h = np.zeros((d, d), dtype=complex)
-    q[0] = x.algebra.unit / _norms(x.algebra.unit)
+    q[0] = algebra.unit / _norms(algebra.unit)
     for j in range(d):
         w = lx @ q[j]
         for _ in range(2):
@@ -450,7 +451,7 @@ def _generated_rows(x: np.ndarray, algebra: AlgebraSpec) -> list:
     whose 2-D loop is about twice as fast.
     """
     if len(x) == 1:
-        return [_generated(Element(algebra, x[0]))[1].copy()]
+        return [_generated(x[0], algebra)[1].copy()]
     lx, e, tol = _krylov_scale(_mult_matrix(x, algebra))
     rows, d = x.shape
     q = np.zeros((rows, d, d), dtype=complex)  # basis vectors as rows

@@ -35,11 +35,11 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import (Element, _chunked, _generated, _mult_matrix, _norms,
-                      _product, _same_algebra, jordan_mul)
+from .algebra import (Element, _chunked, _finite, _generated, _mult_matrix,
+                      _norms, _product, _same_algebra)
 from .errors import (BranchCut, ContourViolation, ExpOverflow, JordanNumError,
                      QuadratureError)
-from .spectral import _clustered, _solve_checked, inverse, jordan_spectrum
+from .spectral import _clustered, _inverse, _solve_checked, jordan_spectrum
 
 _SERIES_TOL = 1e-18
 _ELL_LIMIT = 2.0  # bound on ell = |L_x| after the scaling (``_scaled``)
@@ -48,6 +48,7 @@ _DEGREES = np.arange(1.0, 41.0)
 _THETA = (_SERIES_TOL * np.cumprod(_DEGREES + 1.0)
           * (1.0 - _ELL_LIMIT / (_DEGREES + 2.0))) ** (1.0 / _DEGREES)
 _BRANCH_CLEARANCE = 1e-8
+_BALANCE_BAND = 4  # log scales a spectral radius outside [2^-4, 2^4] to ~1
 _CONTOUR_NODES = 256  # holomorphic_calculus's first rule
 _MAX_CONTOUR_NODES = 8192
 # a doubling that moves the nested rule by at most this much, relative, ends it
@@ -188,8 +189,8 @@ def _expm1(arg: np.ndarray, algebra) -> np.ndarray:
         lambda v: _offset_mul(v, v, algebra), acc, s, arg)
 
 
-def _sqrt(a: Element) -> Element:
-    """Principal square root inside the subalgebra of a.
+def _sqrt(a: np.ndarray, algebra) -> np.ndarray:
+    """Principal square root of the coefficient row a inside C[a].
 
     The incremental Newton iteration (Higham, *Functions of Matrices*,
     sec. 6.4): from x = a and e = (1 - a) / 2, each step sets x <- x + e
@@ -199,16 +200,18 @@ def _sqrt(a: Element) -> Element:
     Newton's, but it updates by the small correction e, so rounding errors
     are not amplified where Newton's X <- (X + X^-1 o a) / 2 is unstable
     (non-normal elements). A root is accepted only if its residual
-    |x o x - a| is at most 1e-9 max(|a|, 1).
+    |x o x - a| is at most 1e-9 max(|a|, 1). On rows, by ``_product`` and
+    ``spectral._inverse``; ``algebra._finite`` raises Element's error.
     """
-    x, e = a, 0.5 * (a.algebra.one() - a)
+    x, e = a, 0.5 * (algebra.unit - a)
     for _ in range(_MAX_SQRT_STEPS):
         x = x + e
-        if e.norm <= 1e-15 * max(x.norm, 1.0):
+        if _norms(e) <= 1e-15 * max(_norms(x), 1.0):
             break
-        e = -0.5 * jordan_mul(e, jordan_mul(e, inverse(x)))
-    resid = (jordan_mul(x, x) - a).norm
-    if resid > 1e-9 * max(a.norm, 1.0):
+        e = _finite(-0.5 * _product(
+            e, _product(e, _inverse(x, algebra), algebra), algebra))
+    resid = _norms(_finite(_product(x, x, algebra) - a))
+    if resid > 1e-9 * max(_norms(a), 1.0):
         raise JordanNumError(
             f"square root inaccurate (residual {resid:.3e})"
         )
@@ -222,15 +225,21 @@ def log(a: Element) -> Element:
     branch check on its spectrum, bring z = root - 1 to norm 0.25 and
     ell(L_z) = sqrt(|L_z|_1 |L_z|_inf) to 0.6 or below: the norm of z
     alone does not bound L_z (``_scaled``). Then the Mercator series of
-    log(1 + z) runs on coefficient arrays, each term one product by the
-    operator L_z, and one Element is built at the end and scaled by
-    2^roots. A series that has not met its stop test after 200 terms
-    raises JordanNumError.
+    log(1 + z) runs, each term one product by the operator L_z, and is
+    scaled by 2^roots. The roots, the staging and the series work on
+    coefficient rows, and the result is the one Element a call builds. A
+    series that has not met its stop test after 200 terms raises
+    JordanNumError.
 
     Newton's first iterate (1 + a) / 2 is singular if -1 is in the spectrum,
     and digits are lost near the negative axis. So a spectrum reaching into
     the left half-plane is turned by the quarter turn i^-k that most lowers
     its largest |argument|, if one does: log a = log(i^-k a) + i k pi / 2.
+    Its twin for the modulus: the roots never recompute x o x - a, so far
+    from |lambda| = 1 the rounding of their first steps, about eps |a|,
+    stays in them, and on spread spectra their first corrections leave
+    C[a]. A spectral radius rho outside [2^-b, 2^b], b = ``_BALANCE_BAND``,
+    is balanced: log a = log(2^-j a) + j ln 2, j = round(log2 rho), exactly.
     """
     spec = jordan_spectrum(a)
     for p in spec.points:
@@ -243,17 +252,20 @@ def log(a: Element) -> Element:
     worst = [np.abs(np.angle(spec.points) - 0.5 * np.pi * k).max()
              for k in (0, 1, -1)]
     turn = (0, 1, -1)[np.argmin(worst)] if worst[0] > 0.5 * np.pi else 0
-    one = a.algebra.one()
-    cur = a * (-1j if turn == 1 else 1j) if turn else a
-    roots = 0
-    lz = _mult_matrix((cur - one).coeffs, a.algebra)
-    while (cur - one).norm > 0.25 or _ell(lz) > 0.6:
+    algebra, unit = a.algebra, a.algebra.unit
+    lg = np.log2(spec.spectral_radius)
+    bal = round(lg) if abs(lg) > _BALANCE_BAND else 0
+    cur = a.coeffs * (-1j if turn == 1 else 1j) if turn else a.coeffs
+    cur = cur * 2.0 ** -bal if bal else cur
+    for roots in range(65):
+        z = cur - unit
+        lz = _mult_matrix(z, algebra)
+        if _norms(z) <= 0.25 and _ell(lz) <= 0.6:
+            break
         if roots == 64:
             raise JordanNumError("square-root staging did not contract to 1")
-        cur = _sqrt(cur)
-        roots += 1
-        lz = _mult_matrix((cur - one).coeffs, a.algebra)
-    term = one.coeffs
+        cur = _sqrt(cur, algebra)
+    term = unit
     acc = np.zeros_like(term)
     for k in range(1, 200):
         term = lz @ term
@@ -264,8 +276,10 @@ def log(a: Element) -> Element:
         raise JordanNumError("log series did not converge in 200 terms")
     out = acc * float(2 ** roots)
     if turn:
-        out += (0.5j * np.pi * turn) * a.algebra.unit
-    return Element(a.algebra, out)
+        out += (0.5j * np.pi * turn) * unit
+    if bal:
+        out += (bal * np.log(2.0)) * unit
+    return Element(algebra, out)
 
 
 def power_mu(a: Element, mu: complex) -> Element:
@@ -315,7 +329,7 @@ def holomorphic_calculus(h: Callable[[complex], complex], a: Element,
     holds at most ``_STACK_ENTRIES`` of them at once, and solves them with
     ``spectral._solve_checked``, which refuses a singular one.
     """
-    q, hmat = _generated(a)
+    q, hmat = _generated(a.coeffs, a.algebra)
     margin = 0.05 * contour.radius
     for p in _clustered(np.linalg.eigvals(hmat)).points:  # jordan_spectrum
         if abs(p - contour.center) >= contour.radius - margin:
@@ -382,4 +396,4 @@ def derivative_at_zero(f: HolomorphicCurve, rho: float) -> Element:
 def cos(a: Element) -> Element:
     """Cosine (e^{ia} + e^{-ia}) / 2, its exponentials as one stacked call."""
     rows = _exp_rows(a.coeffs * np.array([[1j], [-1j]]), a.algebra)
-    return 0.5 * Element(a.algebra, rows[0] + rows[1])
+    return Element(a.algebra, 0.5 * (rows[0] + rows[1]))

@@ -52,7 +52,8 @@ class SpectrumSet:
 
 def is_invertible(a: Element) -> bool:
     """True iff H's least singular value clears DEFAULT_COND_TOL relatively."""
-    return _clears(np.linalg.svd(_generated(a)[1], compute_uv=False))
+    h = _generated(a.coeffs, a.algebra)[1]
+    return _clears(np.linalg.svd(h, compute_uv=False))
 
 
 def _clears(s: np.ndarray) -> bool:
@@ -119,16 +120,21 @@ def _solve_checked(ops: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(ops, rhs[:, :, None])[:, :, 0]
 
 
+def _inverse(x: np.ndarray, algebra) -> np.ndarray:
+    """The row x^{-1} = Q y in C[x], where H y = |1| e_1 = Q^H 1."""
+    q, h = _generated(x, algebra)
+    rhs = _norms(algebra.unit) * np.eye(h.shape[0])[:1]
+    return q @ _solve_checked(h[None], rhs)[0]
+
+
 def inverse(a: Element) -> Element:
-    """Jordan inverse a^{-1} = Q y in C[a], where H y = |1| e_1 = Q^H 1."""
-    q, h = _generated(a)
-    rhs = _norms(a.algebra.unit) * np.eye(h.shape[0])[:1]
-    return Element(a.algebra, q @ _solve_checked(h[None], rhs)[0])
+    """Jordan inverse a^{-1} in C[a] (``_inverse``)."""
+    return Element(a.algebra, _inverse(a.coeffs, a.algebra))
 
 
 def jordan_spectrum(a: Element) -> SpectrumSet:
     """Spectrum of a: the eigenvalues of L_a compressed to C[a], clustered."""
-    return _clustered(np.linalg.eigvals(_generated(a)[1]))
+    return _clustered(np.linalg.eigvals(_generated(a.coeffs, a.algebra)[1]))
 
 
 def _clustered(eigenvalues: np.ndarray) -> SpectrumSet:

@@ -650,7 +650,7 @@ class TestGenerated:
 
     @staticmethod
     def check(x):
-        q, h = _generated(x)
+        q, h = _generated(x.coeffs, x.algebra)
         lx = _mult_matrix(x.coeffs, x.algebra)
         m = h.shape[0]
         assert q.shape == (x.algebra.dim, m)
@@ -732,7 +732,7 @@ class TestGeneratedRows:
         assert len(hs) == len(x)
         for row, h in zip(x, hs):
             # shapes too: m x m
-            assert np.array_equal(h, _generated(a.element(row))[1])
+            assert np.array_equal(h, _generated(row, a)[1])
 
     @pytest.mark.parametrize("desc", STACKED)
     def test_rows_are_the_single_runs(self, desc):

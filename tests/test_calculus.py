@@ -9,6 +9,7 @@ import scipy.linalg
 from jordannum import (
     AlgebraSpec,
     Contour,
+    Element,
     HolomorphicCurve,
     cos,
     derivative_at_zero,
@@ -365,6 +366,55 @@ class TestLog:
         assert np.linalg.norm(log(y).coeffs - want) <= \
             1e-14 * np.linalg.norm(want)
 
+    @pytest.mark.parametrize("scale", [1e-6, 1e6, 1e8, 1e16, 1e50, 1e150,
+                                       1e200])
+    def test_far_from_the_unit_circle(self, scale):
+        # log(s y) = log y + ln(s) 1. The roots never recompute x o x - a, so
+        # the rounding of their first steps, about eps s, stayed in them:
+        # unbalanced, this erred by 1e-11 at s = 1e6, raised "square root
+        # inaccurate" from 1e8 and overflowed in the product at 1e200
+        rng = np.random.default_rng(0)
+        for desc in ["fn:1", "fn:2", "matrix:2", "matrix:3", "spin:3",
+                     "sum:fn:2+matrix:2"]:
+            a = from_descriptor(desc)
+            y = exp(random_element(a, rng))
+            want = log(y).coeffs + np.log(scale) * a.unit
+            got = log(y * scale).coeffs
+            assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("desc", ["matrix:3", "spin:4"])
+    def test_round_trip_on_spread_spectra(self, desc):
+        # exp(3 g), g standard complex Gaussian: spectrum moduli spread over
+        # up to e^(6 |Re g|). Unbalanced, the roots' large first corrections
+        # left C[a], and 7 of these 50 on matrix:3 and 4 on spin:4 raised
+        # "square root inaccurate"
+        a = from_descriptor(desc)
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            y = exp(random_element(a, rng, norm_cap=np.inf) * 3)
+            assert (exp(log(y)) - y).norm <= 1e-10 * y.norm
+
+    def test_one_checked_element_per_call(self, monkeypatch):
+        # the roots, the staging and the series of log, and cos's sum, run
+        # on coefficient rows: each call builds its result and nothing else
+        built = []
+        post_init = Element.__post_init__
+
+        def counted(self):
+            built.append(1)
+            post_init(self)
+
+        for desc in ["matrix:2", "matrix:4", "spin:4", "fn:5"]:
+            x = random_element(from_descriptor(desc),
+                               np.random.default_rng(97))
+            y = exp(x)
+            monkeypatch.setattr(Element, "__post_init__", counted)
+            for fn, arg in ((log, y), (cos, x)):
+                built.clear()
+                fn(arg)
+                assert len(built) == 1, fn.__name__
+            monkeypatch.undo()
+
     def test_branch_cut_raises(self):
         f = make_function_algebra(2)
         with pytest.raises(BranchCut):
@@ -519,9 +569,9 @@ class TestHolomorphicCalculus:
         import jordannum.calculus as calculus
         calls = []
 
-        def counted(x):
+        def counted(x, alg):
             calls.append(1)
-            return algebra._generated(x)
+            return algebra._generated(x, alg)
 
         monkeypatch.setattr(calculus, "_generated", counted)
         monkeypatch.setattr(spectral, "_generated", counted)
@@ -540,7 +590,7 @@ class TestHolomorphicCalculus:
         import jordannum.algebra as algebra_module
         x = random_element(from_descriptor(desc),
                            np.random.default_rng(149), norm_cap=2.0)
-        m = algebra_module._generated(x)[1].shape[0]
+        m = algebra_module._generated(x.coeffs, x.algebra)[1].shape[0]
         contour = Contour(0.0, 2.0 * jordan_spectrum(x).spectral_radius + 1.0)
         whole = holomorphic_calculus(cmath.exp, x, contour).coeffs
         bound = 5 * m * m
@@ -596,7 +646,7 @@ class TestHolomorphicCalculus:
         # place held two such stacks at once (19.9 MB)
         x = random_element(from_descriptor("matrix:12"),
                            np.random.default_rng(5), norm_cap=2.0)
-        assert calculus._generated(x)[1].shape == (12, 12)
+        assert calculus._generated(x.coeffs, x.algebra)[1].shape == (12, 12)
         contour = Contour(0.0, 2.0 * jordan_spectrum(x).spectral_radius + 1.0)
         monkeypatch.setattr(calculus, "_QUADRATURE_TOL", -1.0)
         tracemalloc.start()

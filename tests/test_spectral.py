@@ -55,7 +55,8 @@ DEFECTIVE = {
 def random_invertible(algebra, rng):
     while True:
         x = random_element(algebra, rng)
-        s = np.linalg.svd(_generated(x)[1], compute_uv=False)
+        s = np.linalg.svd(_generated(x.coeffs, x.algebra)[1],
+                          compute_uv=False)
         if s[-1] > 1e-6 * s[0]:
             return x
 
@@ -381,7 +382,7 @@ class TestSolveChecked:
         from jordannum.algebra import _generated
         a = from_descriptor(desc)
         x = random_element(a, np.random.default_rng(71))
-        _, hmat = _generated(x)
+        _, hmat = _generated(x.coeffs, x.algebra)
         m = hmat.shape[0]
         radius = 2 * jordan_spectrum(x).spectral_radius + 1
         zetas = radius * np.exp(2j * np.pi * (np.arange(64) + 0.5) / 64)

@@ -46,6 +46,17 @@ prints ``exp`` and ``expm1`` lines, for 198 x at caps 0.01-5, and a
 references taken through the isomorphism phi(v) = v / c from matrix:2:
 exp'(x) = exp(c x) / c, expm1'(x) = expm1(c x) / c and log'(y) =
 log(c y) / c (c x and c y in mpmath).
+``log_far`` (``matrix:3``, ``matrix:4`` and ``spin:4``) takes ``log``
+far from |lambda| = 1, on 900 inputs: the ``log`` line's 200 y times s =
+1e-6, 1e6, 1e12 and 1e50, and, for s = 3 and 4, the 50 y = exp(s g) from
+g = ``random_element(a, default_rng(0), norm_cap=inf)``, whose spectrum
+moduli spread over factors up to e^(2 s |g|). The scaled references are
+taken from log y: log(c) = ln(s) 1 + log(c / s) for c = fl(s y), and
+log(c / s) = log(y) + L[c / s - y], up to (eps kappa)^2, with L the
+Frechet derivative of log at y (``scaled_log_reference``). A spread
+matrix y's reference is V diag(log lambda) V^-1 from ``mpmath.eig``,
+where ``mpmath.logm`` would take 0.1-1 s an input. These lines add about
+10 s to a run.
 ``spin:3 curve_limit`` takes each error that ``general_trotter`` reports
 for the curve exp(a z) o (1 + b z + d^3 z^3) o cos(c z) on ``spin:3``
 (a, b, c, d drawn at norm cap 0.5 from seeds 0-3, radius_r = 2), with the
@@ -81,6 +92,9 @@ LOG_PER_CAP = 50
 INV_PER_CAP = 40
 PATH_TS = np.linspace(0.0, 1.0, 17)
 RESCALE = 100
+FAR_FAMILIES = ("matrix:3", "matrix:4", "spin:4")
+FAR_SCALES = (1e-6, 1e6, 1e12, 1e50)
+SPREAD_SCALES = (3, 4)
 CAUCHY_R = 2.0
 CURVE_SEEDS = range(4)
 # (lambda_n, mu_n, lim lambda_n mu_n) of the curve_limit line
@@ -97,8 +111,15 @@ def _blocks(desc):
 
 
 def _block_reference(kind, n, x, fn):
-    """fn ('exp', 'expm1', 'log' or 'inverse') of one block's coefficients,
-    in mpmath."""
+    """fn ('exp', 'expm1', 'log', 'log_eig' or 'inverse') of one block's
+    coefficients, in mpmath; 'log_eig' is 'log' with a matrix block's log
+    taken as V diag(log lambda) V^-1 from ``mpmath.eig``."""
+    if fn == "log_eig" and kind == "matrix":
+        lam, v = mpmath.eig(mpmath.matrix(
+            [[x[i * n + j] for j in range(n)] for i in range(n)]))
+        f = v * mpmath.diag([mpmath.log(z) for z in lam]) * v ** -1
+        return [f[i, j] for i in range(n) for j in range(n)]
+    fn = "log" if fn == "log_eig" else fn
     if kind == "fn":
         if fn == "inverse":
             return [1 / v for v in x]
@@ -232,11 +253,62 @@ def family_errors(jn, calculus, desc):
             errs["path"] += [rel_error(row, reference(desc, t * x.coeffs,
                                                       "exp"))
                              for t, row in zip(PATH_TS, rows)]
+    logs = []
     for cap in LOG_CAPS:
         for _ in range(LOG_PER_CAP):
             y = jn.exp(jn.random_element(a, rng, norm_cap=cap))
-            errs["log"].append(rel_error(jn.log(y).coeffs,
-                                         reference(desc, y.coeffs, "log")))
+            logs.append((y, reference(desc, y.coeffs, "log")))
+    errs["log"] = [rel_error(jn.log(y).coeffs, want) for y, want in logs]
+    if desc in FAR_FAMILIES:
+        errs["log_far"] = far_errors(jn, desc, logs)
+    return errs
+
+
+def scaled_log_reference(desc, y, want, c, s):
+    """log(c) in mpmath for c = fl(s y), from want = log(y).
+
+    log(c) = ln(s) 1 + log(t), t = c / s = y + D exactly, with D of order
+    eps |y|, and log(t) = log(y) + L[D] + O(|D|^2 |y^-1|^2). On a matrix
+    block L[D] = V ((V^-1 D V) o F) V^-1, F the divided differences of log
+    on the eigenvalues; that term is of order eps kappa(y), so it is taken
+    in double. A spin or fn block takes its closed form at c directly.
+    """
+    if not desc.startswith("matrix:"):
+        return reference(desc, c, "log")
+    n = int(desc.split(":")[1])
+    ms = mpmath.mpf(s)
+    d = np.array([complex(mpmath.mpc(complex(cv)) / ms
+                          - mpmath.mpc(complex(yv)))
+                  for cv, yv in zip(c, y)]).reshape(n, n)
+    lam, v = np.linalg.eig(y.reshape(n, n))
+    gap = lam[:, None] - lam[None, :]
+    np.fill_diagonal(gap, 1.0)
+    f = (np.log(lam)[:, None] - np.log(lam)[None, :]) / gap
+    np.fill_diagonal(f, 1.0 / lam)
+    corr = (v @ (np.linalg.solve(v, d @ v) * f) @ np.linalg.inv(v)).ravel()
+    shift = mpmath.log(ms)
+    eye = np.eye(n).reshape(-1)
+    return [w + shift * e + mpmath.mpc(complex(k))
+            for w, e, k in zip(want, eye, corr)]
+
+
+def far_errors(jn, desc, logs):
+    """Relative errors of log far from |lambda| = 1 on one family; None if
+    refused: the ``log`` inputs y times ``FAR_SCALES``, then the spread y =
+    exp(s g) for s in ``SPREAD_SCALES``."""
+    errs = []
+    for y, want in logs:
+        for s in FAR_SCALES:
+            c = y * s
+            errs.append(refusable(jn.log, c, scaled_log_reference(
+                desc, y.coeffs, want, c.coeffs, s)))
+    a = jn.from_descriptor(desc)
+    for s in SPREAD_SCALES:
+        rng = np.random.default_rng(0)
+        for _ in range(LOG_PER_CAP):
+            y = jn.exp(jn.random_element(a, rng, norm_cap=np.inf) * s)
+            errs.append(refusable(jn.log, y,
+                                  reference(desc, y.coeffs, "log_eig")))
     return errs
 
 
