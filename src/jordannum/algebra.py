@@ -184,12 +184,32 @@ class AlgebraSpec:
                 f"entries={self._values.size})")
 
 
-@dataclass(frozen=True)
-class Element:
+class _Valued:
+    """Value equality of a frozen (algebra, array) pair, as ``AlgebraSpec``
+    has: equal when the algebras are the same (``_same_algebra``'s rule)
+    and the arrays hold equal values. The hash agrees with it, so -0.0 and
+    0.0 hash alike; the classes are dataclasses with ``eq=False``."""
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        try:
+            _same_algebra(self, other)
+        except AlgebraMismatch:
+            return False
+        return np.array_equal(self._array, other._array)
+
+    def __hash__(self):
+        return hash((self.algebra, (self._array + 0j).tobytes()))
+
+
+@dataclass(frozen=True, eq=False)
+class Element(_Valued):
     """A coefficient vector over the algebra's basis."""
 
     algebra: AlgebraSpec
     coeffs: np.ndarray
+    _array = property(lambda self: self.coeffs)
 
     def __post_init__(self):
         v = np.array(self.coeffs, dtype=complex, ndmin=1)
@@ -225,12 +245,13 @@ class Element:
         return Element(self.algebra, self.coeffs / complex(scalar))
 
 
-@dataclass(frozen=True)
-class OperatorMatrix:
+@dataclass(frozen=True, eq=False)
+class OperatorMatrix(_Valued):
     """A d x d complex matrix representing a linear map on the algebra."""
 
     algebra: AlgebraSpec
     entries: np.ndarray
+    _array = property(lambda self: self.entries)
 
     def __post_init__(self):
         # a C-ordered copy: ``_mult_matrix`` hands L_x over transposed
@@ -242,8 +263,7 @@ class OperatorMatrix:
         object.__setattr__(self, "entries", m)
 
     def apply(self, x: Element) -> Element:
-        if x.algebra is not self.algebra and x.algebra != self.algebra:
-            raise AlgebraMismatch("operator and element algebras differ")
+        _same_algebra(self, x)
         return Element(self.algebra, self.entries @ x.coeffs)
 
 
@@ -296,11 +316,12 @@ def _norms(v: np.ndarray):
     return norms
 
 
-def _same_algebra(a: Element, b: Element):
-    if a.algebra is b.algebra:
-        return
-    if a.algebra != b.algebra:
-        raise AlgebraMismatch("elements belong to different algebras")
+def _same_algebra(a, *others):
+    """The one same-algebra check: ``AlgebraMismatch`` unless each of
+    ``others`` (Elements or operators, like a) has a's algebra or an equal."""
+    for b in others:
+        if b.algebra is not a.algebra and b.algebra != a.algebra:
+            raise AlgebraMismatch("elements belong to different algebras")
 
 
 def jordan_mul(a: Element, b: Element) -> Element:
@@ -714,8 +735,11 @@ def _random_rows(algebra: AlgebraSpec, rng: np.random.Generator, n: int,
     calls (``random_element``). The norms and the scalings run row by row:
     a stacked norm and a masked scaling made a one-row call a third slower.
     A draw never leaves the squares' range, so its rows skip ``_norms``,
-    which costs about 0.8 us more per row (x86-64, numpy 2.4).
+    which costs about 0.8 us more per row (x86-64, numpy 2.4). A norm_cap
+    that is not >= 0 (negative, NaN) raises ``ValueError``.
     """
+    if not norm_cap >= 0:
+        raise ValueError(f"norm_cap must be >= 0, got {norm_cap!r}")
     g = rng.standard_normal((n, 2, algebra.dim))
     z = 1j * g[:, 1]
     z += g[:, 0]

@@ -171,8 +171,12 @@ def exp(a: Element) -> Element:
 
 
 def _offset_mul(y: np.ndarray, z: np.ndarray, algebra) -> np.ndarray:
-    """(1 + y) o (1 + z) - 1 = y + z + y o z."""
-    return y + z + _product(y, z, algebra)
+    """(1 + y) o (1 + z) - 1 = y + z + y o z, the product in double. On rows
+    in numpy's extended precision (the curve limit's powering) the sum, which
+    rounds while the offsets are small, stays wide; a wide product is 5x
+    slower at d = 256."""
+    return y + z + _product(y.astype(complex, copy=False),
+                            z.astype(complex, copy=False), algebra)
 
 
 @_chunked
@@ -385,8 +389,7 @@ def derivative_at_zero(f: HolomorphicCurve, rho: float) -> Element:
         values = [f.eval(rho * z) for z in w]
         if first is None:
             first = values[0]
-        for v in values:
-            _same_algebra(first, v)
+        _same_algebra(first, *values)
         return np.array([v.coeffs for v in values]) / (rho * w)[:, None]
 
     coeffs = _nested_trapezoid(sample, nodes, "Cauchy")

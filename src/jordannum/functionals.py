@@ -21,9 +21,9 @@ The samples, the pairs and each principal sample's levels are drawn as
 stacks (``algebra._random_rows``), each row bitwise the one-row draw
 ``random_element``. A row that a kernel made reaches f through
 ``algebra._rows``: one finiteness check per stack and no per-row check or
-copy; the stack is read-only, so f cannot write to its argument. Only the
-unit, the basis and the linearity combinations' arithmetic build checked
-Elements.
+copy; the stack is read-only, so f cannot write to its argument. The basis
+and the linearity combinations are coefficient rows too, so a vetting
+builds two checked Elements, both the unit.
 """
 
 from __future__ import annotations
@@ -35,11 +35,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .algebra import (AlgebraSpec, Element, _family_size, _finite, _product,
-                      _random_rows, _rows, _U_apply)
+                      _random_rows, _rows, _same_algebra, _U_apply)
 from .calculus import _exp_rows
-from .errors import (AlgebraMismatch, BranchTrackingFailed, ExpOverflow,
-                     JordanNumError, NotSelfAdjoint, NotUMultiplicative,
-                     ZeroFunctional, ZeroOnPath)
+from .errors import (BranchTrackingFailed, ExpOverflow, JordanNumError,
+                     NotSelfAdjoint, NotUMultiplicative, ZeroFunctional,
+                     ZeroOnPath)
 from .spectral import _invertible_rows, _spectra, jordan_spectrum
 
 _MIN_STEPS = 64
@@ -123,8 +123,7 @@ def is_spectral_valued(f: FunctionalHandle, samples: Sequence[Element]):
     every sigma(x) from one stacked pass, so all x share one algebra."""
     if not samples:
         raise ValueError("need at least one sample")
-    if len({x.algebra for x in samples}) > 1:
-        raise AlgebraMismatch("samples belong to different algebras")
+    _same_algebra(*samples)
     spectra = _spectra(np.array([x.coeffs for x in samples]),
                        samples[0].algebra)
     residual = _largest([s.distance(f(x)) for s, x in zip(spectra, samples)])
@@ -137,8 +136,7 @@ def is_U_multiplicative(f: FunctionalHandle, sample_pairs: Sequence[tuple]):
     """
     if not sample_pairs:
         raise ValueError("need at least one sample pair")
-    if len({v.algebra for pair in sample_pairs for v in pair}) > 1:
-        raise AlgebraMismatch("sample pairs belong to different algebras")
+    _same_algebra(*(v for pair in sample_pairs for v in pair))
     algebra = sample_pairs[0][0].algebra
     xs, ys = (np.array([pair[k].coeffs for pair in sample_pairs])
               for k in (0, 1))
@@ -199,9 +197,9 @@ def _branch(values: np.ndarray, steps: int):
     return psi
 
 
-def _track(f: FunctionalHandle, xs: Sequence[Element]) -> list[complex]:
-    """psi(x) for each x of xs (of one algebra), the tracked logarithm of
-    t -> f(exp(t x)) on [0, 1].
+def _track(f: FunctionalHandle, algebra: AlgebraSpec, xs) -> list[complex]:
+    """psi(x) for each coefficient row x of the stack xs, the tracked
+    logarithm of t -> f(exp(t x)) on [0, 1].
 
     A pass takes the path points of every x still open as the rows of one
     stacked exp and calls f once at each. Only the paths whose phase steps
@@ -209,13 +207,12 @@ def _track(f: FunctionalHandle, xs: Sequence[Element]) -> list[complex]:
     adding the midpoints. So each x gets the psi or the error it would get
     alone, and the first failing x in list order raises its error.
     """
-    algebra = xs[0].algebra
     found = [None] * len(xs)  # psi or exception, once x's path is done
     values = [None] * len(xs)
     todo, steps = list(range(len(xs))), _MIN_STEPS
     ts = np.linspace(0.0, 1.0, steps + 1)
     while True:
-        args = np.array([ts[:, None] * xs[i].coeffs for i in todo])
+        args = ts[:, None] * xs.take(todo, axis=0)[:, None]
         try:
             blocks = _exp_rows(args.reshape(-1, algebra.dim),
                                algebra).reshape(args.shape)
@@ -253,14 +250,14 @@ def reconstruct_psi(f: FunctionalHandle, x: Element) -> complex:
     stacked exp and calls f once at each; doubling the steps keeps the old
     samples and adds the midpoints.
     """
-    return _track(f, [x])[0]
+    return _track(f, x.algebra, x.coeffs[None])[0]
 
 
 def linear_extension(f: FunctionalHandle, algebra: AlgebraSpec) -> np.ndarray:
     """psi on each basis vector, defining the linear functional coefficients
     (``_track`` on the basis)."""
-    return np.array(_track(f, [algebra.basis_element(i)
-                               for i in range(algebra.dim)]), dtype=complex)
+    return np.array(_track(f, algebra, np.eye(algebra.dim, dtype=complex)),
+                    dtype=complex)
 
 
 def affine_resolvent_check(f: FunctionalHandle, psi_x: complex, x: Element,
@@ -370,14 +367,14 @@ def verify_character_theorem(f: FunctionalHandle, algebra: AlgebraSpec,
 
     combos = []
     for _ in range(max(4, n_samples // 4)):
-        x, y = _rows(algebra, _random_rows(algebra, rng, 2))
+        x, y = _random_rows(algebra, rng, 2)
         alpha = complex(rng.standard_normal(), rng.standard_normal())
         beta = complex(rng.standard_normal(), rng.standard_normal())
         combos.append(x * alpha + y * beta)
     # linear_extension's basis paths and the combinations' in one tracking
     try:
-        psis = _track(f, [algebra.basis_element(i)
-                          for i in range(algebra.dim)] + combos)
+        psis = _track(f, algebra,
+                      np.vstack([np.eye(algebra.dim, dtype=complex), combos]))
     except JordanNumError as exc:
         report.failures.append(f"psi tracking: {exc}")
         return report
@@ -387,7 +384,7 @@ def verify_character_theorem(f: FunctionalHandle, algebra: AlgebraSpec,
         return complex(psi_coeffs @ v)
 
     report.linearity_residual = _largest(
-        [abs(p - psi(c.coeffs)) for p, c in zip(psis[algebra.dim:], combos)])
+        [abs(p - psi(c)) for p, c in zip(psis[algebra.dim:], combos)])
 
     report.spectrum_membership_residual = _largest(
         [s.distance(psi(v)) for s, v in zip(spectra, rows)])

@@ -53,12 +53,12 @@ class SpectrumSet:
 def is_invertible(a: Element) -> bool:
     """True iff H's least singular value clears DEFAULT_COND_TOL relatively."""
     h = _generated(a.coeffs, a.algebra)[1]
-    return _clears(np.linalg.svd(h, compute_uv=False))
+    return bool(_clears(np.linalg.svd(h, compute_uv=False)))
 
 
-def _clears(s: np.ndarray) -> bool:
-    """The invertibility rule on singular values s, largest first."""
-    return bool(s[-1] > DEFAULT_COND_TOL * s[0])
+def _clears(s: np.ndarray):
+    """The invertibility rule on singular values s, largest first, per row."""
+    return s[..., -1] > DEFAULT_COND_TOL * s[..., 0]
 
 
 def _per_compression(x: np.ndarray, algebra, lapack) -> list:
@@ -76,7 +76,7 @@ def _per_compression(x: np.ndarray, algebra, lapack) -> list:
 
 def _invertible_rows(x: np.ndarray, algebra) -> list[bool]:
     """``is_invertible`` of each row of the stack x, in one pass."""
-    return [_clears(s) for s in _per_compression(
+    return [bool(_clears(s)) for s in _per_compression(
         x, algebra, lambda h: np.linalg.svd(h, compute_uv=False))]
 
 
@@ -90,13 +90,13 @@ def _spectra(x: np.ndarray, algebra) -> list[SpectrumSet]:
 def _solve_checked(ops: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve ops[k] x_k = rhs[k] for a stack of square operators.
 
-    Refuses the stack when any operator's smallest singular value is at most
-    ``DEFAULT_COND_TOL`` times its largest, naming the first such operator's.
-    kappa_2 <= |A|_F |A^-1|_F, so an operator whose bound is below
-    0.1 / ``DEFAULT_COND_TOL`` cannot be refused. Only the others (non-finite
-    ones, or all of a chunk when ``inv`` meets an exactly singular one) have
-    their singular values taken, by the same rule. Each operator is its own
-    LU, inverse and SVD, so the chunks (``algebra._chunked``) change nothing.
+    Refuses the stack when any operator fails ``_clears``, naming the first
+    such operator's smallest singular value. kappa_2 <= |A|_F |A^-1|_F, so an
+    operator whose bound is below 0.1 / ``DEFAULT_COND_TOL`` cannot be
+    refused. Only the others (non-finite ones, or all of a chunk when ``inv``
+    meets an exactly singular one) have their singular values taken; an
+    infinite one's are NaN, and it is refused. Each operator is its own LU,
+    inverse and SVD, so the chunks (``algebra._chunked``) change nothing.
     """
     try:
         inv = np.linalg.inv(ops)
@@ -109,7 +109,7 @@ def _solve_checked(ops: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         doubt = ~(kappa2 < (0.1 / DEFAULT_COND_TOL) ** 2)
     if doubt.any():
         s = np.linalg.svd(ops[doubt], compute_uv=False)
-        singular = s[:, -1] <= DEFAULT_COND_TOL * s[:, 0]
+        singular = ~_clears(s)
         if singular.any():
             smin = s[singular.argmax(), -1]
             raise NotInvertible(

@@ -114,14 +114,6 @@ def _pair_offset(x: np.ndarray, y: np.ndarray, w: np.ndarray,
     return u + (x + w + xw)
 
 
-def _wide_offset_mul(y: np.ndarray, z: np.ndarray, algebra) -> np.ndarray:
-    """``_offset_mul`` on rows in numpy's extended precision, the product
-    taken in double: while the offsets are small, the sum is the term that
-    rounds (by eps |y + z| in double, at each of up to 53 squarings), and an
-    extended-precision product is about 5x slower at d = 256."""
-    return y + z + _product(y.astype(complex), z.astype(complex), algebra)
-
-
 def _step(operands: Sequence[Element], n_grid: Sequence[int],
           base) -> np.ndarray:
     """Row r is (1 + base(x, ..., algebra))^n for n = n_grid[r], ascending,
@@ -136,10 +128,8 @@ def _step(operands: Sequence[Element], n_grid: Sequence[int],
         if not isinstance(n, (int, np.integer)) or n < 1:
             raise ValueError(
                 f"step count n must be an integer >= 1, got {n!r}")
-    a = operands[0]
-    for v in operands[1:]:
-        _same_algebra(a, v)
-    algebra = a.algebra
+    _same_algebra(*operands)
+    algebra = operands[0].algebra
     args = (np.stack([v.coeffs for v in operands])[:, None]
             / np.array(n_grid, dtype=complex)[:, None])
     rows = _expm1(args.reshape(-1, algebra.dim), algebra)
@@ -223,7 +213,7 @@ def general_trotter(f: HolomorphicCurve, plan: SequencePlan,
     point. Points whose mu_n is an integer (``_integer_mu``) take the plain
     power: their offsets f(lambda_n) - 1 are raised, each to its own mu_n,
     in one binary powering (``algebra._power``) whose sums run in
-    ``np.clongdouble`` (``_wide_offset_mul``). Where that is wider than
+    ``np.clongdouble`` (``calculus._offset_mul``). Where that is wider than
     double (a 64-bit significand on x86-64), the powering's up to 53
     squarings round well below double, and each row is rounded to double
     once; a power that overflows raises ``ExpOverflow``. The others take
@@ -259,7 +249,7 @@ def general_trotter(f: HolomorphicCurve, plan: SequencePlan,
             skipped.append(n)
     if powers:  # _power takes its exponents ascending
         order = sorted(powers, key=powers.get)
-        wide = _power(lambda y, z: _wide_offset_mul(y, z, algebra),
+        wide = _power(lambda y, z: _offset_mul(y, z, algebra),
                       rows[order].astype(np.clongdouble),
                       [powers[r] for r in order])
         rows[order] = algebra.unit + wide
@@ -341,8 +331,9 @@ def convergence_report(formula_id: str, params: dict,
                        n_grid: Sequence[int]) -> ConvergenceReport:
     """Errors of one product formula of ``FORMULAE`` against its exp target.
 
-    ``params`` maps the formula's parameter keys to elements; the grid must
-    pass ``check_grid``. The target comes first, so one that overflows
+    ``params`` maps the formula's parameter keys to elements (more keys are
+    ignored; a missing one raises ``ValueError``); the grid must pass
+    ``check_grid``. The target comes first, so one that overflows
     raises exp's ``ExpOverflow``; then one ``_step`` pass gives every n's
     row, and one finiteness check covers the rows minus the target
     (``_errors``).
@@ -350,7 +341,11 @@ def convergence_report(formula_id: str, params: dict,
     n_grid = check_grid(n_grid)
     if formula_id not in FORMULAE:
         raise ValueError(f"unknown formula id {formula_id!r}")
-    _, exponent, order, base = FORMULAE[formula_id]
+    keys, exponent, order, base = FORMULAE[formula_id]
+    missing = [k for k in keys if k not in params]
+    if missing:
+        raise ValueError(f"formula {formula_id!r} needs parameters "
+                         f"{', '.join(keys)}; missing {', '.join(missing)}")
     target = exp(exponent(params))
     errors = _errors(_step([params[k] for k in order], n_grid, base), target)
     return ConvergenceReport(formula_id, n_grid, errors,

@@ -285,6 +285,43 @@ class TestElement:
             assert x.norm == float(np.linalg.norm(x.coeffs))
         assert a.zero().norm == 0.0
 
+    def test_value_equality(self):
+        # the dataclass __eq__ compared the arrays, so x == y, x != y and
+        # x in [y] raised ValueError for d > 1, and hash(x) TypeError
+        a = from_descriptor("matrix:2")
+        x = random_element(a, np.random.default_rng(3))
+        y = Element(a, x.coeffs.copy())
+        assert x == y and not x != y and x in [y]
+        assert hash(x) == hash(y)
+        assert x != 2.0 * x and x not in [2.0 * x, a.zero()]
+        # an equal algebra built again is the same algebra
+        twin = Element(make_matrix_jordan(2), x.coeffs)
+        assert twin == x and hash(twin) == hash(x)
+        assert len({x, y, twin}) == 1
+        # other algebras, even of the same dimension, and other types
+        # compare unequal without raising
+        assert a.one() != from_descriptor("spin:3").one()
+        fn2, spin1 = from_descriptor("fn:2"), from_descriptor("spin:1")
+        assert fn2.element([1.0, 0.0]) != spin1.element([1.0, 0.0])
+        assert x != x.algebra and x != "x"
+
+    def test_signed_zeros_are_equal_and_hash_alike(self):
+        a = from_descriptor("fn:3")
+        neg = Element(a, [-0.0, complex(0.0, -0.0), complex(-0.0, -0.0)])
+        assert neg == a.zero() and hash(neg) == hash(a.zero())
+
+    def test_operator_value_equality(self):
+        a = from_descriptor("spin:3")
+        x = random_element(a, np.random.default_rng(4))
+        u, again = U_operator(x), U_operator(Element(a, x.coeffs))
+        assert u == again and not u != again and u in [again]
+        assert hash(u) == hash(again)
+        assert u != mult_operator(x) and u != x
+        assert OperatorMatrix(from_descriptor("fn:4"), u.entries) != u
+        zero, neg = (OperatorMatrix(a, sign * np.zeros((4, 4)))
+                     for sign in (1.0, -1.0))
+        assert zero == neg and hash(zero) == hash(neg)
+
     def test_scalar_on_one_dimensional_algebra(self):
         # a scalar is the coefficient vector of length 1
         a = make_function_algebra(1)
@@ -376,14 +413,41 @@ class TestRandomRows:
                     # both leave the stream at the same point
                     assert rng.standard_normal() == legacy.standard_normal()
 
-    def test_random_element_is_a_read_only_checked_row(self):
+    def test_random_element_is_a_read_only_checked_row(self, monkeypatch):
         a = from_descriptor("fn:3")
         x = random_element(a, np.random.default_rng(0))
         assert x.coeffs.shape == (3,)
         with pytest.raises(ValueError):
             x.coeffs[0] = 0.0
+        # a norm_cap of -inf made a non-finite row; it is refused up front
+        # now (test_bad_norm_cap_is_refused), so a draw is made non-finite
+        monkeypatch.setattr(algebra_module, "_random_rows",
+                            lambda *args: np.full((1, 3), -np.inf + 0j))
         with pytest.raises(StructureError, match="finite"):
-            random_element(a, np.random.default_rng(0), norm_cap=-np.inf)
+            random_element(a, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("cap", [-1.0, -np.inf, np.nan, -0.5])
+    def test_bad_norm_cap_is_refused(self, cap):
+        # -1.0 gave a row of norm 1 and NaN an unscaled draw
+        a = from_descriptor("spin:3")
+        rng = np.random.default_rng(5)
+        with pytest.raises(ValueError, match="norm_cap"):
+            random_element(a, rng, norm_cap=cap)
+        with pytest.raises(ValueError, match="norm_cap"):
+            _random_rows(a, rng, 4, cap)
+        # refused before the draw: the stream has not moved
+        assert rng.standard_normal() == np.random.default_rng(
+            5).standard_normal()
+
+    def test_zero_and_infinite_norm_caps(self):
+        a = from_descriptor("spin:3")
+        assert np.array_equal(
+            _random_rows(a, np.random.default_rng(6), 3, 0.0),
+            np.zeros((3, 4)))
+        free = _random_rows(a, np.random.default_rng(6), 3, np.inf)
+        assert np.array_equal(
+            free, _random_rows(a, np.random.default_rng(6), 3, 1e300))
+        assert (np.linalg.norm(free, axis=1) > 1.0).any()
 
 
 class TestRows:

@@ -30,7 +30,7 @@ from jordannum import (
 from jordannum import calculus, spectral
 from jordannum.calculus import _CONTOUR_NODES, _MAX_CONTOUR_NODES, _exp_rows
 from jordannum.errors import (BranchCut, ContourViolation, ExpOverflow,
-                              QuadratureError)
+                              NotInvertible, QuadratureError)
 from test_basis_change import algebra
 from test_spectral import DEFECTIVE
 
@@ -681,6 +681,17 @@ class TestHolomorphicCalculus:
                                (complex(0.0, np.nan), 1.0), (0.0, np.inf)):
             with pytest.raises(ValueError, match="finite"):
                 Contour(center, radius)
+
+    def test_nodes_that_overflow_are_refused(self):
+        # center + radius e^{i theta} overflows to inf at some nodes, whose
+        # zeta I - H has NaN singular values: the rule refuses them, where
+        # the quadrature ran to its node cap on NaN and raised
+        # QuadratureError
+        x = make_function_algebra(1).element([8e307])
+        with (pytest.raises(NotInvertible) as info,
+              pytest.warns(RuntimeWarning)):  # the overflow, then inf * 0
+            holomorphic_calculus(lambda z: 1.0, x, Contour(1e308, 1e308))
+        assert np.isnan(info.value.smallest_singular_value)
 
 
 def pole_curve(x, radius):

@@ -416,12 +416,13 @@ class TestLinearExtension:
         small, big = a.element([0.5, 0.0]), a.element([800.0, 0.0])
         zero_off_unit = FunctionalHandle(
             lambda x: 0.0 if x.coeffs[0] != 1.0 else 1.0)
+        s, b = small.coeffs, big.coeffs
         with pytest.raises(ZeroOnPath):
-            functionals._track(zero_off_unit, [small, big])
+            functionals._track(zero_off_unit, a, np.array([s, b]))
         with pytest.raises(ExpOverflow):
-            functionals._track(zero_off_unit, [big, small])
+            functionals._track(zero_off_unit, a, np.array([b, s]))
         with pytest.raises(ExpOverflow):
-            functionals._track(coordinate(a, 0), [small, big])
+            functionals._track(coordinate(a, 0), a, np.array([s, b]))
 
     def test_paths_tracked_together_are_each_tracked_alone(self):
         # 40, 150 and 300 rad need 64, 128 and 256 steps: each path doubles
@@ -437,7 +438,8 @@ class TestLinearExtension:
         f = FunctionalHandle(counted)
         alone = [reconstruct_psi(f, x) for x in xs]
         n_alone = len(calls)
-        assert functionals._track(f, xs) == alone
+        assert functionals._track(
+            f, a, np.array([x.coeffs for x in xs])) == alone
         assert len(calls) - n_alone == n_alone == 65 + 129 + 65 + 257
 
 

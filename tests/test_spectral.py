@@ -432,6 +432,13 @@ class TestSolveChecked:
             self.solve(ops)
         assert info.value.smallest_singular_value == s[refused.argmax(), -1]
 
+    def test_refuses_an_infinite_operator(self):
+        # its singular values are NaN, and nan <= x is false: it was solved
+        # to NaN; a NaN does not clear the rule (``_clears``)
+        with pytest.raises(NotInvertible) as info:
+            self.solve([np.eye(2), np.diag([np.inf, 1.0])])
+        assert np.isnan(info.value.smallest_singular_value)
+
     def test_names_the_first_refused_operator(self):
         ops = [2 * np.eye(2), np.diag([1.0, 2e-10]), np.eye(2),
                np.diag([1.0, 5e-11]), np.diag([1.0, 1e-12])]

@@ -395,6 +395,26 @@ class TestConvergenceReport:
         with pytest.raises(StructureError, match="must be finite"):
             convergence_report("jordan_product", params, geometric_grid())
 
+    def test_missing_parameter_is_named(self):
+        # raised KeyError: 'c'; now the formula and the missing keys are
+        # named before any work: these operands' sum would raise
+        # AlgebraMismatch
+        x = from_descriptor("fn:2").one()
+        y = from_descriptor("spin:1").one()
+        with pytest.raises(ValueError, match=r"'U_pair'.*missing c$"):
+            convergence_report("U_pair", {"a": x, "b": y}, geometric_grid())
+        with pytest.raises(ValueError, match=r"'U_single'.*missing a, b$"):
+            convergence_report("U_single", {"c": x}, geometric_grid())
+
+    def test_extra_parameters_are_ignored(self):
+        a = from_descriptor("fn:3")
+        rng = np.random.default_rng(317)
+        params = {k: random_element(a, rng) for k in "abc"}
+        grid = geometric_grid()
+        rep = convergence_report("jordan_product", params, grid)
+        assert rep == convergence_report(
+            "jordan_product", {"a": params["a"], "b": params["b"]}, grid)
+
     def test_numpy_integer_grid(self):
         a = from_descriptor("fn:3")
         rng = np.random.default_rng(313)
@@ -580,7 +600,7 @@ def _plain_power_row(base, k):
     algebra = base.algebra
     y = (base.coeffs - algebra.unit)[None].astype(np.clongdouble)
     wide = algebra_module._power(
-        lambda u, v: trotter._wide_offset_mul(u, v, algebra), y, (k,))[0]
+        lambda u, v: calculus._offset_mul(u, v, algebra), y, (k,))[0]
     return (algebra.unit + wide).astype(complex)
 
 
