@@ -120,8 +120,8 @@ class AlgebraSpec:
                 for shape in ((2, 3, d), (2, 1, d)))
         e = -int(np.frexp(np.abs(self._values).max())[1])
 
-        def mul(a, b):  # ldexp on the parts: exact down to subnormals
-            return np.ldexp(_product(a, b, self).view(float), e).view(complex)
+        def mul(a, b):
+            return _ldexp(_product(a, b, self), e)
 
         bc = mul(t[:, [1, 2, 0]], t[:, [2, 0, 1]])
         # [a o ((b o c) o v), (b o c) o (a o v)] as one stacked product
@@ -227,22 +227,22 @@ class Element(_Valued):
 
     def __add__(self, other: "Element") -> "Element":
         _same_algebra(self, other)
-        return Element(self.algebra, self.coeffs + other.coeffs)
+        return _wrap(self.algebra, self.coeffs + other.coeffs)
 
     def __sub__(self, other: "Element") -> "Element":
         _same_algebra(self, other)
-        return Element(self.algebra, self.coeffs - other.coeffs)
+        return _wrap(self.algebra, self.coeffs - other.coeffs)
 
     def __neg__(self) -> "Element":
-        return Element(self.algebra, -self.coeffs)
+        return _wrap(self.algebra, -self.coeffs)
 
     def __mul__(self, scalar) -> "Element":
-        return Element(self.algebra, self.coeffs * complex(scalar))
+        return _wrap(self.algebra, self.coeffs * complex(scalar))
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar) -> "Element":
-        return Element(self.algebra, self.coeffs / complex(scalar))
+        return _wrap(self.algebra, self.coeffs / complex(scalar))
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,20 +274,27 @@ def _finite(stack: np.ndarray) -> np.ndarray:
     return stack
 
 
+def _wrap(algebra: AlgebraSpec, row: np.ndarray,
+          checked: bool = False) -> Element:
+    """The Element over a coefficient row that the library has just made,
+    bound as it is, without ``Element``'s shape check and copy: the row is
+    checked finite (``_finite``, Element's error) and made read-only, unless
+    the caller has ``checked`` it so already (``_rows``). Arrays from a
+    caller go through ``Element``, whose copy keeps them from changing."""
+    if not checked:
+        _finite(row).setflags(write=False)
+    x = object.__new__(Element)
+    fields = x.__dict__  # set item by item: a call's kwargs dict costs more
+    fields["algebra"], fields["coeffs"] = algebra, row
+    return x
+
+
 def _rows(algebra: AlgebraSpec, stack: np.ndarray) -> list[Element]:
     """Elements over the rows of a stack that a kernel made: one finiteness
-    check for the whole stack, then each row bound as it is, without
-    ``Element``'s shape check and copy. The stack is made read-only, so its
-    rows, views of it, are too. Arrays from a caller go through ``Element``.
-    """
-    _finite(stack)
-    stack.setflags(write=False)
-    out = []
-    for row in stack:
-        x = object.__new__(Element)
-        x.__dict__.update(algebra=algebra, coeffs=row)
-        out.append(x)
-    return out
+    check for the whole stack, which is made read-only, so its rows, views
+    of it, are too; then each row is bound by ``_wrap``."""
+    _finite(stack).setflags(write=False)
+    return [_wrap(algebra, row, checked=True) for row in stack]
 
 
 @np.errstate(over="ignore")  # half the cost of a with block per call
@@ -330,7 +337,7 @@ def jordan_mul(a: Element, b: Element) -> Element:
     a o b and b o a are the bitwise-identical computation (``_product``).
     """
     _same_algebra(a, b)
-    return Element(a.algebra, _product(a.coeffs, b.coeffs, a.algebra))
+    return _wrap(a.algebra, _product(a.coeffs, b.coeffs, a.algebra))
 
 
 def _segment_starts(key: np.ndarray) -> np.ndarray:
@@ -403,6 +410,13 @@ def _krylov_scale(lx: np.ndarray):
     return lx, e, _KRYLOV_TOL * norm(lx)
 
 
+def _ldexp(z: np.ndarray, e) -> np.ndarray:
+    """z 2^e, z complex, as ldexp of its real and imaginary parts: exact down
+    to subnormals, and an entry whose scaled value is finite stays finite
+    where 2^e itself is not (e = 1024)."""
+    return np.ldexp(z.view(float), e).view(complex)
+
+
 def _generated(x: np.ndarray, algebra: AlgebraSpec) -> tuple:
     """Orthonormal Q (d x m) spanning C[x] = span{1, x, x^2, ...}, and H.
 
@@ -434,7 +448,7 @@ def _generated(x: np.ndarray, algebra: AlgebraSpec) -> tuple:
         h[j + 1, j] = beta
         q[j + 1] = w / beta
     h = h[:j + 1, :j + 1]
-    return q[:j + 1].T, (h if e is None else h * 2.0 ** int(e))
+    return q[:j + 1].T, (h if e is None else _ldexp(h, e))
 
 
 def _chunked(kernel):
@@ -499,7 +513,7 @@ def _generated_rows(x: np.ndarray, algebra: AlgebraSpec) -> list:
         h[live, j + 1, j] = beta
         q[live, j + 1] = w / beta[:, None]
     if e is not None:
-        h = h * np.ldexp(1.0, e)[:, None, None]
+        h = _ldexp(h, e[:, None, None])
     return [h[r, :k, :k].copy() for r, k in enumerate(m.tolist())]
 
 

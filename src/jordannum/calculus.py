@@ -30,13 +30,15 @@ first doubling that can stop it is 32 -> 64.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .algebra import (Element, _chunked, _finite, _generated, _mult_matrix,
-                      _norms, _product, _same_algebra)
+                      _norms, _product, _same_algebra, _wrap)
 from .errors import (BranchCut, ContourViolation, ExpOverflow, JordanNumError,
                      QuadratureError)
 from .spectral import _clustered, _inverse, _solve_checked, jordan_spectrum
@@ -47,6 +49,9 @@ _ELL_LIMIT = 2.0  # bound on ell = |L_x| after the scaling (``_scaled``)
 _DEGREES = np.arange(1.0, 41.0)
 _THETA = (_SERIES_TOL * np.cumprod(_DEGREES + 1.0)
           * (1.0 - _ELL_LIMIT / (_DEGREES + 2.0))) ** (1.0 / _DEGREES)
+_THETA_LIST = _THETA.tolist()  # for bisect: one row's degree, no numpy call
+# the series' divisors k as the rows' dtype: numpy casts a float k each step
+_DIVISORS = [np.complex128(k) for k in range(_THETA.size + 2)]
 _BRANCH_CLEARANCE = 1e-8
 _BALANCE_BAND = 4  # log scales a spectral radius outside [2^-4, 2^4] to ~1
 _CONTOUR_NODES = 256  # holomorphic_calculus's first rule
@@ -55,6 +60,7 @@ _MAX_CONTOUR_NODES = 8192
 _QUADRATURE_TOL = 1e-9
 _CAUCHY_NODES = 64
 _MAX_SQRT_STEPS = 64
+_PLUS_MINUS_I = np.array([[1j], [-1j]])  # cos's two exponents, +-i a
 
 
 @dataclass(frozen=True)
@@ -91,13 +97,20 @@ def _scaled(arg: np.ndarray, algebra):
     does not bound L_x (scaling the structure tensor by c scales L_x by c).
     On the standard families ell <= 2.23 |x| <= 1.12, so the norm alone
     sets s. arg may carry leading batch axes; then each row has its own s,
-    from its norm (``algebra._norms``, finite above 1.3e154).
+    from its norm (``algebra._norms``, finite above 1.3e154). A single row
+    of norm <= 0.5 has s = 0 exactly and is x itself, as arg / 2^0 is arg:
+    it skips the count and the division, and x may be the caller's array.
     """
-    s = np.ceil(np.log2(np.maximum(2.0 * _norms(arg), 1.0)))
-    x = arg / (2.0 ** s)[..., None]
+    norm = _norms(arg)
+    if arg.ndim == 1 and norm <= 0.5:  # s a numpy float, as below
+        s, x = np.float64(0.0), arg
+    else:
+        s = np.ceil(np.log2(np.maximum(2.0 * norm, 1.0)))
+        x = arg / (2.0 ** s)[..., None]
     lx = _mult_matrix(x, algebra)
     ell = _ell(lx)
-    if (ell > _ELL_LIMIT).any():  # halving is exact: as if scaled once
+    if (ell if x.ndim == 1 else ell.max()) > _ELL_LIMIT:
+        # halving is exact: as if scaled once
         more = np.ceil(np.log2(np.maximum(ell / _ELL_LIMIT, 1.0)))
         half = 0.5 ** more
         x, lx = x * half[..., None], lx * half[..., None, None]
@@ -105,9 +118,12 @@ def _scaled(arg: np.ndarray, algebra):
     return s, x, lx, ell
 
 
-def _ell(lx: np.ndarray) -> np.ndarray:
-    """sqrt(|L|_1 |L|_inf) >= |L|_2, per matrix of a stack."""
+def _ell(lx: np.ndarray):
+    """sqrt(|L|_1 |L|_inf) >= |L|_2, per matrix of a stack; of one matrix, a
+    float (``math.sqrt`` of the same sums)."""
     mag = np.abs(lx)
+    if lx.ndim == 2:
+        return math.sqrt(mag.sum(0).max() * mag.sum(1).max())
     return np.sqrt(mag.sum(-2).max(-1) * mag.sum(-1).max(-1))
 
 
@@ -115,18 +131,32 @@ def _series(x: np.ndarray, lx: np.ndarray, ell: np.ndarray) -> np.ndarray:
     """e^x - 1 = sum_{k=1}^m x^k / k! by Horner's rule, degree m set up front.
 
     From v = x, each step k = m, ..., 2 sets v <- x + L_x v / k (Horner for
-    (e^x - 1) / x, applied to x), summing from the smallest term up. m is
-    the least degree whose tail bound |x| ell^m / (m+1)! / (1 - ell / (m+2))
-    is within ``_SERIES_TOL`` |x| (``_THETA``). On a stack each row has its
-    own m: a row divides by inf until its own first step, so it keeps its
-    start value x and ends bitwise as it would alone.
+    (e^x - 1) / x, applied to x), summing from the smallest term up, in
+    place: v <- L_x v, v /= k, v += x, as L_x v / k + x is x + L_x v / k
+    exactly. m is the least degree whose tail bound
+    |x| ell^m / (m+1)! / (1 - ell / (m+2)) is within ``_SERIES_TOL`` |x|
+    (``_THETA``). On a stack each row has its own m. Where the rows' m
+    differ, a row divides by inf until its own first step, so it keeps its
+    start value x and ends bitwise as it would alone; where they agree (one
+    row, and cos's +-ix, whose L's have equal moduli) each step divides by
+    k itself. The result is never x itself, which may be the caller's.
     """
-    m = np.searchsorted(_THETA, ell) + 1
-    ks = np.arange(float(m.max()), 1.0, -1.0)
-    div = np.where(m[..., None] >= ks, ks, np.inf)
+    if x.ndim == 1:  # searchsorted's index, with NaN sorted last as numpy does
+        m = 1 + (bisect_left(_THETA_LIST, ell) if ell == ell else _THETA.size)
+        div = None
+    else:
+        ms = np.searchsorted(_THETA, ell) + 1
+        m, div = int(ms.max()), None
+        if (ms < m).any():
+            ks = np.arange(float(m), 1.0, -1.0)
+            div = np.where(ms[..., None] >= ks, ks, np.inf)
+    if m == 1:
+        return x.copy()
     v = x
-    for i in range(ks.size):
-        v = x + np.matvec(lx, v) / div[..., i, None]
+    for i, k in enumerate(range(m, 1, -1)):
+        v = np.matvec(lx, v)
+        v /= _DIVISORS[k] if div is None else div[..., i, None]
+        v += x
     return v
 
 
@@ -138,7 +168,7 @@ def _square_repeatedly(square, acc, s, arg: np.ndarray) -> np.ndarray:
     of a nilpotent N is finite although N's norm is large. With s = 0 the
     series alone, of an argument of norm <= 0.5, cannot overflow.
     """
-    top = int(s.max())
+    top = int(s.max() if s.ndim else s)
     if not top:
         return acc
     with np.errstate(over="ignore", invalid="ignore"):
@@ -167,7 +197,7 @@ def _exp_rows(arg: np.ndarray, algebra) -> np.ndarray:
 
 def exp(a: Element) -> Element:
     """Exponential by scaling-and-squaring with a truncated power series."""
-    return Element(a.algebra, _exp_rows(a.coeffs, a.algebra))
+    return _wrap(a.algebra, _exp_rows(a.coeffs, a.algebra))
 
 
 def _offset_mul(y: np.ndarray, z: np.ndarray, algebra) -> np.ndarray:
@@ -398,5 +428,5 @@ def derivative_at_zero(f: HolomorphicCurve, rho: float) -> Element:
 
 def cos(a: Element) -> Element:
     """Cosine (e^{ia} + e^{-ia}) / 2, its exponentials as one stacked call."""
-    rows = _exp_rows(a.coeffs * np.array([[1j], [-1j]]), a.algebra)
-    return Element(a.algebra, 0.5 * (rows[0] + rows[1]))
+    rows = _exp_rows(a.coeffs * _PLUS_MINUS_I, a.algebra)
+    return _wrap(a.algebra, 0.5 * (rows[0] + rows[1]))

@@ -94,9 +94,10 @@ def _solve_checked(ops: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     such operator's smallest singular value. kappa_2 <= |A|_F |A^-1|_F, so an
     operator whose bound is below 0.1 / ``DEFAULT_COND_TOL`` cannot be
     refused. Only the others (non-finite ones, or all of a chunk when ``inv``
-    meets an exactly singular one) have their singular values taken; an
-    infinite one's are NaN, and it is refused. Each operator is its own LU,
-    inverse and SVD, so the chunks (``algebra._chunked``) change nothing.
+    meets an exactly singular one) have their singular values taken. A
+    non-finite operator's are NaN, without an SVD, which raises on NaN
+    entries, and it is refused. Each operator is its own LU, inverse and
+    SVD, so the chunks (``algebra._chunked``) change nothing.
     """
     try:
         inv = np.linalg.inv(ops)
@@ -108,7 +109,10 @@ def _solve_checked(ops: np.ndarray, rhs: np.ndarray) -> np.ndarray:
                       * np.square(np.abs(inv)).sum(axis=(1, 2)))
         doubt = ~(kappa2 < (0.1 / DEFAULT_COND_TOL) ** 2)
     if doubt.any():
-        s = np.linalg.svd(ops[doubt], compute_uv=False)
+        doubted = ops[doubt]
+        finite = np.isfinite(doubted).all(axis=(1, 2))
+        s = np.full(doubted.shape[:2], np.nan)
+        s[finite] = np.linalg.svd(doubted[finite], compute_uv=False)
         singular = ~_clears(s)
         if singular.any():
             smin = s[singular.argmax(), -1]

@@ -24,6 +24,7 @@ from jordannum import (
     random_element,
 )
 from jordannum import algebra as algebra_module
+from jordannum import calculus as calculus_module
 from jordannum.algebra import (Element, OperatorMatrix, _generated,
                                _generated_rows, _mult_matrix, _norms,
                                _product, _random_rows, _rows)
@@ -34,6 +35,29 @@ from test_basis_change import algebra
 FAMILIES = ["matrix:2", "matrix:3", "spin:4", "fn:5", "sum:fn:2+matrix:2"]
 # complex-weighted, user-supplied tensors (see test_basis_change.algebra)
 REBASED = ["matrix:3@P", "spin:3@P"]
+
+
+def checked_elements(monkeypatch):
+    """A list of the checked Elements built from here on: by ``Element``'s
+    own check, or by ``algebra._wrap`` where it checks its row (in the
+    algebra and in the calculus, which bind kernel results with it)."""
+    built = []
+    post_init, wrap = Element.__post_init__, algebra_module._wrap
+
+    def counted_init(self):
+        built.append(self)
+        post_init(self)
+
+    def counted_wrap(algebra, row, checked=False):
+        x = wrap(algebra, row, checked)
+        if not checked:
+            built.append(x)
+        return x
+
+    monkeypatch.setattr(Element, "__post_init__", counted_init)
+    for module in (algebra_module, calculus_module):
+        monkeypatch.setattr(module, "_wrap", counted_wrap)
+    return built
 
 
 def as_matrix(x):
@@ -330,6 +354,50 @@ class TestElement:
             AlgebraSpec(1, a.structure, 1.0, "fn:1").unit, [1.0])
 
 
+class TestWrap:
+    """Kernel results bound once by ``_wrap``: checked, read-only, no copy."""
+
+    def test_each_operation_builds_one_read_only_element(self, monkeypatch):
+        a = from_descriptor("spin:3")
+        rng = np.random.default_rng(11)
+        x, y = (random_element(a, rng) for _ in range(2))
+        built = checked_elements(monkeypatch)
+        for name, call in [
+                ("jordan_mul", lambda: jordan_mul(x, y)),
+                ("+", lambda: x + y), ("-", lambda: x - y),
+                ("neg", lambda: -x), ("*", lambda: x * 2j),
+                ("rmul", lambda: 0.5 * x),
+                ("/", lambda: x / 3.0)]:
+            built.clear()
+            out = call()
+            assert len(built) == 1 and built[0] is out, name
+            assert not out.coeffs.flags.writeable, name
+            assert out.coeffs.shape == (a.dim,) and out.algebra is a, name
+
+    def test_results_are_the_elements_arithmetic_bitwise(self):
+        a = from_descriptor("sum:fn:2+matrix:2")
+        rng = np.random.default_rng(12)
+        x, y = (random_element(a, rng) for _ in range(2))
+        for got, want in [
+                (jordan_mul(x, y), _product(x.coeffs, y.coeffs, a)),
+                (x + y, x.coeffs + y.coeffs), (x - y, x.coeffs - y.coeffs),
+                (-x, -x.coeffs), (x * 2j, x.coeffs * 2j),
+                (x / 3.0, x.coeffs / 3.0)]:
+            assert np.array_equal(got.coeffs, want)
+            assert got == Element(a, want)
+
+    def test_non_finite_results_are_refused(self):
+        a = from_descriptor("fn:3")
+        x, big = a.element([1.0, 2.0, 3.0]), a.element([1e308, 1.0, 1.0])
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for call in (lambda: x / 0, lambda: x * np.inf,
+                         lambda: np.inf * x, lambda: big + big,
+                         lambda: big - -big, lambda: jordan_mul(big, big)):
+                with pytest.raises(StructureError,
+                                   match="coefficients must be finite"):
+                    call()
+
+
 class TestNorms:
     """``_norms``: the one Euclidean norm of a row, a float, or of each row
     of a stack; ``np.linalg.norm``'s bitwise while the plain sum of squares
@@ -465,6 +533,16 @@ class TestRows:
                 x.coeffs[0] = 1.0
         with pytest.raises(ValueError):
             stack[0, 0] = 1.0
+
+    def test_one_check_for_the_stack(self, monkeypatch):
+        # the rows are bound through ``_wrap`` without a check of their own
+        a = from_descriptor("fn:3")
+        checks = []
+        finite = algebra_module._finite
+        monkeypatch.setattr(algebra_module, "_finite",
+                            lambda v: checks.append(v.shape) or finite(v))
+        xs = _rows(a, np.ones((5, 3), dtype=complex))
+        assert checks == [(5, 3)] and len(xs) == 5
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
     def test_one_non_finite_entry_refuses_the_stack(self, bad):

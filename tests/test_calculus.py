@@ -9,7 +9,6 @@ import scipy.linalg
 from jordannum import (
     AlgebraSpec,
     Contour,
-    Element,
     HolomorphicCurve,
     cos,
     derivative_at_zero,
@@ -31,6 +30,7 @@ from jordannum import calculus, spectral
 from jordannum.calculus import _CONTOUR_NODES, _MAX_CONTOUR_NODES, _exp_rows
 from jordannum.errors import (BranchCut, ContourViolation, ExpOverflow,
                               NotInvertible, QuadratureError)
+from test_algebra import checked_elements
 from test_basis_change import algebra
 from test_spectral import DEFECTIVE
 
@@ -278,6 +278,79 @@ def test_cos_is_its_two_exponentials_bitwise(desc):
                               (0.5 * (exp(1j * x) + exp(-1j * x))).coeffs)
 
 
+@pytest.mark.parametrize("fn", [exp, cos])
+def test_exp_and_cos_build_one_read_only_element(fn, monkeypatch):
+    for desc in ["spin:3", "matrix:3"]:
+        a = from_descriptor(desc)
+        for cap in (0.3, 3.0):  # without squarings and with
+            x = random_element(a, np.random.default_rng(7), norm_cap=cap)
+            built = checked_elements(monkeypatch)
+            out = fn(x)
+            assert len(built) == 1 and built[0] is out
+            assert not out.coeffs.flags.writeable
+            assert out.coeffs.shape == (a.dim,) and out.algebra is a
+            monkeypatch.undo()
+
+
+@pytest.mark.parametrize("kernel", [calculus._expm1, _exp_rows])
+def test_results_never_alias_the_argument(kernel):
+    # a row of norm <= 0.5 runs unscaled (s = 0); 1e-20 x and 0 have
+    # series degree 1, where the series is x itself
+    a = from_descriptor("spin:3")
+    x = random_element(a, np.random.default_rng(9), norm_cap=0.4).coeffs
+    tiny = 1e-20 * x
+    s, _, _, ell = calculus._scaled(tiny, a)
+    assert s == 0 and np.searchsorted(calculus._THETA, ell) == 0
+    for arg in (x, tiny, np.zeros(a.dim, dtype=complex), 3.0 * x,
+                np.array([x, tiny, 3.0 * x])):
+        before = arg.copy()
+        out = kernel(arg, a)
+        assert not np.shares_memory(out, arg)
+        out += 1.0  # the result is the caller's to change
+        assert np.array_equal(arg, before)
+    assert np.array_equal(calculus._expm1(tiny, a), tiny)
+
+
+class TestSeries:
+    """``_series``: a stack whose rows share a degree divides by k, one with
+    mixed degrees by its table with inf; both give the same bits, and every
+    row is bitwise its one-row call."""
+
+    @staticmethod
+    def series(args, a):
+        _, x, lx, ell = calculus._scaled(args, a)
+        return x, lx, ell, calculus._series(x, lx, ell)
+
+    def check(self, args, a, uniform):
+        x, lx, ell, got = self.series(args, a)
+        degrees = set(np.searchsorted(calculus._THETA, ell).tolist())
+        assert (len(degrees) == 1) == uniform
+        for i in range(len(x)):
+            assert calculus._ell(lx[i]) == ell[i]
+            one = calculus._series(x[i], lx[i], calculus._ell(lx[i]))
+            assert np.array_equal(got[i], one)
+        # a zero row, of degree 1, sends the stack down the mixed path
+        mixed = calculus._series(np.vstack([x, np.zeros_like(x[:1])]),
+                                 np.concatenate([lx, np.zeros_like(lx[:1])]),
+                                 np.append(ell, 0.0))
+        assert np.array_equal(mixed[:-1], got)
+        assert np.array_equal(mixed[-1], np.zeros(a.dim))
+
+    @pytest.mark.parametrize("desc", FAMILIES + ["matrix:3@P", "spin:3@P"])
+    def test_uniform_mixed_and_single_rows_agree(self, desc):
+        a = algebra(desc)
+        rng = np.random.default_rng(71)
+        for cap in (0.01, 0.5, 1.0, 5.0):
+            x = random_element(a, rng, norm_cap=cap).coeffs
+            # cos's pair +-ix, whose L's have equal moduli
+            self.check(x * np.array([[1j], [-1j]]), a, uniform=True)
+            # a stack of one degree: x itself, repeated
+            self.check(np.array([x, x, x]), a, uniform=True)
+        # a vetting path t x, t = 0, 1/32, ..., 1: degrees 1 up to x's
+        x = random_element(a, rng, norm_cap=1.0).coeffs
+        self.check(np.linspace(0.0, 1.0, 33)[:, None] * x, a, uniform=False)
+
+
 class TestExpm1:
     def test_fn_pointwise_relative(self):
         # small entries keep their relative accuracy; the 3.0 entry takes
@@ -396,19 +469,13 @@ class TestLog:
 
     def test_one_checked_element_per_call(self, monkeypatch):
         # the roots, the staging and the series of log, and cos's sum, run
-        # on coefficient rows: each call builds its result and nothing else
-        built = []
-        post_init = Element.__post_init__
-
-        def counted(self):
-            built.append(1)
-            post_init(self)
-
+        # on coefficient rows: each call builds its result and nothing else,
+        # by Element's check or by ``_wrap``'s
         for desc in ["matrix:2", "matrix:4", "spin:4", "fn:5"]:
             x = random_element(from_descriptor(desc),
                                np.random.default_rng(97))
             y = exp(x)
-            monkeypatch.setattr(Element, "__post_init__", counted)
+            built = checked_elements(monkeypatch)
             for fn, arg in ((log, y), (cos, x)):
                 built.clear()
                 fn(arg)
@@ -691,6 +758,16 @@ class TestHolomorphicCalculus:
         with (pytest.raises(NotInvertible) as info,
               pytest.warns(RuntimeWarning)):  # the overflow, then inf * 0
             holomorphic_calculus(lambda z: 1.0, x, Contour(1e308, 1e308))
+        assert np.isnan(info.value.smallest_singular_value)
+
+    def test_nodes_that_overflow_to_nan_are_refused(self):
+        # here some zeta I - H have NaN entries, on which numpy's SVD raised
+        # LinAlgError("SVD did not converge"): a non-finite operator is
+        # refused before its SVD
+        x = make_function_algebra(2).element([8e307, 1e307])
+        with (pytest.raises(NotInvertible) as info,
+              pytest.warns(RuntimeWarning)):
+            holomorphic_calculus(lambda z: z, x, Contour(1e308, 1.5e308))
         assert np.isnan(info.value.smallest_singular_value)
 
 

@@ -13,6 +13,7 @@ from jordannum import (
     is_invertible,
     jordan_mul,
     jordan_spectrum,
+    log,
     make_direct_sum,
     make_function_algebra,
     make_matrix_jordan,
@@ -535,6 +536,29 @@ class TestExtremeScales:
         got = jordan_spectrum(x * 1e200).points
         assert len(got) == len(want)
         assert hausdorff(got, want) <= 1e-13 * 1e200
+
+    def test_compression_scaled_past_two_to_the_1023(self):
+        # L_x's largest entry 1e308 has exponent 1024, and H was scaled back
+        # by 2.0 ** 1024, which raised Python's OverflowError from inverse,
+        # jordan_spectrum and log; H's entries are finite, and so are these
+        a = from_descriptor("matrix:2")
+        x = a.element([1e308, 1e307, 0.0, 5e307])  # upper triangular
+        assert hausdorff(jordan_spectrum(x).points, [1e308, 5e307]) \
+            <= 1e-15 * 1e308
+        want = np.array([1e-308, -2e-309, 0.0, 2e-308])
+        assert np.abs(inverse(x).coeffs - want).max() <= 1e-15 * 2e-308
+        assert np.allclose(log(x).coeffs, [np.log(1e308), np.log(2.0) / 5,
+                                           0.0, np.log(5e307)], rtol=1e-13)
+        # H of diag(1e308, 1e308) = 1e308 * 1 is [[1e308]], exactly
+        assert _generated(x.coeffs * [1, 0, 0, 2], a)[1].tolist() == \
+            [[1e308 + 0j]]
+
+    def test_singular_past_two_to_the_1023(self):
+        # rank one, with the spectrum {2e308, 0}: singular, and refused
+        x = from_descriptor("matrix:2").element([1e308] * 4)
+        assert not is_invertible(x)
+        with pytest.raises(NotInvertible):
+            inverse(x)
 
     def test_zero_element(self):
         zero = from_descriptor("matrix:2").zero()

@@ -7,6 +7,10 @@ structure entries, and the best-of-N time per call, in microseconds, of
 - ``stack65``: ``_product`` of two stacks of 65 rows (a ψ path's size);
 - ``L_x``: ``algebra._mult_matrix``, the d x d matrix of y -> x o y;
 - ``norm``: ``x.norm``, the Euclidean norm of x's coefficients;
+- ``curve``: one call of the benchmark's pointwise curve form,
+  exp(a z) o (1 + b z + d^3 z^3) o cos(c z), at the Cauchy node
+  z = e^{2 pi i / 64} on |z| = 1: one ``exp``, one ``cos``, two
+  ``jordan_mul`` and six ``Element`` operations;
 - ``jordan_mul``, ``exp``, ``U_operator``, ``spectrum``
   (``jordan_spectrum``), ``inverse`` and ``is_invertible`` (of 2 + x) and
   ``resolvent`` (of x at 3);
@@ -63,8 +67,8 @@ from speed import Speed  # noqa: E402
 
 FAMILIES = ["fn:5", "spin:4", "matrix:2", "matrix:3", "matrix:4",
             "matrix:8", "matrix:10", "matrix:12", "matrix:16"]
-COLUMNS = ["product", "stack65", "L_x", "norm", "jordan_mul", "exp",
-           "U_operator", "spectrum", "spectra20", "vetting", "inverse",
+COLUMNS = ["product", "stack65", "L_x", "norm", "curve", "jordan_mul",
+           "exp", "U_operator", "spectrum", "spectra20", "vetting", "inverse",
            "is_invertible", "resolvent", "contour", "log", "cauchy", "limit",
            "report", "principal", "build"]
 REPEAT = 9
@@ -97,6 +101,9 @@ def kernels(jn, desc):
     ex = jn.exp(x)
     params = {"a": x, "b": y, "c": jn.random_element(a, rng)}
     samples = [jn.random_element(a, rng) for _ in range(20)]
+    c, d = (jn.random_element(a, rng) for _ in range(2))  # the curve's
+    d3 = jn.jordan_mul(d, jn.jordan_mul(d, d))
+    node, one = cmath.exp(2j * cmath.pi / 64), a.one()
     coordinate = jn.FunctionalHandle(lambda v: complex(v.coeffs[0]))
     grid = jn.geometric_grid()
     plan = jn.SequencePlan(lambda n: 1.0 / n, lambda n: float(n), 1.0)
@@ -110,6 +117,10 @@ def kernels(jn, desc):
         ("stack65", lambda: algebra._product(xs, ys, a)),
         ("L_x", lambda: algebra._mult_matrix(x.coeffs, a)),
         ("norm", lambda: x.norm),
+        ("curve", lambda: jn.jordan_mul(
+            jn.jordan_mul(jn.exp(x * node),
+                          one + y * node + d3 * node ** 3),
+            jn.cos(c * node))),
         ("jordan_mul", lambda: jn.jordan_mul(x, y)),
         ("exp", lambda: jn.exp(x)),
         ("U_operator", lambda: jn.U_operator(x)),
