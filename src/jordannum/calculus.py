@@ -33,12 +33,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .algebra import (Element, _chunked, _finite, _generated, _mult_matrix,
-                      _norms, _product, _same_algebra, _wrap)
+from .algebra import (Element, _chunked, _finite, _generated, _ldexp,
+                      _mult_matrix, _norms, _product, _same_algebra, _wrap)
 from .errors import (BranchCut, ContourViolation, ExpOverflow, JordanNumError,
                      QuadratureError)
 from .spectral import _clustered, _inverse, _solve_checked, jordan_spectrum
@@ -97,19 +98,24 @@ def _scaled(arg: np.ndarray, algebra):
     does not bound L_x (scaling the structure tensor by c scales L_x by c).
     On the standard families ell <= 2.23 |x| <= 1.12, so the norm alone
     sets s. arg may carry leading batch axes; then each row has its own s,
-    from its norm (``algebra._norms``, finite above 1.3e154). A single row
-    of norm <= 0.5 has s = 0 exactly and is x itself, as arg / 2^0 is arg:
-    it skips the count and the division, and x may be the caller's array.
+    from its norm (``algebra._norms``, finite above 1.3e154). A row of norm
+    <= 0.5, or a stack whose rows all are, has s = 0 exactly and is x
+    itself, as arg / 2^0 is arg: it skips the count and the scaling, and x
+    may be the caller's array. Past 2^1022, where 2^s can overflow, the
+    count and the scaling are ``_scaled_past_range``'s.
     """
     norm = _norms(arg)
-    if arg.ndim == 1 and norm <= 0.5:  # s a numpy float, as below
-        s, x = np.float64(0.0), arg
-    else:
+    top = norm if arg.ndim == 1 else np.maximum.reduce(norm, None)
+    if top <= 0.5:  # false for a NaN norm
+        s, x = np.zeros(arg.shape[:-1]), arg
+    elif top < 2.0 ** 1022:  # s <= 1023: 2^s is finite
         s = np.ceil(np.log2(np.maximum(2.0 * norm, 1.0)))
         x = arg / (2.0 ** s)[..., None]
+    else:
+        s, x = _scaled_past_range(arg, norm)
     lx = _mult_matrix(x, algebra)
     ell = _ell(lx)
-    if (ell if x.ndim == 1 else ell.max()) > _ELL_LIMIT:
+    if (ell if x.ndim == 1 else np.maximum.reduce(ell, None)) > _ELL_LIMIT:
         # halving is exact: as if scaled once
         more = np.ceil(np.log2(np.maximum(ell / _ELL_LIMIT, 1.0)))
         half = 0.5 ** more
@@ -118,13 +124,28 @@ def _scaled(arg: np.ndarray, algebra):
     return s, x, lx, ell
 
 
+@np.errstate(over="ignore")  # 2 |x| may overflow: its count is redone
+def _scaled_past_range(arg: np.ndarray, norm) -> tuple:
+    """``_scaled``'s s and x = arg / 2^s where |x| may exceed 2^1022, so
+    2^s may not be finite (s >= 1024). s is ceil(log2(max(2 |x|, 1))) as
+    in ``_scaled``; where 2 |x| overflows (and |x| may, for finite
+    entries) it is 1022 plus the count of 2^-1022 x, the same up to
+    rounding. x is arg scaled by ``algebra._ldexp``, exactly."""
+    s = np.ceil(np.log2(np.maximum(2.0 * norm, 1.0)))
+    below = np.ceil(np.log2(2.0 * _norms(_ldexp(arg, -1022))))
+    s = np.where(np.isinf(s), 1022.0 + below, s)
+    return s, _ldexp(arg, (-s).astype(np.intc)[..., None])
+
+
 def _ell(lx: np.ndarray):
     """sqrt(|L|_1 |L|_inf) >= |L|_2, per matrix of a stack; of one matrix, a
-    float (``math.sqrt`` of the same sums)."""
+    float (``math.sqrt`` of the same sums). The sums and maxima are numpy's
+    reductions called directly, as ``.sum``/``.max`` call them."""
     mag = np.abs(lx)
+    add, peak = np.add.reduce, np.maximum.reduce
     if lx.ndim == 2:
-        return math.sqrt(mag.sum(0).max() * mag.sum(1).max())
-    return np.sqrt(mag.sum(-2).max(-1) * mag.sum(-1).max(-1))
+        return math.sqrt(peak(add(mag, 0)) * peak(add(mag, 1)))
+    return np.sqrt(peak(add(mag, -2), -1) * peak(add(mag, -1), -1))
 
 
 def _series(x: np.ndarray, lx: np.ndarray, ell: np.ndarray) -> np.ndarray:
@@ -139,22 +160,25 @@ def _series(x: np.ndarray, lx: np.ndarray, ell: np.ndarray) -> np.ndarray:
     differ, a row divides by inf until its own first step, so it keeps its
     start value x and ends bitwise as it would alone; where they agree (one
     row, and cos's +-ix, whose L's have equal moduli) each step divides by
-    k itself. The result is never x itself, which may be the caller's.
+    k itself. One row takes L_x v as ``lx.dot(v)``: bitwise ``np.matvec``
+    (checked from d = 1 to 144) at half its dispatch cost. The result is
+    never x itself, which may be the caller's.
     """
     if x.ndim == 1:  # searchsorted's index, with NaN sorted last as numpy does
         m = 1 + (bisect_left(_THETA_LIST, ell) if ell == ell else _THETA.size)
-        div = None
+        div, step = None, lx.dot
     else:
         ms = np.searchsorted(_THETA, ell) + 1
-        m, div = int(ms.max()), None
-        if (ms < m).any():
+        degrees = ms.ravel().tolist()  # min and max in Python, not numpy
+        m, div, step = max(degrees), None, partial(np.matvec, lx)
+        if min(degrees) < m:
             ks = np.arange(float(m), 1.0, -1.0)
             div = np.where(ms[..., None] >= ks, ks, np.inf)
     if m == 1:
         return x.copy()
     v = x
     for i, k in enumerate(range(m, 1, -1)):
-        v = np.matvec(lx, v)
+        v = step(v)
         v /= _DIVISORS[k] if div is None else div[..., i, None]
         v += x
     return v
@@ -168,7 +192,7 @@ def _square_repeatedly(square, acc, s, arg: np.ndarray) -> np.ndarray:
     of a nilpotent N is finite although N's norm is large. With s = 0 the
     series alone, of an argument of norm <= 0.5, cannot overflow.
     """
-    top = int(s.max() if s.ndim else s)
+    top = int(np.maximum.reduce(s, None) if s.ndim else s)
     if not top:
         return acc
     with np.errstate(over="ignore", invalid="ignore"):

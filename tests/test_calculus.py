@@ -168,6 +168,14 @@ class TestExp:
         got = exp(a.element([0.0, 1e160, 0.0, 0.0]))
         assert np.array_equal(got.coeffs, [1.0, 1e160, 0.0, 1.0])
 
+    def test_nilpotent_past_two_to_the_1023_is_exact(self):
+        # the count is 1025, and 2^1025 overflowed; N o N = 0, so each
+        # squaring of 1 + N / 2^s doubles the offset exactly
+        a = make_matrix_jordan(2)
+        n = a.element([0.0, 1e308, 0.0, 0.0])
+        assert np.array_equal(exp(n).coeffs, [1.0, 1e308, 0.0, 1.0])
+        assert np.array_equal(cos(n).coeffs, a.unit)
+
     def test_squaring_counts_from_the_one_norm(self):
         # a row whose plain sum of squares is normal takes np.linalg.norm's
         # count; below that range (1e-170, a subnormal entry, zero) it stays
@@ -191,6 +199,37 @@ class TestExp:
             warnings.simplefilter("error")
             with pytest.raises(ExpOverflow, match=r"norm 3\.162e\+160"):
                 exp(a.element([3e160, 1e160]))
+
+    def test_scaling_past_two_to_the_1023(self):
+        # at s >= 1024 the scaling divided by 2^s = inf: exp(8e307) was the
+        # unit with a RuntimeWarning, and from 2|x| >= 2^1024 the count
+        # int(inf) raised Python's OverflowError
+        f1 = from_descriptor("fn:1")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for big in (8e307, 1e308):
+                with pytest.raises(ExpOverflow):
+                    exp(f1.element([big]))
+                assert np.array_equal(exp(f1.element([-big])).coeffs, [0.0])
+            # |x| itself overflows: the count stays finite
+            f2 = from_descriptor("fn:2")
+            assert np.array_equal(exp(f2.element([-1.7e308, -1.7e308])).coeffs,
+                                  [0.0, 0.0])
+            s = calculus._scaled(f2.element([1.7e308, 1.7e308]).coeffs, f2)[0]
+            assert s == 1026
+
+    def test_stack_past_two_to_the_1023(self):
+        # each row keeps its own count: e^-1e308 - 1 is -1 exactly, and the
+        # other rows are bitwise their single calls
+        from jordannum.calculus import _expm1
+        f1 = from_descriptor("fn:1")
+        rows = np.array([[-1e308], [0.3], [-8e307], [2.5]], dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _expm1(rows, f1)
+            assert got[0] == -1.0 and got[2] == -1.0
+            for row, one in zip(rows, got):
+                assert np.array_equal(_expm1(row, f1), one)
 
     def test_spectral_mapping(self):
         for desc in FAMILIES:
@@ -349,6 +388,58 @@ class TestSeries:
         # a vetting path t x, t = 0, 1/32, ..., 1: degrees 1 up to x's
         x = random_element(a, rng, norm_cap=1.0).coeffs
         self.check(np.linspace(0.0, 1.0, 33)[:, None] * x, a, uniform=False)
+
+    @pytest.mark.parametrize("desc", FAMILIES + ["fn:1", "matrix:12"])
+    def test_one_row_is_the_matvec_horner(self, desc):
+        # one row steps by lx.dot(v), a stack by np.matvec: the same bits,
+        # d = 1 (a scalar product) included
+        a = from_descriptor(desc)
+        rng = np.random.default_rng(67)
+        for cap in (0.01, 0.5, 1.0, 5.0):
+            for _ in range(5):
+                x = random_element(a, rng, norm_cap=cap).coeffs
+                _, x, lx, ell = calculus._scaled(x, a)
+                m = 1 + int(np.searchsorted(calculus._THETA, ell))
+                want = x
+                for k in range(m, 1, -1):
+                    want = np.matvec(lx, want)
+                    want /= np.complex128(k)
+                    want += x
+                got = calculus._series(x, lx, ell)
+                assert np.array_equal(got.view(float), want.view(float))
+
+    @pytest.mark.parametrize("desc", FAMILIES)
+    def test_small_stacks_are_unscaled(self, desc):
+        # rows all of norm <= 0.5 skip the count: s = 0 for each, x is the
+        # stack itself, and every row is bitwise what it gets when a larger
+        # row sends the stack through the count and the scaling
+        a = from_descriptor(desc)
+        rng = np.random.default_rng(61)
+        small = np.array([random_element(a, rng, norm_cap=cap).coeffs
+                          for cap in (1e-12, 0.01, 0.3, 0.5)])
+        big = random_element(a, rng, norm_cap=4.0).coeffs
+        s, x, _, _ = calculus._scaled(small, a)
+        assert x is small and s.shape == (4,) and not s.any()
+        s_all = calculus._scaled(np.vstack([small, big]), a)[0]
+        assert not s_all[:4].any() and s_all[4] > 0
+        for kernel in (_exp_rows, calculus._expm1):
+            alone = kernel(small, a)
+            joined = kernel(np.vstack([small, big]), a)
+            assert np.array_equal(alone.view(float), joined[:4].view(float))
+
+    @pytest.mark.parametrize("desc", FAMILIES)
+    @pytest.mark.parametrize("cap", [0.3, 3.0])
+    def test_mixed_degree_stack_is_its_single_calls(self, desc, cap):
+        # a vetting path t x: degrees 1 up to x's, unscaled at cap 0.3 and
+        # with squarings from 1 up at cap 3
+        a = from_descriptor(desc)
+        x = random_element(a, np.random.default_rng(59), norm_cap=cap).coeffs
+        path = np.linspace(0.0, 1.0, 17)[:, None] * x
+        for kernel in (_exp_rows, calculus._expm1):
+            rows = kernel(path, a)
+            for row, got in zip(path, rows):
+                assert np.array_equal(kernel(row, a).view(float),
+                                      got.view(float))
 
 
 class TestExpm1:

@@ -11,7 +11,8 @@ structure entries, and the best-of-N time per call, in microseconds, of
   exp(a z) o (1 + b z + d^3 z^3) o cos(c z), at the Cauchy node
   z = e^{2 pi i / 64} on |z| = 1: one ``exp``, one ``cos``, two
   ``jordan_mul`` and six ``Element`` operations;
-- ``jordan_mul``, ``exp``, ``U_operator``, ``spectrum``
+- ``jordan_mul``, ``exp``, ``cos`` (its two exponentials as one stacked
+  call, the largest kernel of a curve call), ``U_operator``, ``spectrum``
   (``jordan_spectrum``), ``inverse`` and ``is_invertible`` (of 2 + x) and
   ``resolvent`` (of x at 3);
 - ``spectra20``: ``is_spectral_valued`` of the coordinate functional
@@ -68,9 +69,9 @@ from speed import Speed  # noqa: E402
 FAMILIES = ["fn:5", "spin:4", "matrix:2", "matrix:3", "matrix:4",
             "matrix:8", "matrix:10", "matrix:12", "matrix:16"]
 COLUMNS = ["product", "stack65", "L_x", "norm", "curve", "jordan_mul",
-           "exp", "U_operator", "spectrum", "spectra20", "vetting", "inverse",
-           "is_invertible", "resolvent", "contour", "log", "cauchy", "limit",
-           "report", "principal", "build"]
+           "exp", "cos", "U_operator", "spectrum", "spectra20", "vetting",
+           "inverse", "is_invertible", "resolvent", "contour", "log",
+           "cauchy", "limit", "report", "principal", "build"]
 REPEAT = 9
 MIN_BATCH_S = 0.02
 
@@ -123,6 +124,7 @@ def kernels(jn, desc):
             jn.cos(c * node))),
         ("jordan_mul", lambda: jn.jordan_mul(x, y)),
         ("exp", lambda: jn.exp(x)),
+        ("cos", lambda: jn.cos(x)),
         ("U_operator", lambda: jn.U_operator(x)),
         ("spectrum", lambda: jn.jordan_spectrum(x)),
         ("spectra20", lambda: jn.is_spectral_valued(coordinate, samples)),
