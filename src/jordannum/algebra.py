@@ -23,8 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (AlgebraMismatch, ExpOverflow, ParseError,
-                     StructureError, UnsupportedAlgebra)
+from .errors import (AlgebraMismatch, ExpOverflow, JordanNumError,
+                     ParseError, StructureError, UnsupportedAlgebra)
 
 _JORDAN_ID_TOL = 1e-12
 _UNIT_TOL = 1e-12
@@ -447,8 +447,7 @@ def _generated(x: np.ndarray, algebra: AlgebraSpec) -> tuple:
             break
         h[j + 1, j] = beta
         q[j + 1] = w / beta
-    h = h[:j + 1, :j + 1]
-    return q[:j + 1].T, (h if e is None else _ldexp(h, e))
+    return q[:j + 1].T, _scaled_back(h[:j + 1, :j + 1], e)
 
 
 def _chunked(kernel):
@@ -512,9 +511,23 @@ def _generated_rows(x: np.ndarray, algebra: AlgebraSpec) -> list:
             live, w, beta = live[~stop], w[~stop], beta[~stop]
         h[live, j + 1, j] = beta
         q[live, j + 1] = w / beta[:, None]
-    if e is not None:
-        h = _ldexp(h, e[:, None, None])
+    h = _scaled_back(h, None if e is None else e[:, None, None])
     return [h[r, :k, :k].copy() for r, k in enumerate(m.tolist())]
+
+
+def _scaled_back(h: np.ndarray, e) -> np.ndarray:
+    """H of 2^-e L_x scaled back to L_x's, exactly. An H with an entry past
+    the double range is refused: the spectrum, the invertibility and the
+    inverse of x all read their answer from H. An unscaled H is finite."""
+    if e is None:
+        return h
+    with np.errstate(over="ignore"):  # an entry past the range: refused
+        h = _ldexp(h, e)
+    if not np.isfinite(h).all():
+        raise JordanNumError(
+            "the compression of L_x to C[x] is beyond the double-precision "
+            "range")
+    return h
 
 
 def mult_operator(a: Element) -> OperatorMatrix:

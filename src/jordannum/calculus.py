@@ -42,7 +42,7 @@ from .algebra import (Element, _chunked, _finite, _generated, _ldexp,
                       _mult_matrix, _norms, _product, _same_algebra, _wrap)
 from .errors import (BranchCut, ContourViolation, ExpOverflow, JordanNumError,
                      QuadratureError)
-from .spectral import _clustered, _inverse, _solve_checked, jordan_spectrum
+from .spectral import _inverse, _solve_checked, _spectrum, jordan_spectrum
 
 _SERIES_TOL = 1e-18
 _ELL_LIMIT = 2.0  # bound on ell = |L_x| after the scaling (``_scaled``)
@@ -389,7 +389,7 @@ def holomorphic_calculus(h: Callable[[complex], complex], a: Element,
     """
     q, hmat = _generated(a.coeffs, a.algebra)
     margin = 0.05 * contour.radius
-    for p in _clustered(np.linalg.eigvals(hmat)).points:  # jordan_spectrum
+    for p in _spectrum(hmat).points:  # jordan_spectrum of a
         if abs(p - contour.center) >= contour.radius - margin:
             raise ContourViolation(
                 f"spectrum point {p} is not strictly inside the contour"

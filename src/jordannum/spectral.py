@@ -16,18 +16,25 @@ invertibility of its principal samples, a stack at a time: ``_spectra`` and
 (``algebra._generated_rows``) and send the H's of one size to one stacked
 ``eigvals`` or SVD call, each row bitwise the single call. A single element
 keeps the 2-D loop of ``algebra._generated``, which is about twice as fast
-as a one-row stack.
+as a one-row stack. One clustering routine (``_clustered``) merges the
+eigenvalues of a stack of rows, or of one row, into spectrum points. An H
+beyond the double range is refused (``algebra._scaled_back``), and so is an
+eigenvalue.
 Finite spectra have connected complements: ``in_unbounded_component`` is exact.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
-from .algebra import Element, _chunked, _generated, _generated_rows, _norms
-from .errors import NotInvertible, OnSpectrum
+from .algebra import (Element, _chunked, _generated, _generated_rows, _ldexp,
+                      _norms)
+from .errors import JordanNumError, NotInvertible, OnSpectrum
 
 DEFAULT_COND_TOL = 1e-10
 
@@ -81,9 +88,10 @@ def _invertible_rows(x: np.ndarray, algebra) -> list[bool]:
 
 
 def _spectra(x: np.ndarray, algebra) -> list[SpectrumSet]:
-    """``jordan_spectrum`` of each row of the stack x, in one pass."""
-    return [_clustered(raw)
-            for raw in _per_compression(x, algebra, np.linalg.eigvals)]
+    """``jordan_spectrum`` of each row of the stack x, in one pass: the
+    eigenvalues of each size group are clustered in one ``_clustered`` call."""
+    return _per_compression(x, algebra,
+                            lambda h: _clustered(np.linalg.eigvals(h)))
 
 
 @_chunked
@@ -138,25 +146,78 @@ def inverse(a: Element) -> Element:
 
 def jordan_spectrum(a: Element) -> SpectrumSet:
     """Spectrum of a: the eigenvalues of L_a compressed to C[a], clustered."""
-    return _clustered(np.linalg.eigvals(_generated(a.coeffs, a.algebra)[1]))
+    return _spectrum(_generated(a.coeffs, a.algebra)[1])
 
 
-def _clustered(eigenvalues: np.ndarray) -> SpectrumSet:
-    """The eigenvalues of H, merged into clusters, as a SpectrumSet.
+def _spectrum(h: np.ndarray) -> SpectrumSet:
+    """The clustered eigenvalues of one H (``_clustered``)."""
+    return _clustered(np.linalg.eigvals(h)[None])[0]
 
-    Eigenvalues within ``dedupe_tol`` = 1e-6 (1 + max |eigenvalue|) are
-    linked, and each single-linkage cluster is reported as its mean.
+
+def _clustered(eigenvalues: np.ndarray) -> list[SpectrumSet]:
+    """The eigenvalues of each row of an (n, m) stack, merged into clusters,
+    as one SpectrumSet a row.
+
+    In each row, eigenvalues within ``dedupe_tol`` = 1e-6 (1 + max
+    |eigenvalue|) are linked, and each single-linkage cluster is reported as
+    its mean. The stack is sorted and linked at once, and each run of rows
+    with k clusters (``_runs``) sums them in one stacked k x m by m
+    product, the product of each row's one-row call, so a row's bits do not
+    depend on the other rows. A stack without links, the common case, is
+    one run whose clusters are its linkage, the identity, as they are after
+    the closure: it skips the closure and the gather.
+    A non-finite eigenvalue, or a modulus past the double range, is
+    refused; a row whose cluster sums pass the range is averaged again
+    (``_scaled_means``).
     """
-    raw = np.sort(eigenvalues)
-    tol = 1e-6 * (1.0 + float(np.max(np.abs(raw))))
-    linked = np.abs(raw[:, None] - raw[None, :]) <= tol
-    for _ in range(raw.size.bit_length()):  # closure: row i is i's cluster
+    raw = np.sort(eigenvalues, axis=-1)
+    spectra = []
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        tols = [1e-6 * (1.0 + top)
+                for top in np.abs(raw).max(axis=-1).tolist()]
+        if not all(map(math.isfinite, tols)):
+            raise JordanNumError(
+                "the spectrum is beyond the double-precision range")
+        linked = np.abs(raw[:, :, None] - raw[:, None, :]) \
+            <= np.array(tols)[:, None, None]
+        runs = ([(0, linked)] if np.count_nonzero(linked) == raw.size
+                else _runs(linked))
+        for a, clusters in runs:
+            means = (clusters @ raw[a:a + len(clusters), :, None])[..., 0] \
+                / clusters.sum(axis=-1)
+            for r, points in enumerate(means.tolist(), start=a):
+                if not all(map(cmath.isfinite, points)):  # a sum overflowed
+                    points = _scaled_means(clusters[r - a], raw[r]).tolist()
+                radius = max(map(abs, points))
+                spectra.append(SpectrumSet(points=tuple(points),
+                                           dedupe_tol=tols[r],
+                                           spectral_radius=radius))
+    return spectra
+
+
+def _runs(linked: np.ndarray):
+    """(a, clusters) for each run of rows a, a + 1, ... of a stack of
+    linkages that have the same number k of clusters: clusters is the
+    run's (rows, k, m) stack of each cluster's members, in order of their
+    first members."""
+    m = linked.shape[-1]
+    for _ in range(m.bit_length()):  # closure: row i is i's cluster
         linked = linked @ linked
-    # one row per cluster: the row of its first member
-    clusters = linked[linked.argmax(axis=1) == np.arange(raw.size)]
-    points = tuple((clusters @ raw / clusters.sum(axis=1)).tolist())
-    radius = max(abs(p) for p in points)
-    return SpectrumSet(points=points, dedupe_tol=tol, spectral_radius=radius)
+    heads = linked.argmax(axis=-1) == np.arange(m)  # first members
+    flat = linked[heads]  # every row's clusters, row by row
+    a = start = 0
+    for k, run in groupby(sum(row) for row in heads.tolist()):
+        rows = len(list(run))
+        yield a, flat[start:start + rows * k].reshape(rows, k, m)
+        a, start = a + rows, start + rows * k
+
+
+def _scaled_means(clusters: np.ndarray, raw: np.ndarray) -> np.ndarray:
+    """The means of the clusters of one row, summed from raw 2^-b, 2^b > m,
+    and scaled back: the eigenvalues are finite, so the means are, where the
+    sums of raw itself pass the double range."""
+    b = raw.size.bit_length()
+    return _ldexp(clusters @ _ldexp(raw, -b) / clusters.sum(axis=-1), b)
 
 
 def resolvent(a: Element, zeta: complex) -> Element:

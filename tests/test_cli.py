@@ -149,6 +149,15 @@ class TestSpectrum:
         assert text == ""
         assert "finite" in capsys.readouterr().err
 
+    def test_spectrum_beyond_the_double_range_is_an_error(self, capsys):
+        # spin:2 [1.7e308]*3: H's entry sqrt(2) 1.7e308 overflows
+        code, text = invoke(["spectrum", "--algebra", "spin:2", "--element",
+                             "1.7e308,0,1.7e308,0,1.7e308,0"])
+        assert (code, text) == (1, "")
+        assert capsys.readouterr().err == \
+            "error: the compression of L_x to C[x] is beyond the " \
+            "double-precision range\n"
+
 
 class TestTrotter:
     @pytest.mark.parametrize("formula",

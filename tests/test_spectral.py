@@ -22,8 +22,10 @@ from jordannum import (
     resolvent,
 )
 from jordannum.algebra import _generated
-from jordannum.errors import NotInvertible, OnSpectrum
-from jordannum.spectral import SpectrumSet, _invertible_rows, _spectra
+from jordannum.calculus import Contour, holomorphic_calculus
+from jordannum.errors import JordanNumError, NotInvertible, OnSpectrum
+from jordannum.spectral import (SpectrumSet, _clustered, _invertible_rows,
+                                _spectra)
 
 FAMILIES = ["matrix:2", "matrix:3", "spin:4", "fn:5", "sum:fn:2+matrix:2"]
 
@@ -51,6 +53,28 @@ DEFECTIVE = {
     "spin_nilpotent": lambda: spin_nilpotent(make_spin_factor(4),
                                              np.random.default_rng(0)),
 }
+
+
+def spectrum_bytes(s):
+    """A SpectrumSet's exact bits: each point's real and imaginary parts,
+    with the sign of zero, its dedupe_tol and its radius."""
+    return (np.array(s.points, dtype=complex).tobytes(),
+            np.array([s.dedupe_tol, s.spectral_radius]).tobytes())
+
+
+def reference_clustered(eigenvalues):
+    """The clustering rule one row at a time: sort, link within 1e-6 (1 +
+    max |eigenvalue|), close the links by repeated squaring, and report each
+    cluster's mean from one k x m product with the sorted eigenvalues."""
+    raw = np.sort(eigenvalues)
+    tol = 1e-6 * (1.0 + float(np.max(np.abs(raw))))
+    linked = np.abs(raw[:, None] - raw[None, :]) <= tol
+    for _ in range(raw.size.bit_length()):
+        linked = linked @ linked
+    clusters = linked[linked.argmax(axis=1) == np.arange(raw.size)]
+    points = tuple((clusters @ raw / clusters.sum(axis=1)).tolist())
+    return SpectrumSet(points=points, dedupe_tol=tol,
+                       spectral_radius=max(abs(p) for p in points))
 
 
 def random_invertible(algebra, rng):
@@ -487,9 +511,10 @@ class TestStackedCompression:
     @pytest.mark.parametrize("desc", FAMILIES + ["matrix:4", "spin:3"])
     def test_spectra_are_the_single_calls(self, desc):
         a, xs = self.stack(desc)
-        want = [jordan_spectrum(x) for x in xs]
-        assert _spectra(np.array([x.coeffs for x in xs]), a) == want
-        assert _spectra(xs[0].coeffs[None], a) == want[:1]
+        want = [spectrum_bytes(jordan_spectrum(x)) for x in xs]
+        got = _spectra(np.array([x.coeffs for x in xs]), a)
+        assert [spectrum_bytes(s) for s in got] == want
+        assert spectrum_bytes(_spectra(xs[0].coeffs[None], a)[0]) == want[0]
 
     @pytest.mark.parametrize("desc", FAMILIES + ["matrix:4", "spin:3"])
     def test_invertibility_is_the_single_calls(self, desc):
@@ -500,6 +525,104 @@ class TestStackedCompression:
         assert got == want
         assert _invertible_rows(xs[0].coeffs[None], a) == want[:1]
         assert True in want and False in want
+
+
+class TestClustered:
+    """One clustering routine over an (n, m) stack of eigenvalues: each row
+    is bitwise the rule applied to that row alone (``reference_clustered``),
+    whatever the other rows are, and the rows keep their order."""
+
+    @staticmethod
+    def assert_rows_are_the_rule(stack):
+        got = _clustered(np.array(stack, dtype=complex))
+        want = [reference_clustered(np.array(row, dtype=complex))
+                for row in stack]
+        assert [spectrum_bytes(s) for s in got] == \
+            [spectrum_bytes(s) for s in want]
+        return got
+
+    def test_mixed_sizes(self):
+        # H's of sizes 1, 2 and 3 in one stack of matrix:3 elements
+        a = from_descriptor("matrix:3")
+        rng = np.random.default_rng(5)
+        xs = [random_element(a, rng), a.one(), a.basis_element(1),
+              a.basis_element(0), jordan_block(3, 1.0), a.zero(),
+              a.element(np.diag([1.0, 1.0, 2.0]).reshape(9)),
+              random_element(a, rng)]
+        hs = [_generated(x.coeffs, a)[1] for x in xs]
+        assert {h.shape[0] for h in hs} == {1, 2, 3}
+        got = _spectra(np.array([x.coeffs for x in xs]), a)
+        want = [reference_clustered(np.linalg.eigvals(h)) for h in hs]
+        assert [spectrum_bytes(s) for s in got] == \
+            [spectrum_bytes(s) for s in want]
+
+    def test_jordan_block_is_one_point(self):
+        # 1 + N on matrix:3: three eigenvalues about eps^(1/3) apart
+        h = _generated(jordan_block(3, 1.0).coeffs,
+                       from_descriptor("matrix:3"))[1]
+        (s,) = self.assert_rows_are_the_rule([np.linalg.eigvals(h)])
+        assert len(s.points) == 1
+        assert abs(s.points[0] - 1.0) <= 1e-12
+
+    def test_unit(self):
+        a = from_descriptor("fn:4")
+        h = _generated(a.one().coeffs, a)[1]
+        assert h.shape == (1, 1)
+        (s,) = self.assert_rows_are_the_rule([np.linalg.eigvals(h)])
+        assert s.points == (1.0,)
+
+    def test_repeated_coordinates(self):
+        # fn:4 [1, 1, 2, 3]: C[x] has dimension 3, and the spectrum {1, 2, 3}
+        a = from_descriptor("fn:4")
+        h = _generated(a.element([1, 1, 2, 3]).coeffs, a)[1]
+        assert h.shape == (3, 3)
+        (s,) = self.assert_rows_are_the_rule([np.linalg.eigvals(h)])
+        assert hausdorff(s.points, [1, 2, 3]) <= 1e-14
+
+    def test_pairs_about_dedupe_tol(self):
+        # [2, 2 + delta, -1]: dedupe_tol = 1e-6 (3 + delta), just above 3e-6
+        inside, outside = 3e-6, 3.00001e-6
+        stack = [[2.0, 2.0 + delta, -1.0] for delta in (inside, outside)]
+        stack += [[2.0, 2.0 + 1j * delta, -1.0] for delta in (inside, outside)]
+        got = self.assert_rows_are_the_rule(stack)
+        assert [len(s.points) for s in got] == [2, 3, 2, 3]
+
+    def test_real_spectra_with_signed_zero_imaginary_parts(self):
+        pz, nz = 0.0, -0.0
+        stack = [[complex(1.0, pz), complex(2.0, nz), complex(-3.0, nz)],
+                 [complex(1.0, nz), complex(1.0, pz), complex(-3.0, pz)],
+                 [complex(pz, nz), complex(nz, nz), complex(5.0, nz)],
+                 [complex(nz, pz), complex(nz, nz), complex(pz, pz)]]
+        got = self.assert_rows_are_the_rule(stack)
+        # every zero part of a point is +0.0, as in the rule's sums
+        for p in (p for s in got for p in s.points):
+            assert np.signbit(p.real) == (p.real < 0)
+            assert not np.signbit(p.imag)
+
+    def test_one_cluster_of_many(self):
+        # every eigenvalue lies within the floor 1e-6 of the others, so each
+        # such row is one cluster of five, and its mean's bits depend on the
+        # order of the sum: that of the one-row product
+        rng = np.random.default_rng(13)
+        stack = 1e-200 * (rng.normal(size=(6, 5))
+                          + 1j * rng.normal(size=(6, 5)))
+        stack[::2] = rng.normal(size=(3, 5))  # rows without links
+        got = self.assert_rows_are_the_rule(list(stack))
+        assert [len(s.points) for s in got] == [5, 1] * 3
+
+    def test_random_clusters_and_row_order(self):
+        rng = np.random.default_rng(11)
+        for m in (1, 2, 3, 5, 8):
+            centres = rng.normal(size=m) + 1j * rng.normal(size=m)
+            picks = rng.integers(0, m, size=(24, m))
+            jitter = 10.0 ** rng.uniform(-9, -5, size=(24, 1))
+            stack = centres[picks] + jitter * (rng.normal(size=(24, m))
+                                               + 1j * rng.normal(size=(24, m)))
+            stack[::3] = rng.normal(size=(8, m))  # rows without links
+            got = self.assert_rows_are_the_rule(list(stack))
+            back = _clustered(stack[::-1].copy())
+            assert [spectrum_bytes(s) for s in back] == \
+                [spectrum_bytes(s) for s in got[::-1]]
 
 
 class TestExtremeScales:
@@ -559,6 +682,59 @@ class TestExtremeScales:
         assert not is_invertible(x)
         with pytest.raises(NotInvertible):
             inverse(x)
+
+    @pytest.mark.parametrize("desc, coeffs", [
+        # H = a [[1, sqrt 2], [sqrt 2, 1]] is finite, but its eigenvalue
+        # (1 + sqrt 2) 8e307 is not: it gave the point nan+nanj
+        ("spin:2", [8e307] * 3),
+        # H = c [[1, -1], [1, 1]] and its eigenvalues c (1 +- i) are finite,
+        # but their modulus c sqrt 2 is not
+        ("matrix:2", [1.3e308, -1.3e308, 1.3e308, 1.3e308])])
+    def test_spectrum_beyond_the_double_range_is_refused(self, desc, coeffs):
+        x = from_descriptor(desc).element(coeffs)
+        for call in (jordan_spectrum, log):
+            with pytest.raises(JordanNumError, match="double-precision range"):
+                call(x)
+
+    def test_compression_beyond_the_double_range_is_refused(self):
+        # h_21 = sqrt(2) 1.7e308 overflows: eigvals raised LinAlgError, and
+        # the invertibility and the inverse read a non-finite H
+        x = from_descriptor("spin:2").element([1.7e308] * 3)
+        calls = (jordan_spectrum, log,
+                 lambda y: holomorphic_calculus(cmath.exp, y,
+                                                Contour(0.0, 1e308)),
+                 lambda y: _spectra(y.coeffs[None], y.algebra),
+                 # invertible (alpha^2 - u.u = -alpha^2), not False
+                 is_invertible, inverse,
+                 lambda y: _invertible_rows(y.coeffs[None], y.algebra))
+        for call in calls:
+            with pytest.raises(JordanNumError, match="double-precision range"):
+                call(x)
+
+    def test_cluster_sum_beyond_the_double_range(self):
+        # [[l, l], [0, l]], l = 1.7e308: the double eigenvalue's sum
+        # overflowed, to the point inf, and log's balance raised Python's
+        # OverflowError; the mean is l, and log x = log(l) 1 + E_12
+        lam = 1.7e308
+        x = from_descriptor("matrix:2").element([lam, lam, 0.0, lam])
+        s = jordan_spectrum(x)
+        assert len(s.points) == 1
+        assert abs(s.points[0] - lam) <= 1e-15 * lam
+        assert s.spectral_radius == abs(s.points[0])
+        assert np.allclose(log(x).coeffs, [np.log(lam), 1.0, 0.0, np.log(lam)],
+                           rtol=1e-14, atol=1e-14)
+
+    def test_cluster_sum_beyond_the_double_range_in_a_stack(self):
+        # only the row whose sum overflows is averaged again, from its
+        # eigenvalues / 4, exactly here; the other row is the rule
+        lam = 1.7e308
+        stack = np.array([[lam, 1.0, lam], [2.0, 1.0, 1.0 + 1e-9]],
+                         dtype=complex)
+        far, near = _clustered(stack)
+        assert far.points == (1.0, lam)
+        assert far.spectral_radius == lam
+        assert spectrum_bytes(near) == \
+            spectrum_bytes(reference_clustered(stack[1]))
 
     def test_zero_element(self):
         zero = from_descriptor("matrix:2").zero()

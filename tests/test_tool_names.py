@@ -1,10 +1,11 @@
 """The scripts under ``tools/`` use only names that the package has.
 
-They reach the package, and private kernels such as ``calculus._expm1``
-and ``algebra._product``, through ``jn.``, ``calculus.`` and ``algebra.``
-attributes, and no other test runs them (``tools/exp_accuracy.py`` takes
-minutes). This walks each script's AST and looks every such attribute up
-in its module, so a kernel removed or renamed in ``src/`` shows up here.
+They reach the package, and private kernels such as ``calculus._expm1``,
+``algebra._product`` and ``spectral._spectra``, through ``jn.``,
+``calculus.``, ``algebra.`` and ``spectral.`` attributes, and no other
+test runs them (``tools/exp_accuracy.py`` takes minutes). This walks each
+script's AST and looks every such attribute up in its module, so a kernel
+removed or renamed in ``src/`` shows up here.
 """
 
 import ast
@@ -15,7 +16,7 @@ import pytest
 
 TOOLS = sorted((Path(__file__).resolve().parents[1] / "tools").glob("*.py"))
 MODULES = {"jn": "jordannum", "calculus": "jordannum.calculus",
-           "algebra": "jordannum.algebra"}
+           "algebra": "jordannum.algebra", "spectral": "jordannum.spectral"}
 
 
 @pytest.mark.parametrize("path", TOOLS, ids=lambda p: p.name)

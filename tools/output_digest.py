@@ -6,7 +6,9 @@ of ``jordannum`` on ``fn:2``, ``fn:5``, ``spin:3``, ``spin:4``,
 random elements at scales 1, 1e200 and 1e-200, and prints one line per
 group of results: the sha256 over every call's label and its result's
 bytes (coefficients, points, errors and residuals, exactly), the number of
-results, and the group's name. A call that raises counts in an ``error``
+results, and the group's name. The ``stacked spectra`` group runs
+``spectral._spectra`` over one stack a family and seed, whose rows mix H
+sizes and merged points. A call that raises counts in an ``error``
 line instead, one per exception type, hashed over each such call's label
 and message. Two trees give the same lines exactly when
 every call returned the same bits or raised the same error, so a bitwise
@@ -41,7 +43,11 @@ SCALES = (1.0, 1e200, 1e-200)
 GROUPS = ("exp/cos", "log/power_mu", "inverse/resolvent", "spectra",
           "contour/Cauchy", "reports", "single products",
           "curve limit, integer mu", "curve limit, non-integer mu",
-          "vettings", "psi tracking", "principal samples")
+          "vettings", "psi tracking", "principal samples", "stacked spectra")
+# steps 1 + delta e_i whose pair of eigenvalues lies just inside or just
+# outside dedupe_tol = 1e-6 (1 + max |eigenvalue|): idempotents (tol about
+# 2e-6) and the spin factor's +-1 (gap 2 delta, tol about 2e-6)
+NEAR_TOL = (0.95e-6, 1.05e-6, 1.9e-6, 2.1e-6)
 
 
 def _bytes(value) -> bytes:
@@ -106,6 +112,29 @@ def _curve(jn, x, y):
         lambda z: jn.jordan_mul(jn.exp(x * z), one + y * z), np.inf)
 
 
+def _stacked_rows(jn, spec, rng) -> np.ndarray:
+    """A stack of rows whose H's differ in size and whose spectra have
+    merged points: random elements and their real parts (with imaginary
+    parts -0.0), the unit and zero (m = 1), the basis elements, steps
+    1 + delta e_i about dedupe_tol (``NEAR_TOL``), and on matrix:n the
+    Jordan block 1 + N, whose n eigenvalues are one point."""
+    one = spec.one().coeffs
+    rows = [jn.random_element(spec, rng).coeffs for _ in range(3)]
+    for x in rows[:]:
+        real = np.empty_like(x)
+        real.real, real.imag = x.real, -0.0
+        rows.append(real)
+    rows += [one, 0.0 * one]
+    rows += [spec.basis_element(i).coeffs for i in range(min(spec.dim, 9))]
+    rows += [one + delta * spec.basis_element(i).coeffs
+             for delta in NEAR_TOL for i in range(2)]
+    if spec.label.startswith("matrix:"):
+        n = int(spec.label.partition(":")[2])
+        rows.append(one + sum(spec.basis_element(i * (n + 1) + 1).coeffs
+                              for i in range(n - 1)))
+    return np.array(rows)
+
+
 def run_family(jn, d: Digest, desc: str, seed: int):
     spec = jn.from_descriptor(desc)
     other = jn.from_descriptor("spin:1" if spec.dim == 2 else "fn:2")
@@ -120,6 +149,10 @@ def run_family(jn, d: Digest, desc: str, seed: int):
     for depth in (1, 2, 3):
         d.call("principal samples", f"{tag} depth{depth}",
                jn.principal_component_sample, spec, depth, 100 * seed)
+
+    spectral = jn.spectral
+    d.call("stacked spectra", tag, spectral._spectra,
+           _stacked_rows(jn, spec, np.random.default_rng(1000 + seed)), spec)
 
     rng = np.random.default_rng(seed)
     base = [jn.random_element(spec, rng) for _ in range(3)]
