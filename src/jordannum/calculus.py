@@ -2,13 +2,19 @@
 
 All single-element functions operate inside the closed subalgebra generated
 by the element, which is associative and commutative, so scalar algorithms
-(scaling-and-squaring, the incremental Newton square root, series)
-carry over verbatim. There each term of a power series in x is the last
-one times x, so the exp, expm1 and log series form the d x d operator L_x
-once (``algebra._mult_matrix``) and take each term as one matrix-vector
-product; exp's is Horner's rule, its degree set before it runs from a
-bound on |L_x| (``_series``; as in Al-Mohy & Higham, SIAM J. Matrix Anal.
-Appl. 2009), so no term is tested.
+(scaling-and-squaring, Newton's method for e^y = a, the incremental Newton
+square root, series) carry over verbatim. There each term of a power
+series in x is the last one times x, so the exp, expm1 and log series form
+the d x d operator L_x once (``algebra._mult_matrix``) and take each term
+as one matrix-vector product; exp's is Horner's rule, its degree set
+before it runs from a bound on |L_x| (``_series``; as in Al-Mohy & Higham,
+SIAM J. Matrix Anal. Appl. 2009), so no term is tested.
+
+``log`` starts from the interpolant of log at the spectrum points and
+takes Newton's steps y <- y + e^-y o a - 1, each one exp and one product
+and no inverse (``_log_newton``). Only where those decline does it take
+the square roots and the series of inverse scaling-and-squaring
+(``_log_staged``; Al-Mohy & Higham, SIAM J. Sci. Comput. 2012).
 
 exp and e^x - 1 also run on a stack of arguments, one per row: the paths
 exp(t x) of the character vetting, e^{+-ix} in ``cos``, e^{v/n} - 1 for
@@ -30,6 +36,7 @@ first doubling that can stop it is 32 -> 64.
 
 from __future__ import annotations
 
+import cmath
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -61,6 +68,7 @@ _MAX_CONTOUR_NODES = 8192
 _QUADRATURE_TOL = 1e-9
 _CAUCHY_NODES = 64
 _MAX_SQRT_STEPS = 64
+_MAX_LOG_STEPS = 12  # Newton steps on e^y = a (``_log_newton``)
 _PLUS_MINUS_I = np.array([[1j], [-1j]])  # cos's two exponents, +-i a
 
 
@@ -276,45 +284,59 @@ def _sqrt(a: np.ndarray, algebra) -> np.ndarray:
     return x
 
 
-def log(a: Element) -> Element:
-    """Principal logarithm by inverse scaling-and-squaring.
+def _log_newton(cur: np.ndarray, points: list, algebra):
+    """log of the coefficient row cur by Newton's method on e^y = cur in
+    C[cur], or None where it declines.
 
-    Repeated square roots (``_sqrt``, incremental Newton) of a, after a
-    branch check on its spectrum, bring z = root - 1 to norm 0.25 and
-    ell(L_z) = sqrt(|L_z|_1 |L_z|_inf) to 0.6 or below: the norm of z
-    alone does not bound L_z (``_scaled``). Then the Mercator series of
-    log(1 + z) runs, each term one product by the operator L_z, and is
-    scaled by 2^roots. The roots, the staging and the series work on
-    coefficient rows, and the result is the one Element a call builds. A
-    series that has not met its stop test after 200 terms raises
-    JordanNumError.
-
-    Newton's first iterate (1 + a) / 2 is singular if -1 is in the spectrum,
-    and digits are lost near the negative axis. So a spectrum reaching into
-    the left half-plane is turned by the quarter turn i^-k that most lowers
-    its largest |argument|, if one does: log a = log(i^-k a) + i k pi / 2.
-    Its twin for the modulus: the roots never recompute x o x - a, so far
-    from |lambda| = 1 the rounding of their first steps, about eps |a|,
-    stays in them, and on spread spectra their first corrections leave
-    C[a]. A spectral radius rho outside [2^-b, 2^b], b = ``_BALANCE_BAND``,
-    is balanced: log a = log(2^-j a) + j ln 2, j = round(log2 rho), exactly.
+    The guess is the interpolant of log at the spectrum points of cur, in
+    Newton form: divided differences of ``cmath.log``, summed by Horner's
+    rule with ``_product`` (m - 1 products for m points); on a semisimple
+    cur it is log cur up to rounding. Each step is Newton's for e^y = cur
+    in the commutative C[cur], y <- y + r with r = e^-y o cur - 1, and no
+    inverse (Higham, *Functions of Matrices*, ch. 11). The steps stop at
+    the first residual |r| that does not decrease, or after
+    ``_MAX_LOG_STEPS``: off C[cur] the iteration is unstable, so later
+    iterates grow again. The iterate of least |r| is returned if that |r|
+    is at most 4e-15 max(|y|, 1). A guess that is not finite, an
+    ``ExpOverflow`` or a NaN residual declines.
     """
-    spec = jordan_spectrum(a)
-    for p in spec.points:
-        dist = abs(p) if p.real > 0 else abs(p.imag)
-        if dist <= _BRANCH_CLEARANCE:
-            raise BranchCut(
-                f"spectrum point {p} is within {_BRANCH_CLEARANCE} of the "
-                "closed negative real axis"
-            )
-    worst = [np.abs(np.angle(spec.points) - 0.5 * np.pi * k).max()
-             for k in (0, 1, -1)]
-    turn = (0, 1, -1)[np.argmin(worst)] if worst[0] > 0.5 * np.pi else 0
-    algebra, unit = a.algebra, a.algebra.unit
-    lg = np.log2(spec.spectral_radius)
-    bal = round(lg) if abs(lg) > _BALANCE_BAND else 0
-    cur = a.coeffs * (-1j if turn == 1 else 1j) if turn else a.coeffs
-    cur = cur * 2.0 ** -bal if bal else cur
+    unit = algebra.unit
+    coef = [cmath.log(p) for p in points]
+    for j in range(1, len(points)):  # coef[i] <- log[p_(i-j), ..., p_i]
+        for i in range(len(points) - 1, j - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) / (points[i] - points[i - j])
+    y = coef[-1] * unit
+    for p, c in zip(points[-2::-1], coef[-2::-1]):
+        y = _product(cur - p * unit, y, algebra) + c * unit
+    if not math.isfinite(_norms(y)):
+        return None
+    best, least = y, math.inf
+    for _ in range(_MAX_LOG_STEPS + 1):
+        try:
+            r = _product(_exp_rows(-y, algebra), cur, algebra) - unit
+        except ExpOverflow:
+            return None
+        size = _norms(r)
+        if math.isnan(size):
+            return None
+        if size >= least:
+            break
+        best, least = y, size
+        y = y + r
+    return best if least <= 4e-15 * max(_norms(best), 1.0) else None
+
+
+def _log_staged(cur: np.ndarray, algebra) -> np.ndarray:
+    """log of the coefficient row cur by inverse scaling-and-squaring.
+
+    Repeated square roots (``_sqrt``, incremental Newton) bring
+    z = root - 1 to norm 0.25 and ell(L_z) = sqrt(|L_z|_1 |L_z|_inf) to 0.6
+    or below: the norm of z alone does not bound L_z (``_scaled``). Then
+    the Mercator series of log(1 + z) runs, each term one product by the
+    operator L_z, and is scaled by 2^roots. A series that has not met its
+    stop test after 200 terms raises JordanNumError.
+    """
+    unit = algebra.unit
     for roots in range(65):
         z = cur - unit
         lz = _mult_matrix(z, algebra)
@@ -332,11 +354,63 @@ def log(a: Element) -> Element:
             break
     else:
         raise JordanNumError("log series did not converge in 200 terms")
-    out = acc * float(2 ** roots)
+    return acc * float(2 ** roots)
+
+
+def log(a: Element) -> Element:
+    """Principal logarithm: Newton on exp, or inverse scaling-and-squaring.
+
+    After a branch check on the spectrum of a, ``_log_newton`` starts from
+    the interpolant of log at the spectrum points and takes Newton steps
+    on e^y = a, each one exp and one product; it accepts the iterate of
+    least residual |e^-y o a - 1| if that is at most 4e-15 max(|y|, 1).
+    Where it declines (a guess that is not finite, an exp that overflows,
+    a NaN residual, or a least residual above that bound), ``_log_staged``
+    takes repeated square roots and the Mercator series.
+    Both work on coefficient rows, and the result is the one Element a
+    call builds.
+
+    Newton's first square-root iterate (1 + a) / 2 is singular if -1 is in
+    the spectrum, and digits are lost near the negative axis. So a spectrum
+    reaching into the left half-plane is turned by the quarter turn i^-k
+    that most lowers its largest |argument|, if one does:
+    log a = log(i^-k a) + i k pi / 2. Its twin for the modulus: the roots
+    never recompute x o x - a, so far from |lambda| = 1 the rounding of
+    their first steps, about eps |a|, stays in them, and on spread spectra
+    their first corrections leave C[a]. A spectral radius rho outside
+    [2^-b, 2^b], b = ``_BALANCE_BAND``, is balanced:
+    log a = log(2^-j a) + j ln 2, j = round(log2 rho), exactly. Both paths
+    take the turned and balanced row, and its spectrum points, turned and
+    scaled by the same exact factors.
+    """
+    spec = jordan_spectrum(a)
+    for p in spec.points:
+        dist = abs(p) if p.real > 0 else abs(p.imag)
+        if dist <= _BRANCH_CLEARANCE:
+            raise BranchCut(
+                f"spectrum point {p} is within {_BRANCH_CLEARANCE} of the "
+                "closed negative real axis"
+            )
+    worst = [np.abs(np.angle(spec.points) - 0.5 * np.pi * k).max()
+             for k in (0, 1, -1)]
+    turn = (0, 1, -1)[np.argmin(worst)] if worst[0] > 0.5 * np.pi else 0
+    algebra = a.algebra
+    lg = np.log2(spec.spectral_radius)
+    bal = round(lg) if abs(lg) > _BALANCE_BAND else 0
+    cur, points = a.coeffs, list(spec.points)
     if turn:
-        out += (0.5j * np.pi * turn) * unit
+        quarter = -1j if turn == 1 else 1j
+        cur, points = cur * quarter, [p * quarter for p in points]
     if bal:
-        out += (bal * np.log(2.0)) * unit
+        shrink = 2.0 ** -bal
+        cur, points = cur * shrink, [p * shrink for p in points]
+    out = _log_newton(cur, points, algebra)
+    if out is None:
+        out = _log_staged(cur, algebra)
+    if turn:
+        out += (0.5j * np.pi * turn) * algebra.unit
+    if bal:
+        out += (bal * np.log(2.0)) * algebra.unit
     return Element(algebra, out)
 
 

@@ -29,10 +29,10 @@ from jordannum import (
 from jordannum import calculus, spectral
 from jordannum.calculus import _CONTOUR_NODES, _MAX_CONTOUR_NODES, _exp_rows
 from jordannum.errors import (BranchCut, ContourViolation, ExpOverflow,
-                              NotInvertible, QuadratureError)
+                              JordanNumError, NotInvertible, QuadratureError)
 from test_algebra import checked_elements
-from test_basis_change import algebra
-from test_spectral import DEFECTIVE
+from test_basis_change import _change_of_basis, algebra
+from test_spectral import DEFECTIVE, jordan_block, spin_nilpotent
 
 FAMILIES = ["matrix:2", "matrix:3", "spin:4", "fn:5", "sum:fn:2+matrix:2"]
 
@@ -590,6 +590,124 @@ class TestLog:
         y = f.element([-1.0 + 1e-6j, 2.0])
         np.testing.assert_allclose(log(y).coeffs, np.log(y.coeffs),
                                    atol=1e-12)
+
+    @pytest.mark.parametrize("eps, tol", [(1e-6, 1e-15), (1e-3, 1e-14)])
+    def test_conjugate_pair_near_minus_one(self, eps, tol):
+        # -1 +- eps i on fn:2: no quarter turn clears both points from -1, so
+        # the first square-root iterate (1 + a) / 2 is nearly singular; the
+        # staged path raised "square root inaccurate (residual 4.1e-05)" at
+        # eps = 1e-6 and erred by 1.6e-10 at 1e-3. Newton takes no root
+        y = make_function_algebra(2).element([-1 + 1j * eps, -1 - 1j * eps])
+        np.testing.assert_allclose(log(y).coeffs, np.log(y.coeffs),
+                                   rtol=tol, atol=0)
+
+    @pytest.fixture
+    def no_roots(self, monkeypatch):
+        """``calculus._sqrt`` raises: only Newton on exp can answer."""
+        def refuse(*args):
+            raise AssertionError("log took a square root")
+        monkeypatch.setattr(calculus, "_sqrt", refuse)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_basis_changed_jordan_blocks(self, k, no_roots):
+        # P J P^-1 on matrix:k, J = lam I + N one block, cond(P) < 3: the
+        # computed spectrum is one point at k = 2 and 3, where the guess
+        # log(lam) 1 misses the nilpotent part (85 % relative), and at k = 4
+        # mostly k points about (eps |H|)^(1/k) apart, where the interpolant
+        # errs by 1.6e-5 (medians); Newton's steps finish the job
+        a = make_matrix_jordan(k)
+        for seed in range(20):
+            p, pinv = _change_of_basis(k, seed)
+            rng = np.random.default_rng(1000 + seed)
+            lam = cmath.exp(complex(rng.normal(0.0, 0.5),
+                                    rng.uniform(-2.5, 2.5)))
+            y = p @ (lam * np.eye(k) + np.eye(k, k=1)) @ pinv
+            want = scipy.linalg.logm(y)
+            got = log(a.element(y.reshape(-1))).coeffs.reshape(k, k)
+            assert np.linalg.norm(got - want) <= \
+                1e-14 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("c", [1e10, 1e50])
+    def test_rescaled_structure_far_from_one(self, c, no_roots):
+        # test_rescaled_structure at larger c: the staged path's stop tests
+        # have absolute floors, and it erred by 8.9e-14 at c = 1e10 and by
+        # 0.73 at 1e50, where its series stopped after one term
+        m2 = from_descriptor("matrix:2")
+        a = AlgebraSpec(4, m2.structure * c, m2.unit / c, f"matrix:2x{c}")
+        want = np.diag([np.log(2.0), np.log(3.0)]).reshape(-1) / c
+        got = log(a.element(np.diag([2.0, 3.0]).reshape(-1) / c)).coeffs
+        assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
+
+    def test_calculus_traffic_takes_no_square_root(self, no_roots):
+        # the inputs of the calculus benchmark's exp/log experiments: exp(x)
+        # at caps 0.5-3 on its six families, the matrix:3 Jordan block
+        # 1 + E12 + E23 and a spin:4 nilpotent alpha + u with u.u = 0
+        rng = np.random.default_rng(3)
+        for desc in FAMILIES + ["matrix:4"]:
+            a = from_descriptor(desc)
+            for cap in (0.5, 1.0, 2.0, 3.0):
+                for _ in range(5):
+                    y = exp(random_element(a, rng, norm_cap=cap))
+                    assert (exp(log(y)) - y).norm <= 1e-14 * y.norm
+        block = jordan_block(3, 1.0)  # log(1 + N) = N - N^2 / 2
+        nil = spin_nilpotent(from_descriptor("spin:4"), rng)
+        alpha, u = nil.coeffs[0], nil.coeffs[1:]  # log = log alpha + u/alpha
+        for x, want in (
+                (block, (np.eye(3, k=1) - 0.5 * np.eye(3, k=2)).reshape(9)),
+                (nil, np.concatenate([[cmath.log(alpha)], u / alpha]))):
+            assert np.linalg.norm(log(x).coeffs - want) <= \
+                1e-15 * np.linalg.norm(want)
+            assert (log(exp(x)) - x).norm <= 1e-15 * x.norm
+
+    def test_spread_draws_fall_back_without_overflow(self, monkeypatch):
+        # y = exp(4 g) on matrix:4: off C[y] Newton's steps are unstable on
+        # spread spectra, and on 12 of these 50 draws (1, 7, 8, 15, 19, ...)
+        # they diverge until exp overflows. Each such draw declines, and the
+        # staged path answers it or refuses it (draw 45, "square root
+        # inaccurate"); its round trips here reach 2.7e-10 (draw 28)
+        a = from_descriptor("matrix:4")
+        rng = np.random.default_rng(0)
+        ys = [exp(random_element(a, rng, norm_cap=np.inf) * 4)
+              for _ in range(50)]
+        overflows, real = [], calculus._exp_rows
+
+        def counted(*args):
+            try:
+                return real(*args)
+            except ExpOverflow:
+                overflows.append(args)
+                raise
+
+        monkeypatch.setattr(calculus, "_exp_rows", counted)
+        logs = []
+        for y in ys:
+            try:
+                logs.append(log(y))
+            except JordanNumError as err:
+                assert not isinstance(err, ExpOverflow)
+                logs.append(None)
+        monkeypatch.undo()
+        assert len(overflows) >= 12
+        assert [i for i, x in enumerate(logs) if x is None] == [45]
+        for x, y in zip(logs, ys):
+            if x is not None:
+                assert (exp(x) - y).norm <= 1e-9 * y.norm
+
+
+class TestStagedLog(TestLog):
+    """TestLog's inputs on the fallback alone: ``_log_newton`` declines
+    every input, so each log is the staged roots' and series'. The tests
+    of what Newton mends or takes without a root are TestLog's only."""
+
+    @pytest.fixture(autouse=True)
+    def _declined(self, monkeypatch):
+        monkeypatch.setattr(calculus, "_log_newton", lambda *args: None)
+
+    test_conjugate_pair_near_minus_one = None
+    test_basis_changed_jordan_blocks = None
+    test_rescaled_structure_far_from_one = None
+    test_calculus_traffic_takes_no_square_root = None
+    test_spread_draws_fall_back_without_overflow = None
 
 
 class TestPowerMu:

@@ -57,6 +57,13 @@ Frechet derivative of log at y (``scaled_log_reference``). A spread
 matrix y's reference is V diag(log lambda) V^-1 from ``mpmath.eig``,
 where ``mpmath.logm`` would take 0.1-1 s an input. These lines add about
 10 s to a run.
+``log_jordan`` (``matrix:3`` and ``matrix:4``) takes ``log`` of 50
+basis-changed Jordan blocks y = P J P^-1, J = lam I + N one k x k block
+and cond(P) < 2.4 (seeds 0-49, ``basis_changed_block``), y the exact
+product rounded to double. The reference is the closed form
+P (log(lam) I + sum_{j<k} (-1)^(j+1) (N / lam)^j / j) P^-1 of the exact
+product plus its first-order change under the rounding of y, also in
+closed form, so it is log y up to eps^2. They add about 2 s to a run.
 ``spin:3 curve_limit`` takes each error that ``general_trotter`` reports
 for the curve exp(a z) o (1 + b z + d^3 z^3) o cos(c z) on ``spin:3``
 (a, b, c, d drawn at norm cap 0.5 from seeds 0-3, radius_r = 2), with the
@@ -93,6 +100,8 @@ INV_PER_CAP = 40
 PATH_TS = np.linspace(0.0, 1.0, 17)
 RESCALE = 100
 FAR_FAMILIES = ("matrix:3", "matrix:4", "spin:4")
+JORDAN_FAMILIES = ("matrix:3", "matrix:4")
+JORDAN_SEEDS = range(50)
 FAR_SCALES = (1e-6, 1e6, 1e12, 1e50)
 SPREAD_SCALES = (3, 4)
 CAUCHY_R = 2.0
@@ -312,6 +321,61 @@ def far_errors(jn, desc, logs):
     return errs
 
 
+def basis_changed_block(k, seed):
+    """(y, want) for one basis-changed Jordan block on matrix:k.
+
+    y is the coefficient row of P J P^-1 rounded to double, J = lam I + N,
+    N the nilpotent shift, lam = e^g with Re g ~ N(0, 1/4) and Im g
+    uniform in (-2.5, 2.5), and P = 1 + 0.4 E / |E|_2, E standard complex
+    Gaussian, so cond(P) < 2.4 (as in ``tests/test_basis_change.py``). want
+    is log y in mpmath, by the closed form log(lam I + M) = log(lam) I +
+    sum_{j>=1} (-1)^(j+1) (M / lam)^j / j for nilpotent M: with D the
+    rounding of y and E = P^-1 D P, M = [[N, E], [0, N]] is nilpotent, and
+    the series' two top blocks are log J and the Frechet derivative of log
+    at J in the direction E, so want = P (log J + L_J[E]) P^-1 is log y up
+    to |D|^2, of order eps^2.
+    """
+    rng = np.random.default_rng(seed)
+    lam = mpmath.mpc(cmath.exp(complex(rng.normal(0.0, 0.5),
+                                       rng.uniform(-2.5, 2.5))))
+    e = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+    p = mpmath.matrix((np.eye(k) + 0.4 * e / np.linalg.norm(e, 2)).tolist())
+    pinv = p ** -1
+    exact = p * (lam * mpmath.eye(k)) * pinv
+    for i in range(k - 1):
+        exact += p[:, i] * pinv[i + 1, :]  # P N P^-1, column by row
+    y = [complex(exact[i, j]) for i in range(k) for j in range(k)]
+    e = pinv * (mpmath.matrix([y[i * k:(i + 1) * k] for i in range(k)])
+                - exact) * p
+    m = mpmath.matrix(2 * k, 2 * k)
+    for i in range(k):
+        for j in range(k):
+            m[i, k + j] = e[i, j]
+        if i < k - 1:
+            m[i, i + 1] = m[k + i, k + i + 1] = 1
+    series = mpmath.log(lam) * mpmath.eye(2 * k)
+    power = mpmath.eye(2 * k)
+    for j in range(1, 2 * k):
+        power = power * m / lam
+        series += power * (mpmath.mpf((-1) ** (j + 1)) / j)
+    top = mpmath.matrix([[series[i, j] + series[i, k + j] for j in range(k)]
+                         for i in range(k)])
+    want = p * top * pinv
+    return y, [want[i, j] for i in range(k) for j in range(k)]
+
+
+def jordan_errors(jn, desc):
+    """Relative errors of log on basis-changed Jordan blocks; None if
+    refused."""
+    a = jn.from_descriptor(desc)
+    k = int(desc.split(":")[1])
+    errs = []
+    for seed in JORDAN_SEEDS:
+        y, want = basis_changed_block(k, seed)
+        errs.append(refusable(jn.log, a.element(y), want))
+    return errs
+
+
 def cauchy_errors(jn, desc):
     """Relative errors of derivative_at_zero against f'(0) = x on one
     family."""
@@ -449,6 +513,8 @@ def main(argv=None) -> int:
         errors = family_errors(jn, calculus, desc)
         errors["spectrum"] = spectrum_errors(jn, desc)
         errors["inverse"] = inverse_errors(jn, desc)
+        if desc in JORDAN_FAMILIES:
+            errors["log_jordan"] = jordan_errors(jn, desc)
         errors.update(cauchy_errors(jn, desc))
         _print_lines(desc, errors)
     for desc, per_cap in LARGE.items():
